@@ -1,6 +1,6 @@
 # Convenience targets around dune.
 
-.PHONY: all build test bench bench-json bench-diff learn-smoke perf ci clean
+.PHONY: all build test bench bench-json bench-diff learn-smoke perf perfbench-smoke ci clean
 
 all: build
 
@@ -63,6 +63,15 @@ learn-smoke:
 perf:
 	dune exec bench/main.exe -- perf | tee $(CURDIR)/_build/perf_micro.txt
 
+# Benchmark smoke: one short untraced pass of the explore workload on the
+# circuits as shipped (seed 0).  Fails unless the JSON result on the last
+# line of its output reports "correct": true (every design re-audited).
+perfbench-smoke:
+	@mkdir -p $(CURDIR)/_build
+	python3 perfbench/run.py --workload explore --seed 0 --seconds 1 \
+		--trace 0 | tee $(CURDIR)/_build/perfbench_smoke.txt
+	tail -n 1 $(CURDIR)/_build/perfbench_smoke.txt | grep -q '"correct": true'
+
 # Fast gate for every change: build, unit tests, the conflict-engine
 # smoke above, then the bench smoke + regression diff — the smoke asserts
 # the solver still proves tseng k=1 optimal at the 2 s budget and that no
@@ -70,8 +79,10 @@ perf:
 # BENCH_solver.json, and the diff report classifies every other drift
 # (~1 min: it re-runs every committed sweep at 2 s/ILP).  The perf
 # micro-rates ride along non-gating (`|| true` lives in the CI step, not
-# here, so interactive `make perf` still reports failures).
-ci: build test learn-smoke bench-diff
+# here, so interactive `make perf` still reports failures).  The
+# benchmark smoke checks that the explore workload still runs and every
+# design it returns passes the audit.
+ci: build test learn-smoke bench-diff perfbench-smoke
 
 clean:
 	dune clean

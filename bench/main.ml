@@ -659,13 +659,17 @@ let smoke () =
 (* ------------------------------------------------- kernel micro-benchmark *)
 
 (* `perf` arm: allocation-free kernel rates on a fixed instance (tseng
-   k=1), for the CI artifact next to bench_diff.txt.  Two numbers:
+   k=1), for the CI artifact next to bench_diff.txt, plus the symmetry
+   detection rate on wavelet6 k=2.  Three numbers:
 
    - simplex re-solve iterations/s: the warm dual-simplex engine is
      driven through a deterministic cycle of bound tightenings and
      re-solves (the node-LP access pattern, minus the search around it);
    - propagation sweeps/s: full worklist fixpoints over the presolved
-     model's rows via Ilp.Solver.propagation_rate.
+     model's rows via Ilp.Solver.propagation_rate;
+   - symmetry detect calls/s: Ilp.Symmetry.detect on the presolved
+     wavelet6 k=2 model, the set-up every synthesis solve pays before its
+     search.
 
    Non-gating by design: rates are machine-dependent, so the artifact is
    for eyeballing trends across CI runs, not a pass/fail check. *)
@@ -716,7 +720,30 @@ let perf () =
   (* propagation: full fixpoint sweeps on the same model *)
   let sweeps = 2_000 in
   let rate = Ilp.Solver.propagation_rate model ~sweeps in
-  Printf.printf "perf: propagation %d sweeps = %.0f sweeps/s\n" sweeps rate
+  Printf.printf "perf: propagation %d sweeps = %.0f sweeps/s\n" sweeps rate;
+  (* symmetry detection: whole Symmetry.detect calls (colour refinement
+     plus transposition checks) on the presolved wavelet6 k=2 model *)
+  match Circuits.Suite.find "wavelet6" with
+  | None -> prerr_endline "perf: wavelet6 circuit missing"
+  | Some p ->
+      let e =
+        Advbist.Encoding.build p ~n_regs:(Dfg.Problem.min_registers p) ~k:2
+      in
+      let model, _ = Ilp.Presolve.strengthen e.Advbist.Encoding.model in
+      let calls = 50 in
+      let st = Ilp.Stats.create () in
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to calls do
+        ignore (Ilp.Symmetry.detect ~stats:st model)
+      done;
+      let dt = Unix.gettimeofday () -. t0 in
+      Printf.printf
+        "perf: symmetry detect %d calls on wavelet6 k=2 (%d vars) = %.1f \
+         calls/s, %d passes and %d transpositions per call\n"
+        calls (Ilp.Model.n_vars model)
+        (float_of_int calls /. dt)
+        (st.Ilp.Stats.sym_refine_passes / calls)
+        (st.Ilp.Stats.sym_transpositions / calls)
 
 (* Snapshot regression diff: FAIL on area/optimality/coverage losses,
    warn on node-count, gap, time and phase-share drift. *)

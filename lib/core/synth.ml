@@ -79,7 +79,8 @@ let lp_mode model =
 let solver_options ?time_limit ?node_limit ?(stats = false) ?trace
     ?(pricing = Ilp.Simplex.Devex)
     ?(learn = Ilp.Solver.default.Ilp.Solver.learn)
-    ?(restarts = Ilp.Solver.default.Ilp.Solver.restarts) ~sym encoding warm =
+    ?(restarts = Ilp.Solver.default.Ilp.Solver.restarts) ~sym ~orbits
+    encoding warm =
   {
     Ilp.Solver.default with
     Ilp.Solver.time_limit;
@@ -101,10 +102,11 @@ let solver_options ?time_limit ?node_limit ?(stats = false) ?trace
     warm_start = warm;
     prefer_high = false;
     sym;
-    (* structural orbits the in-model reductions left unbroken; verified
-       exactly, so the solver takes them as-is (auto-detection then only
-       runs on models small enough for it) *)
-    orbits = (if sym then Encoding.orbits encoding else []);
+    (* structural orbits the in-model reductions left unbroken
+       ({!Encoding.orbits}), verified exactly, so the solver takes them
+       as-is; they are usually empty, and then the solver runs its own
+       {!Ilp.Symmetry.detect} on the presolved model *)
+    orbits = (if sym then orbits else []);
   }
 
 (* One ILP solve: a portfolio race of diverse configurations sharing an
@@ -170,7 +172,9 @@ let reference ?time_limit ?node_limit ?symmetry ?(portfolio = false)
   let warm = Result.to_option (Encoding.vector_of_netlist e d0) in
   let options =
     solver_options ?time_limit ?node_limit ?stats ?trace ?pricing ?learn
-      ?restarts ~sym e warm
+      ?restarts ~sym
+      ~orbits:(if sym then Encoding.orbits e else [])
+      e warm
   in
   (* presolve keeps variable indices, so decoding solutions still works *)
   let t_pre = Unix.gettimeofday () in
@@ -236,9 +240,12 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(portfolio = false)
     | Some h, s -> (Some h, s)
     | None, s -> (s, None)
   in
+  (* computed once: the solver takes them under [sym], the post-mortem
+     analysis under [explain] *)
+  let orbits = if sym || explain then Encoding.orbits e else [] in
   let options =
     solver_options ?time_limit ?node_limit ?stats ?pricing ?learn ?restarts
-      ~sym e warm
+      ~sym ~orbits e warm
   in
   let options = { options with Ilp.Solver.incumbent_start = incumbent } in
   (* presolve keeps variable indices, so decoding solutions still works *)
@@ -250,7 +257,7 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(portfolio = false)
      basis-inverse budget. *)
   let options = { options with Ilp.Solver.lp = lp_mode model } in
   let r, report =
-    with_explain ~explain ?trace ~orbits:(Encoding.orbits e) (fun tr ->
+    with_explain ~explain ?trace ~orbits (fun tr ->
         let options = { options with Ilp.Solver.trace = tr } in
         let r = run_solver ~portfolio ~jobs ~steal options model in
         stamp_presolve r presolve_s;

@@ -1803,13 +1803,14 @@ let root_cut_loop ?deadline ?stats ?started ~(options : options) model =
 
 (* Decide the orbit list and canonical warm start for a solve.  Caller
    orbits are trusted (they must already be verified, e.g. through
-   [Symmetry.filter_verified]); with none supplied, auto-detection runs —
-   [Symmetry.detect] bails out immediately on large models.  The warm
-   start is mapped to its canonical symmetric image so it satisfies the
-   lex rows; if the canonical image fails the model audit (a caller orbit
-   that is not a true symmetry), the orbits are dropped rather than the
-   warm start.  Returns the (possibly lex-augmented) model and patched
-   options. *)
+   [Symmetry.filter_verified]); with none supplied, [Symmetry.detect]
+   runs, which on the synthesis encodings is nearly every solve (their
+   structural orbits are usually empty), and adds its work counters to
+   [stats].  The warm start is mapped to its canonical symmetric image so
+   it satisfies the lex rows; if the canonical image fails the model audit
+   (a caller orbit that is not a true symmetry), the orbits are dropped
+   rather than the warm start.  Returns the (possibly lex-augmented) model
+   and patched options. *)
 (* The historical [verbose] flag is now a convenience alias for a
    human-readable stderr trace: with no explicit sink installed it
    reroutes through {!Trace.stderr_human}, so an explicit [--trace FILE]
@@ -1820,12 +1821,12 @@ let reroute_verbose (options : options) =
     { options with trace = Some (Trace.stderr_human ()) }
   else options
 
-let prepare ~(options : options) model =
+let prepare ?stats ~(options : options) model =
   let options = reroute_verbose options in
   let orbits =
     if not options.sym then []
     else if options.orbits <> [] then options.orbits
-    else Symmetry.detect model
+    else Symmetry.detect ?stats model
   in
   (* Overlapping orbits (e.g. register and module columns sharing wire
      variables): sorting one can disturb the other, so canonicalize to a
@@ -2221,7 +2222,7 @@ let solve_internal ~(options : options) model =
   let started = now () in
   let stats = if options.stats then Some (Stats.create ()) else None in
   let last = ref started in
-  let model, options = prepare ~options model in
+  let model, options = prepare ?stats ~options model in
   tick stats last (fun st d -> st.Stats.prepare_s <- d);
   let model, warm_inst = cut_phase ?stats ~options ~started model in
   tick stats last (fun st d -> st.Stats.cuts_s <- d);
@@ -2442,7 +2443,7 @@ let solve_parallel ?(options = default) ~jobs model =
   let started = now () in
   let stats = if options.stats then Some (Stats.create ()) else None in
   let last = ref started in
-  let model, options = prepare ~options model in
+  let model, options = prepare ?stats ~options model in
   (* Strip a warm start that fails the audit here, once, so the per-subtree
      reset can trust it unconditionally. *)
   let options =

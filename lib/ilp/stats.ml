@@ -20,6 +20,9 @@ type t = {
      [search_s] / [root_s]; not part of the disjoint phase account. *)
   mutable lp_s : float;  (* node LP bounding *)
   mutable probe_s : float;  (* in-tree probing *)
+  (* Symmetry detection inside [prepare_s]. *)
+  mutable sym_refine_passes : int;  (* colour-refinement passes run *)
+  mutable sym_transpositions : int;  (* transposition checks by detection *)
   (* Root cut loop. *)
   mutable cut_rounds : int;
   mutable cuts_generated : int;  (* separated by Cuts.separate *)
@@ -76,6 +79,8 @@ let create () =
     search_s = 0.0;
     lp_s = 0.0;
     probe_s = 0.0;
+    sym_refine_passes = 0;
+    sym_transpositions = 0;
     cut_rounds = 0;
     cuts_generated = 0;
     cuts_kept = 0;
@@ -169,6 +174,8 @@ let merge a b =
     search_s = a.search_s +. b.search_s;
     lp_s = a.lp_s +. b.lp_s;
     probe_s = a.probe_s +. b.probe_s;
+    sym_refine_passes = a.sym_refine_passes + b.sym_refine_passes;
+    sym_transpositions = a.sym_transpositions + b.sym_transpositions;
     cut_rounds = a.cut_rounds + b.cut_rounds;
     cuts_generated = a.cuts_generated + b.cuts_generated;
     cuts_kept = a.cuts_kept + b.cuts_kept;
@@ -216,7 +223,10 @@ let pp ?time_s ppf t =
   List.iter
     (fun (name, s) ->
       fprintf ppf "@,  %-12s %9.4f" name s;
-      if denom > 0.0 then fprintf ppf "  %5.1f" (pct s))
+      if denom > 0.0 then fprintf ppf "  %5.1f" (pct s);
+      if name = "prepare" then
+        fprintf ppf "  (%d refine passes, %d transpositions)"
+          t.sym_refine_passes t.sym_transpositions)
     (phases t);
   fprintf ppf "@,  %-12s %9.4f" "accounted" total;
   (match time_s with

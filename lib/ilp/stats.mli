@@ -26,6 +26,11 @@ type t = {
   mutable search_s : float;  (** tree search (all nodes, all workers) *)
   mutable lp_s : float;  (** node LP bounding (summed across workers) *)
   mutable probe_s : float;  (** in-tree probing (summed across workers) *)
+  mutable sym_refine_passes : int;
+      (** colour-refinement passes run by {!Symmetry.detect} *)
+  mutable sym_transpositions : int;
+      (** transposition checks ({!Symmetry.transposition_ok} calls) run by
+          {!Symmetry.detect} *)
   mutable cut_rounds : int;
   mutable cuts_generated : int;
   mutable cuts_kept : int;

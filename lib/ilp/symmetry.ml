@@ -8,19 +8,25 @@ let size = function
 
 let vars = function
   | Scalar vs -> Array.to_list vs
-  | Blocks cols ->
-      Array.fold_left (fun acc col -> acc @ Array.to_list col) [] cols
+  | Blocks cols -> Array.to_list (Array.concat (Array.to_list cols))
 
-(* Preprocessed view: every constraint as (sense, rhs, terms sorted by
-   variable), an occurrence list per variable, and a canonical string key
-   per row so row multisets compare as sorted key lists. *)
+(* Preprocessed view in flat int arrays: every constraint's terms sorted
+   by variable (CSR over rows, with per-row sense code and rhs), and each
+   variable's occurrences with its coefficient there (CSR over variables,
+   rows ascending). *)
 type ctx = {
   n : int;
   objc : int array;
   lbs : int array;
   ubs : int array;
-  rows : (int * int * (int * int) array) array;  (* sense, rhs, (var, coef) *)
-  occ : int list array;  (* var -> row indices, ascending *)
+  sense : int array;
+  rhs : int array;
+  row_start : int array;  (* row i's terms: [row_start.(i), row_start.(i+1)) *)
+  row_var : int array;
+  row_coef : int array;
+  occ_start : int array;  (* var v's occurrences: [occ_start.(v), occ_start.(v+1)) *)
+  occ_row : int array;
+  occ_coef : int array;
 }
 
 let sense_code = function Model.Le -> 0 | Model.Ge -> 1 | Model.Eq -> 2
@@ -29,7 +35,7 @@ let sense_code = function Model.Le -> 0 | Model.Ge -> 1 | Model.Eq -> 2
    carry a variable twice; the canonical form must not). *)
 let canon_terms terms =
   let a = Array.of_list terms in
-  Array.sort (fun (v1, _) (v2, _) -> compare v1 v2) a;
+  Array.sort (fun (v1, _) (v2, _) -> Int.compare v1 v2) a;
   let out = ref [] in
   Array.iter
     (fun (v, c) ->
@@ -49,36 +55,131 @@ let make_ctx model =
     lbs.(v) <- l;
     ubs.(v) <- u
   done;
-  let rows =
+  let cons = Model.constraints model in
+  let m = Array.length cons in
+  let terms =
     Array.map
       (fun (c : Model.constr) ->
-        ( sense_code c.Model.sense,
-          c.Model.rhs,
-          canon_terms
-            (List.map (fun (a, v) -> (v, a)) (Linexpr.terms c.Model.expr)) ))
-      (Model.constraints model)
+        canon_terms
+          (List.map (fun (a, v) -> (v, a)) (Linexpr.terms c.Model.expr)))
+      cons
   in
-  let occ = Array.make (max n 1) [] in
+  let row_start = Array.make (m + 1) 0 in
+  Array.iteri (fun i t -> row_start.(i + 1) <- row_start.(i) + Array.length t) terms;
+  let nnz = row_start.(m) in
+  let row_var = Array.make nnz 0 and row_coef = Array.make nnz 0 in
+  let occ_start = Array.make (n + 1) 0 in
   Array.iteri
-    (fun i (_, _, terms) ->
-      Array.iter (fun (v, _) -> occ.(v) <- i :: occ.(v)) terms)
-    rows;
-  Array.iteri (fun v l -> occ.(v) <- List.rev l) occ;
-  { n; objc; lbs; ubs; rows; occ }
-
-let row_key (sense, rhs, terms) =
-  let b = Buffer.create (16 + (Array.length terms * 8)) in
-  Buffer.add_string b (string_of_int sense);
-  Buffer.add_char b '|';
-  Buffer.add_string b (string_of_int rhs);
-  Array.iter
-    (fun (v, c) ->
-      Buffer.add_char b ';';
-      Buffer.add_string b (string_of_int v);
-      Buffer.add_char b ':';
-      Buffer.add_string b (string_of_int c))
+    (fun i t ->
+      Array.iteri
+        (fun j (v, c) ->
+          row_var.(row_start.(i) + j) <- v;
+          row_coef.(row_start.(i) + j) <- c;
+          occ_start.(v + 1) <- occ_start.(v + 1) + 1)
+        t)
     terms;
-  Buffer.contents b
+  for v = 0 to n - 1 do
+    occ_start.(v + 1) <- occ_start.(v + 1) + occ_start.(v)
+  done;
+  let fill = Array.sub occ_start 0 (max n 1) in
+  let occ_row = Array.make nnz 0 and occ_coef = Array.make nnz 0 in
+  for i = 0 to m - 1 do
+    for t = row_start.(i) to row_start.(i + 1) - 1 do
+      let v = row_var.(t) in
+      occ_row.(fill.(v)) <- i;
+      occ_coef.(fill.(v)) <- row_coef.(t);
+      fill.(v) <- fill.(v) + 1
+    done
+  done;
+  {
+    n;
+    objc;
+    lbs;
+    ubs;
+    sense = Array.map (fun (c : Model.constr) -> sense_code c.Model.sense) cons;
+    rhs = Array.map (fun (c : Model.constr) -> c.Model.rhs) cons;
+    row_start;
+    row_var;
+    row_coef;
+    occ_start;
+    occ_row;
+    occ_coef;
+  }
+
+(* Sort the [len] (first, second) int pairs stored flat at [a.(off)],
+   [a.(off+1)], ... lexicographically.  Insertion sort: rows and
+   occurrence lists are short; long ones go through [Array.sort]. *)
+let sort_pairs a off len =
+  if len <= 32 then
+    for i = 1 to len - 1 do
+      let x = a.(off + (2 * i)) and y = a.(off + (2 * i) + 1) in
+      let j = ref (i - 1) in
+      while
+        !j >= 0
+        &&
+        let p = a.(off + (2 * !j)) in
+        p > x || (p = x && a.(off + (2 * !j) + 1) > y)
+      do
+        a.(off + (2 * !j) + 2) <- a.(off + (2 * !j));
+        a.(off + (2 * !j) + 3) <- a.(off + (2 * !j) + 1);
+        decr j
+      done;
+      a.(off + (2 * !j) + 2) <- x;
+      a.(off + (2 * !j) + 3) <- y
+    done
+  else begin
+    let ps = Array.init len (fun i -> (a.(off + (2 * i)), a.(off + (2 * i) + 1))) in
+    Array.sort
+      (fun (x1, y1) (x2, y2) ->
+        let c = Int.compare x1 x2 in
+        if c <> 0 then c else Int.compare y1 y2)
+      ps;
+    Array.iteri
+      (fun i (x, y) ->
+        a.(off + (2 * i)) <- x;
+        a.(off + (2 * i) + 1) <- y)
+      ps
+  end
+
+(* A total order on int arrays: by length, then lexicographically. *)
+let compare_ints (a : int array) (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  if la <> lb then Int.compare la lb
+  else
+    let rec go i =
+      if i = la then 0
+      else
+        let c = Int.compare a.(i) b.(i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+
+(* [a] sorted ascending, duplicates removed (sorts [a] in place). *)
+let sort_uniq_ints a =
+  Array.sort Int.compare a;
+  let k = ref 0 in
+  Array.iteri
+    (fun i x ->
+      if i = 0 || x <> a.(!k - 1) then begin
+        a.(!k) <- x;
+        incr k
+      end)
+    a;
+  Array.sub a 0 !k
+
+(* Row [i] as the tuple [sense; rhs; v1; c1; v2; c2; ...] after renaming
+   its variables by [image], terms re-sorted by variable. *)
+let row_tuple ctx image i =
+  let s = ctx.row_start.(i) and len = ctx.row_start.(i + 1) - ctx.row_start.(i) in
+  let a = Array.make (2 + (2 * len)) 0 in
+  a.(0) <- ctx.sense.(i);
+  a.(1) <- ctx.rhs.(i);
+  for t = 0 to len - 1 do
+    a.(2 + (2 * t)) <- image ctx.row_var.(s + t);
+    a.(3 + (2 * t)) <- ctx.row_coef.(s + t)
+  done;
+  sort_pairs a 2 len;
+  a
 
 let transposition_ok ctx pairs =
   let pairs = List.filter (fun (u, v) -> u <> v) pairs in
@@ -106,29 +207,24 @@ let transposition_ok ctx pairs =
       pairs;
     if !clash then false
     else begin
-      let image v = match Hashtbl.find_opt map v with Some w -> w | None -> v in
+      let image v = Option.value (Hashtbl.find_opt map v) ~default:v in
       let affected =
-        List.sort_uniq compare
-          (Hashtbl.fold (fun v _ acc -> ctx.occ.(v) @ acc) map [])
+        Hashtbl.fold
+          (fun v _ acc ->
+            Array.sub ctx.occ_row ctx.occ_start.(v)
+              (ctx.occ_start.(v + 1) - ctx.occ_start.(v))
+            :: acc)
+          map []
+        |> Array.concat |> sort_uniq_ints
       in
       (* The permutation fixes every unaffected row, so invariance of the
-         whole constraint multiset reduces to: the multiset of affected-row
-         keys equals the multiset of their images. *)
-      let originals =
-        List.map (fun i -> row_key ctx.rows.(i)) affected
-      in
-      let images =
-        List.map
-          (fun i ->
-            let sense, rhs, terms = ctx.rows.(i) in
-            let terms' =
-              Array.map (fun (v, c) -> (image v, c)) terms
-            in
-            Array.sort (fun (v1, _) (v2, _) -> compare v1 v2) terms';
-            row_key (sense, rhs, terms'))
-          affected
-      in
-      List.sort compare originals = List.sort compare images
+         whole constraint multiset reduces to: the multiset of affected
+         rows equals the multiset of their images. *)
+      let originals = Array.map (row_tuple ctx Fun.id) affected in
+      let images = Array.map (row_tuple ctx image) affected in
+      Array.sort compare_ints originals;
+      Array.sort compare_ints images;
+      Array.for_all2 (fun a b -> compare_ints a b = 0) originals images
     end
   end
 
@@ -167,105 +263,115 @@ let filter_verified model orbits =
 
 (* --- automatic scalar-orbit detection ---------------------------------- *)
 
-(* Interning: map structural signatures to small integer colours. *)
-let intern table next key =
-  match Hashtbl.find_opt table key with
+(* Signatures are int arrays interned to dense colours; a table lives for
+   one refinement pass only, so dead keys never accumulate. *)
+module Sig = Hashtbl.Make (struct
+  type t = int array
+
+  let equal a b = compare_ints a b = 0
+
+  let hash (a : t) =
+    let h = ref (Array.length a) in
+    for i = 0 to Array.length a - 1 do
+      h := (!h * 65599) + a.(i)
+    done;
+    !h land max_int
+end)
+
+let intern table key =
+  match Sig.find_opt table key with
   | Some c -> c
   | None ->
-      let c = !next in
-      incr next;
-      Hashtbl.replace table key c;
+      let c = Sig.length table in
+      Sig.add table key c;
       c
 
-let detect ?(max_vars = 4000) ?(max_nnz = 100_000) model =
+let max_passes = 8
+
+let detect ?stats ?(max_vars = 4000) ?(max_nnz = 100_000) model =
   let n = Model.n_vars model in
   if n < 2 || n > max_vars then []
   else begin
     let ctx = make_ctx model in
-    let nnz =
-      Array.fold_left (fun acc (_, _, t) -> acc + Array.length t) 0 ctx.rows
-    in
-    if nnz > max_nnz then []
+    let m = Array.length ctx.sense in
+    if ctx.row_start.(m) > max_nnz then []
     else begin
       (* Iterative colour refinement: a variable's colour is refined by the
          multiset of (coefficient, row colour) over its occurrences; a
          row's colour by its sense/rhs and the multiset of (coefficient,
-         variable colour).  This only ever proposes candidates — exactness
-         comes from the transposition verification below. *)
-      let table = Hashtbl.create 97 and next = ref 0 in
+         variable colour).  Each pass refines the previous partition (the
+         old colour is part of the new signature), so a pass that leaves
+         the class count unchanged has reached the fixpoint.  This only
+         ever proposes candidates — exactness comes from the transposition
+         verification below. *)
+      let rtable = Sig.create (max 16 m) and vtable = Sig.create (max 16 n) in
       let vcolor =
         Array.init n (fun v ->
-            intern table next
-              (Printf.sprintf "v%d,%d,%d" ctx.lbs.(v) ctx.ubs.(v) ctx.objc.(v)))
+            intern vtable [| ctx.lbs.(v); ctx.ubs.(v); ctx.objc.(v) |])
       in
-      let rcolor = Array.make (Array.length ctx.rows) 0 in
-      let stable = ref false and passes = ref 0 in
-      while (not !stable) && !passes < 8 do
+      let classes = ref (Sig.length vtable) in
+      let rcolor = Array.make m 0 in
+      let widest = ref 0 in
+      for i = 0 to m - 1 do
+        widest := max !widest (ctx.row_start.(i + 1) - ctx.row_start.(i))
+      done;
+      for v = 0 to n - 1 do
+        widest := max !widest (ctx.occ_start.(v + 1) - ctx.occ_start.(v))
+      done;
+      let buf = Array.make (2 + (2 * !widest)) 0 in
+      let passes = ref 0 and stable = ref false in
+      while (not !stable) && !passes < max_passes do
         incr passes;
-        Array.iteri
-          (fun i (sense, rhs, terms) ->
-            let sig_ =
-              List.sort compare
-                (Array.to_list
-                   (Array.map (fun (v, c) -> (c, vcolor.(v))) terms))
-            in
-            rcolor.(i) <-
-              intern table next
-                (Printf.sprintf "r%d,%d,%s" sense rhs
-                   (String.concat ";"
-                      (List.map (fun (c, k) -> Printf.sprintf "%d:%d" c k) sig_))))
-          ctx.rows;
-        stable := true;
-        Array.iteri
-          (fun v old ->
-            let sig_ =
-              List.sort compare
-                (List.concat_map
-                   (fun i ->
-                     let _, _, terms = ctx.rows.(i) in
-                     List.filter_map
-                       (fun (v', c) ->
-                         if v' = v then Some (c, rcolor.(i)) else None)
-                       (Array.to_list terms))
-                   ctx.occ.(v))
-            in
-            let c =
-              intern table next
-                (Printf.sprintf "w%d,%s" old
-                   (String.concat ";"
-                      (List.map (fun (c, k) -> Printf.sprintf "%d:%d" c k) sig_)))
-            in
-            if c <> vcolor.(v) then begin
-              vcolor.(v) <- c;
-              stable := false
-            end)
-          vcolor
+        Sig.clear rtable;
+        for i = 0 to m - 1 do
+          let s = ctx.row_start.(i) in
+          let len = ctx.row_start.(i + 1) - s in
+          buf.(0) <- ctx.sense.(i);
+          buf.(1) <- ctx.rhs.(i);
+          for t = 0 to len - 1 do
+            buf.(2 + (2 * t)) <- ctx.row_coef.(s + t);
+            buf.(3 + (2 * t)) <- vcolor.(ctx.row_var.(s + t))
+          done;
+          sort_pairs buf 2 len;
+          rcolor.(i) <- intern rtable (Array.sub buf 0 (2 + (2 * len)))
+        done;
+        Sig.clear vtable;
+        for v = 0 to n - 1 do
+          let s = ctx.occ_start.(v) in
+          let len = ctx.occ_start.(v + 1) - s in
+          buf.(0) <- vcolor.(v);
+          for t = 0 to len - 1 do
+            buf.(1 + (2 * t)) <- ctx.occ_coef.(s + t);
+            buf.(2 + (2 * t)) <- rcolor.(ctx.occ_row.(s + t))
+          done;
+          sort_pairs buf 1 len;
+          vcolor.(v) <- intern vtable (Array.sub buf 0 (1 + (2 * len)))
+        done;
+        let count = Sig.length vtable in
+        stable := count = !classes;
+        classes := count
       done;
       (* Group by final colour, then split each class into maximal runs of
          verified adjacent transpositions (adjacent transpositions generate
          the full symmetric group on the run). *)
-      let classes = Hashtbl.create 17 in
+      let members = Array.make !classes [] in
       for v = n - 1 downto 0 do
-        Hashtbl.replace classes vcolor.(v)
-          (v
-          ::
-          (match Hashtbl.find_opt classes vcolor.(v) with
-          | Some l -> l
-          | None -> []))
+        members.(vcolor.(v)) <- v :: members.(vcolor.(v))
       done;
+      let checks = ref 0 in
       let orbits = ref [] in
-      Hashtbl.iter
-        (fun _ members ->
-          match members with
+      Array.iter
+        (function
           | [] | [ _ ] -> ()
           | first :: rest ->
               let flush run =
                 if List.length run >= 2 then
-                  orbits := Scalar (Array.of_list (List.rev run)) :: !orbits
+                  orbits := Array.of_list (List.rev run) :: !orbits
               in
               let run = ref [ first ] in
               List.iter
                 (fun v ->
+                  incr checks;
                   match !run with
                   | last :: _ when transposition_ok ctx [ (last, v) ] ->
                       run := v :: !run
@@ -274,12 +380,16 @@ let detect ?(max_vars = 4000) ?(max_nnz = 100_000) model =
                       run := [ v ])
                 rest;
               flush !run)
-        classes;
+        members;
+      (match stats with
+      | Some st ->
+          st.Stats.sym_refine_passes <- st.Stats.sym_refine_passes + !passes;
+          st.Stats.sym_transpositions <- st.Stats.sym_transpositions + !checks
+      | None -> ());
       (* Deterministic output order: by smallest member. *)
-      List.sort
-        (fun a b ->
-          compare (List.hd (vars a)) (List.hd (vars b)))
-        !orbits
+      List.map
+        (fun vs -> Scalar vs)
+        (List.sort (fun a b -> Int.compare a.(0) b.(0)) !orbits)
     end
   end
 

@@ -66,15 +66,20 @@ val filter_verified : Model.t -> orbit list -> orbit list
     members).  Use on candidate orbits proposed from structural knowledge
     (e.g. {!Encoding}) before handing them to the solver. *)
 
-val detect : ?max_vars:int -> ?max_nnz:int -> Model.t -> orbit list
+val detect :
+  ?stats:Stats.t -> ?max_vars:int -> ?max_nnz:int -> Model.t -> orbit list
 (** Automatic scalar-orbit detection: iterative colour refinement over the
     variable/constraint incidence structure proposes candidate classes,
     which are then split into maximal runs of exactly-verified adjacent
-    transpositions.  Only orbits of size >= 2 are returned.  Returns [[]]
+    transpositions.  Only orbits of size >= 2 are returned, ordered by
+    smallest member.  Refinement stops at the first pass that leaves the
+    number of variable classes unchanged (each pass refines the previous
+    partition, so that is the fixpoint), and after 8 passes at most.
+    With [stats], the passes run and the transposition checks made are
+    added to [sym_refine_passes] / [sym_transpositions].  Returns [[]]
     immediately on models larger than [max_vars] variables (default 4000)
-    or [max_nnz] constraint non-zeros (default 100_000) — detection is for
-    small and mid-size models; large structured models should pass their
-    known orbits explicitly. *)
+    or [max_nnz] constraint non-zeros (default 100_000); large structured
+    models should pass their known orbits explicitly. *)
 
 val add_lex_rows : Model.t -> orbit list -> Model.t * int
 (** A copy of the model with lexicographic ordering rows appended, and how
