@@ -15,14 +15,17 @@ bench:
 	dune exec bench/main.exe -- all
 
 # Machine-readable solver perf snapshot for CI trend tracking: per-circuit,
-# per-k wall time / node counts / optimality flags at a tight 2 s budget.
+# per-k wall time / node counts / optimality flags under a fixed per-solve
+# node budget.
 # Writes BENCH_solver.json in the repo root (override: ADVBIST_BENCH_JSON).
 bench-json:
 	ADVBIST_BENCH_BUDGET=2 ADVBIST_BENCH_JSON=$(CURDIR)/BENCH_solver.json \
 		dune exec bench/main.exe -- json
 
-# Bench regression diff: run the smoke sweep at the committed 2 s budget,
-# write a fresh schema-v6 snapshot to _build/bench_smoke.json, then diff it
+# Bench regression diff: check that tseng k=1 proves optimal inside a 2 s
+# budget, run the smoke sweep under the snapshot's fixed per-solve node
+# budget (deterministic: the same areas on every run and machine), write
+# a fresh schema-v6 snapshot to _build/bench_smoke.json, then diff it
 # against the committed BENCH_solver.json.  Exits non-zero when any
 # (circuit, k) row's design area regressed or proven optimality was lost;
 # node-count (localized to the prune reason whose share moved) / waste /
@@ -77,7 +80,7 @@ perfbench-smoke:
 # the solver still proves tseng k=1 optimal at the 2 s budget and that no
 # (circuit, k) row's design area regressed vs the committed
 # BENCH_solver.json, and the diff report classifies every other drift
-# (~1 min: it re-runs every committed sweep at 2 s/ILP).  The perf
+# (a few minutes: it re-runs every committed sweep under the node budget).  The perf
 # micro-rates ride along non-gating (`|| true` lives in the CI step, not
 # here, so interactive `make perf` still reports failures).  The
 # benchmark smoke checks that the explore workload still runs and every

@@ -360,10 +360,18 @@ let micro () =
 
 (* ------------------------------------------------- solver perf tracking *)
 
-(* Machine-readable solver performance: one full k-sweep per circuit at
-   the current budget, recorded as BENCH_solver.json (wall time, node
-   count and optimality per circuit per k) so the perf trajectory is
-   tracked across PRs.  Hand-rolled JSON — no external dependency. *)
+(* Machine-readable solver performance: one full k-sweep per circuit
+   under a fixed per-solve node budget, recorded as BENCH_solver.json
+   (wall time, node count and optimality per circuit per k) so the perf
+   trajectory is tracked across PRs.  Hand-rolled JSON — no external
+   dependency. *)
+
+(* Every snapshot sweep stops each solve at this many nodes, never at a
+   wall-clock limit, so its areas and optimality flags are the same on
+   every run and every machine — what lets the smoke gate compare them
+   exactly.  60,000 nodes is roughly what a 2 s budget buys on a 2-vCPU
+   virtual machine, and enough to prove every tseng row. *)
+let snapshot_node_limit = 60_000
 (* The commit the numbers were measured at, so a snapshot diff is
    attributable to a change rather than to a stale working tree. *)
 let git_commit () =
@@ -403,10 +411,10 @@ let dirty_entries ~ignore_path =
    schema-v6 snapshot (Advbist.Bench_snapshot) — the shared measurement
    core of the [json] and [smoke] arms.  The v5 post-mortem fields come
    from a second, separately-traced sweep: tracing costs per-node time,
-   so on budget-limited rows it would degrade the headline areas the
-   gate compares — the measured pass stays untraced and only the
-   attribution percentages are read off the traced twin (joined by k;
-   roughly doubles the run). *)
+   which would inflate the rows' [time_s] and deflate their throughput —
+   the measured pass stays untraced and only the attribution percentages
+   are read off the traced twin (joined by k; the node budget makes it
+   the same search; roughly doubles the run). *)
 let run_snapshot ~tag () =
   let started = Unix.gettimeofday () in
   let circuits =
@@ -416,14 +424,20 @@ let run_snapshot ~tag () =
           (Dfg.Problem.n_modules p)
           jobs;
         let t0 = Unix.gettimeofday () in
-        match Advbist.Synth.sweep ~time_limit:budget ~jobs ~stats:true p with
+        match
+          Advbist.Synth.sweep ~node_limit:snapshot_node_limit ~jobs ~stats:true
+            p
+        with
         | Error msg ->
             Printf.printf "%s: %s: %s\n" tag name msg;
             None
         | Ok (reference, rows) ->
             let wall = Unix.gettimeofday () -. t0 in
             let explain_by_k =
-              match Advbist.Synth.sweep ~time_limit:budget ~jobs ~explain:true p with
+              match
+                Advbist.Synth.sweep ~node_limit:snapshot_node_limit ~jobs
+                  ~explain:true p
+              with
               | Ok (_, erows) ->
                   List.filter_map
                     (fun (er : Advbist.Synth.sweep_row) ->
@@ -494,10 +508,11 @@ let run_snapshot ~tag () =
     Advbist.Bench_snapshot.version = 6;
     commit = git_commit ();
     budget_s = budget;
+    node_limit = Some snapshot_node_limit;
     jobs;
     (* what Synth.solver_options actually runs the sweep with *)
     config =
-      { Advbist.Bench_snapshot.portfolio = false; cuts = false; lp = "root<=1500" };
+      { Advbist.Bench_snapshot.portfolio = false; cuts = false; lp = "never" };
     circuits;
     total_wall_s = Unix.gettimeofday () -. started;
   }
@@ -538,8 +553,9 @@ let bench_json () =
   Printf.printf "json: wrote %s\n" path
 
 (* CI smoke: the canonical provable instance (tseng k=1) must still prove
-   optimality inside the budget, and no (circuit, k) row may produce a
-   worse design area than the committed BENCH_solver.json snapshot.  Exit
+   optimality inside the wall budget, and no (circuit, k) row may produce
+   a worse design area than the committed BENCH_solver.json snapshot
+   under the same node budget ([snapshot_node_limit]).  Exit
    status 1 on any regression, so a bounding-strength or warm-start
    regression fails `make ci` fast.  With ADVBIST_BENCH_JSON_OUT set the
    freshly measured sweep is also written as a snapshot — `make

@@ -106,19 +106,6 @@ let portfolio_arg =
            shared incumbent bound instead of a single branch-and-bound \
            run.")
 
-let pricing_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("dantzig", Ilp.Simplex.Dantzig); ("devex", Ilp.Simplex.Devex) ])
-        Ilp.Simplex.Devex
-    & info [ "pricing" ] ~docv:"dantzig|devex"
-        ~doc:
-          "Leaving-row pricing rule of the warm dual-simplex engine: \
-           $(b,devex) (default) reference-weight pricing, or $(b,dantzig) \
-           most-violated.  Both fall back to Bland's rule on stalls.")
-
 let learn_arg =
   Arg.(
     value
@@ -282,7 +269,7 @@ let ref_cmd =
 
 let synth_cmd =
   let run circuit file time_limit k meth verilog lp portfolio jobs sym steal
-      stats trace_file explain pricing learn restarts =
+      stats trace_file explain learn restarts =
     let p = or_die (load ~circuit ~file) in
     let k = Option.value k ~default:(Dfg.Problem.n_modules p) in
     Option.iter
@@ -298,7 +285,7 @@ let synth_cmd =
           let o =
             or_die
               (Advbist.Synth.synthesize ~time_limit ~portfolio ~jobs ~sym
-                 ~steal ~stats ?trace ~explain ~pricing ~learn ~restarts p ~k)
+                 ~steal ~stats ?trace ~explain ~learn ~restarts p ~k)
           in
           (match o.Advbist.Synth.stats with
           | Some st ->
@@ -339,20 +326,19 @@ let synth_cmd =
     Term.(
       const run $ circuit_arg $ file_arg $ time_limit_arg $ k_arg $ method_arg
       $ verilog_arg $ lp_arg $ portfolio_arg $ jobs_arg $ sym_arg $ steal_arg
-      $ stats_arg $ trace_arg $ explain_arg $ pricing_arg $ learn_arg
-      $ restarts_arg)
+      $ stats_arg $ trace_arg $ explain_arg $ learn_arg $ restarts_arg)
 
 (* -- sweep --------------------------------------------------------------- *)
 
 let sweep_cmd =
   let run circuit file time_limit fmt jobs sym steal stats trace_file explain
-      pricing learn restarts =
+      learn restarts =
     let p = or_die (load ~circuit ~file) in
     let trace = Option.map Ilp.Trace.file trace_file in
     let reference, rows =
       or_die
         (Advbist.Synth.sweep ~time_limit ~jobs ~sym ~steal ~stats ?trace
-           ~explain ~pricing ~learn ~restarts p)
+           ~explain ~learn ~restarts p)
     in
     Option.iter Ilp.Trace.close trace;
     Format.printf "reference area %d%s@." reference.Advbist.Synth.ref_area
@@ -385,7 +371,7 @@ let sweep_cmd =
     Term.(
       const run $ circuit_arg $ file_arg $ time_limit_arg $ format_arg
       $ jobs_arg $ sym_arg $ steal_arg $ stats_arg $ trace_arg
-      $ explain_arg $ pricing_arg $ learn_arg $ restarts_arg)
+      $ explain_arg $ learn_arg $ restarts_arg)
 
 (* -- compare ------------------------------------------------------------- *)
 

@@ -35,6 +35,7 @@ type t = {
   version : int;
   commit : string;
   budget_s : float;
+  node_limit : int option;
   jobs : int;
   config : config;
   circuits : circuit list;
@@ -325,6 +326,7 @@ let of_string s =
         version = schema_version (as_str "schema" (field "schema" j));
         commit = as_str "commit" (field "commit" j);
         budget_s = as_num "budget_s" (field "budget_s" j);
+        node_limit = Option.map (as_int "node_limit") (field_opt "node_limit" j);
         jobs = as_int "jobs" (field "jobs" j);
         config = config_of_json (field "config" j);
         circuits = List.map circuit_of_json (as_arr "circuits" (field "circuits" j));
@@ -350,6 +352,7 @@ let to_string t =
   bpf "  \"schema\": \"advbist-solver-bench/6\",\n";
   bpf "  \"commit\": %S,\n" t.commit;
   bpf "  \"budget_s\": %g,\n" t.budget_s;
+  Option.iter (bpf "  \"node_limit\": %d,\n") t.node_limit;
   bpf "  \"jobs\": %d,\n" t.jobs;
   bpf "  \"config\": { \"portfolio\": %b, \"cuts\": %b, \"lp\": %S },\n"
     t.config.portfolio t.config.cuts t.config.lp;
@@ -608,7 +611,10 @@ let render_report ~baseline ~current findings =
   let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   bpf "bench diff: baseline %s (budget %gs) vs current %s (budget %gs)\n"
     baseline.commit baseline.budget_s current.commit current.budget_s;
-  if baseline.budget_s <> current.budget_s then
+  if
+    baseline.budget_s <> current.budget_s
+    || baseline.node_limit <> current.node_limit
+  then
     bpf "  note: budgets differ; time and node comparisons are not meaningful\n";
   let fails = List.filter (fun f -> f.severity = Fail) findings in
   let warns = List.filter (fun f -> f.severity = Warn) findings in

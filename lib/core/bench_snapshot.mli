@@ -65,6 +65,10 @@ type t = {
   version : int;  (** schema version this snapshot was parsed from *)
   commit : string;
   budget_s : float;
+  node_limit : int option;
+      (** per-solve node budget of every sweep in the snapshot; [None]
+          when the sweeps ran under the wall budget [budget_s] alone
+          (every snapshot before the field existed) *)
   jobs : int;
   config : config;
   circuits : circuit list;

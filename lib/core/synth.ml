@@ -71,13 +71,7 @@ let align_to_clique (p : Dfg.Problem.t) (d : Datapath.Netlist.t) =
   Datapath.Netlist.make ~swapped:d.Datapath.Netlist.swapped p ~reg_of_var
     ~module_of_op:d.Datapath.Netlist.module_of_op
 
-(* LP bounding pays off only while the basis inverse stays manageable. *)
-let lp_mode model =
-  if Ilp.Model.n_constraints model <= 1500 then Ilp.Solver.Lp_root
-  else Ilp.Solver.Lp_never
-
 let solver_options ?time_limit ?node_limit ?(stats = false) ?trace
-    ?(pricing = Ilp.Simplex.Devex)
     ?(learn = Ilp.Solver.default.Ilp.Solver.learn)
     ?(restarts = Ilp.Solver.default.Ilp.Solver.restarts) ~sym ~orbits
     encoding warm =
@@ -89,14 +83,14 @@ let solver_options ?time_limit ?node_limit ?(stats = false) ?trace
     node_limit;
     stats;
     trace;
-    pricing;
-    lp = lp_mode encoding.Encoding.model;
-    (* The BIST encodings' LP relaxation is far weaker than cutoff-driven
-       propagation (the integer rounding in the bound tightening does the
-       heavy lifting), so at interactive budgets the root cut loop costs
-       more wall clock than its pruning returns.  Probing-based proving
-       (Solver's shaving pass) is what closes these instances; leave the
-       cut loop to the portfolio and CLI paths where callers opt in. *)
+    (* The BIST encodings' LP relaxation bounds at 289-413 against integer
+       optima of ~1,900-3,300: cutoff-driven propagation, probing and the
+       structural bound dominate it, and no bench row was ever pruned by
+       it.  Synthesis therefore solves without an LP: node counts stay the
+       same, and every solve skips building the simplex engine.
+       Cuts stay off for the portfolio's LP member too: at interactive
+       budgets the root cut loop costs more wall clock than it prunes. *)
+    lp = Ilp.Solver.Lp_never;
     cuts = false;
     branch_order = Some (Encoding.branch_order encoding);
     warm_start = warm;
@@ -163,16 +157,16 @@ let stamp_presolve (r : Ilp.Solver.outcome) presolve_s =
   | None -> ()
 
 let reference ?time_limit ?node_limit ?symmetry ?(portfolio = false)
-    ?(jobs = 1) ?(sym = true) ?(steal = true) ?stats ?trace ?pricing
-    ?learn ?restarts (p : Dfg.Problem.t) =
+    ?(jobs = 1) ?(sym = true) ?(steal = true) ?stats ?trace ?learn
+    ?restarts (p : Dfg.Problem.t) =
   let n_regs = Dfg.Problem.min_registers p in
   let e = Encoding.build_reference ?symmetry p ~n_regs in
   let* d0 = Heuristic.netlist p in
   let* d0 = align_to_clique p d0 in
   let warm = Result.to_option (Encoding.vector_of_netlist e d0) in
   let options =
-    solver_options ?time_limit ?node_limit ?stats ?trace ?pricing ?learn
-      ?restarts ~sym
+    solver_options ?time_limit ?node_limit ?stats ?trace ?learn ?restarts
+      ~sym
       ~orbits:(if sym then Encoding.orbits e else [])
       e warm
   in
@@ -180,10 +174,6 @@ let reference ?time_limit ?node_limit ?symmetry ?(portfolio = false)
   let t_pre = Unix.gettimeofday () in
   let model, _pstats = Ilp.Presolve.strengthen e.Encoding.model in
   let presolve_s = Unix.gettimeofday () -. t_pre in
-  (* LP bounding is sized on the model the solver actually sees: presolve
-     typically halves the row count, pulling mid-size encodings under the
-     basis-inverse budget. *)
-  let options = { options with Ilp.Solver.lp = lp_mode model } in
   let r = run_solver ~portfolio ~jobs ~steal options model in
   stamp_presolve r presolve_s;
   match r.Ilp.Solver.solution with
@@ -201,7 +191,7 @@ let reference ?time_limit ?node_limit ?symmetry ?(portfolio = false)
 
 let synthesize ?time_limit ?node_limit ?symmetry ?(portfolio = false)
     ?(jobs = 1) ?(sym = true) ?(steal = true) ?stats ?trace
-    ?(explain = false) ?pricing ?learn ?restarts ?seed (p : Dfg.Problem.t)
+    ?(explain = false) ?learn ?restarts ?seed (p : Dfg.Problem.t)
     ~k =
   let n_regs = Dfg.Problem.min_registers p in
   let e = Encoding.build ?symmetry p ~n_regs ~k in
@@ -244,7 +234,7 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(portfolio = false)
      analysis under [explain] *)
   let orbits = if sym || explain then Encoding.orbits e else [] in
   let options =
-    solver_options ?time_limit ?node_limit ?stats ?pricing ?learn ?restarts
+    solver_options ?time_limit ?node_limit ?stats ?learn ?restarts
       ~sym ~orbits e warm
   in
   let options = { options with Ilp.Solver.incumbent_start = incumbent } in
@@ -252,10 +242,6 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(portfolio = false)
   let t_pre = Unix.gettimeofday () in
   let model, _pstats = Ilp.Presolve.strengthen e.Encoding.model in
   let presolve_s = Unix.gettimeofday () -. t_pre in
-  (* LP bounding is sized on the model the solver actually sees: presolve
-     typically halves the row count, pulling mid-size encodings under the
-     basis-inverse budget. *)
-  let options = { options with Ilp.Solver.lp = lp_mode model } in
   let r, report =
     with_explain ~explain ?trace ~orbits (fun tr ->
         let options = { options with Ilp.Solver.trace = tr } in
@@ -311,10 +297,10 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(portfolio = false)
 type sweep_row = { k : int; outcome : outcome; overhead_pct : float }
 
 let sweep ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
-    ?(steal = true) ?stats ?trace ?explain ?pricing ?learn ?restarts p =
+    ?(steal = true) ?stats ?trace ?explain ?learn ?restarts p =
   let* reference =
     reference ?time_limit ?node_limit ?symmetry ~jobs ~sym ~steal ?stats
-      ?trace ?pricing ?learn ?restarts p
+      ?trace ?learn ?restarts p
   in
   let n = Dfg.Problem.n_modules p in
   (* The sweep is sequential in k so each instance can be seeded with the
@@ -327,7 +313,7 @@ let sweep ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
     else
       let* outcome =
         synthesize ?time_limit ?node_limit ?symmetry ~jobs ~sym ~steal
-          ?stats ?trace ?explain ?pricing ?learn ?restarts ~seed p ~k
+          ?stats ?trace ?explain ?learn ?restarts ~seed p ~k
       in
       let overhead_pct =
         Bist.Plan.overhead_pct outcome.plan ~reference:reference.ref_area

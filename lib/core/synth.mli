@@ -46,7 +46,7 @@ type reference = {
 val reference :
   ?time_limit:float -> ?node_limit:int -> ?symmetry:bool ->
   ?portfolio:bool -> ?jobs:int -> ?sym:bool -> ?steal:bool ->
-  ?stats:bool -> ?trace:Ilp.Trace.sink -> ?pricing:Ilp.Simplex.pricing ->
+  ?stats:bool -> ?trace:Ilp.Trace.sink ->
   ?learn:bool -> ?restarts:Ilp.Solver.restart_mode ->
   Dfg.Problem.t ->
   (reference, string) result
@@ -57,14 +57,14 @@ val reference :
     encoding's verified orbits to the solver for lex rows and orbital
     fixing.  [jobs >= 2] with [steal] (default true) runs the
     work-stealing parallel tree search ({!Ilp.Solver.solve_parallel})
-    unless [portfolio] is set.  [pricing] selects the warm LP engine's
-    leaving-row rule (default {!Ilp.Simplex.Devex}). *)
+    unless [portfolio] is set.  Every synthesis solve runs without an LP
+    relaxation ({!Ilp.Solver.Lp_never}): on these encodings its bound
+    never prunes. *)
 
 val synthesize :
   ?time_limit:float -> ?node_limit:int -> ?symmetry:bool ->
   ?portfolio:bool -> ?jobs:int -> ?sym:bool -> ?steal:bool ->
   ?stats:bool -> ?trace:Ilp.Trace.sink -> ?explain:bool ->
-  ?pricing:Ilp.Simplex.pricing ->
   ?learn:bool -> ?restarts:Ilp.Solver.restart_mode ->
   ?seed:Datapath.Netlist.t -> Dfg.Problem.t -> k:int ->
   (outcome, string) result
@@ -100,8 +100,7 @@ type sweep_row = {
 val sweep :
   ?time_limit:float -> ?node_limit:int -> ?symmetry:bool -> ?jobs:int ->
   ?sym:bool -> ?steal:bool -> ?stats:bool -> ?trace:Ilp.Trace.sink ->
-  ?explain:bool -> ?pricing:Ilp.Simplex.pricing ->
-  ?learn:bool -> ?restarts:Ilp.Solver.restart_mode ->
+  ?explain:bool -> ?learn:bool -> ?restarts:Ilp.Solver.restart_mode ->
   Dfg.Problem.t ->
   (reference * sweep_row list, string) result
 (** One design per k-test session, k = 1 .. N (N = number of modules) —

@@ -18,7 +18,17 @@ let rec add a b =
 
 let scale k e = if k = 0 then [] else List.map (fun (c, v) -> (k * c, v)) e
 let sub a b = add a (scale (-1) b)
-let of_list pairs = List.fold_left (fun acc (c, v) -> add acc (term c v)) [] pairs
+(* One sort and one merge pass: folding [add] over the terms re-merges the
+   accumulator per term, O(k^2) on a k-term row. *)
+let of_list pairs =
+  let rec merge = function
+    | (c1, v1) :: (c2, v2) :: rest when v1 = v2 -> merge ((c1 + c2, v1) :: rest)
+    | (0, _) :: rest -> merge rest
+    | t :: rest -> t :: merge rest
+    | [] -> []
+  in
+  merge (List.stable_sort (fun (_, a) (_, b) -> Int.compare a b) pairs)
+
 let sum es = List.fold_left add zero es
 let terms e = e
 

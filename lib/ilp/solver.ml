@@ -85,9 +85,12 @@ type lp_state = {
      rhs`, Eq model rows split into two Le rows, Ge rows negated.
      Ordinary rows are [0 .. n_rows-1]; the objective cutoff row, when the
      model has an objective, is row [n_rows] in the same block — uniform
-     indexing keeps [propagate_row]/[bump_conflict] branch-free.  [minact]
-     caches the row's minimal activity (sum of a*lb for a > 0, a*ub for
-     a < 0), maintained incrementally by every bound change and its undo.
+     indexing keeps [propagate_row]/[bump_conflict] branch-free.  Learned
+     nogoods follow from row [n_rows + 1] on as packed literals
+     [(v lsl 1) lor is_lb] in [row_var] alone: their coefficients are
+     +-1, so [row_coef] covers the static rows only.  [minact] caches the
+     row's minimal activity (sum of a*lb for a > 0, a*ub for a < 0),
+     maintained incrementally by every bound change and its undo.
    - Occurrence lists are CSR too: [occ_start]/[occ_row] (deduped row
      indices per variable, driving worklist enqueueing) and the signed
      pairs [occ_pos_*]/[occ_neg_*] driving the incremental min-activity
@@ -109,11 +112,11 @@ type search = {
   n_rows : int;  (* ordinary rows; the cutoff row is index [n_rows] *)
   has_obj_row : bool;
   (* The row block is mutable so learned nogoods can be appended in place:
-     indices [n_rows + 1 ..] hold learned rows in the same CSR layout, and
-     the hot propagation kernel never distinguishes them. *)
+     indices [n_rows + 1 ..] hold learned rows in the same CSR offsets,
+     their literals packed into [row_var]. *)
   mutable row_start : int array;  (* n_rows + 2 + learned *)
-  mutable row_coef : int array;
-  mutable row_var : int array;
+  row_coef : int array;  (* static rows and the cutoff row only *)
+  mutable row_var : int array;  (* variables; packed literals when learned *)
   mutable row_rhs : int array;
   mutable row_minact : int array;
   mutable row_stamp : int array;
@@ -191,10 +194,10 @@ type search = {
       (* telemetry; None costs one branch per instrumented site *)
   (* --- conflict engine ---------------------------------------------------
      Learned nogoods are pseudo-boolean clauses over bound literals of
-     binary variables, stored as ordinary Le rows past the cutoff row.
-     Their occurrences live in per-variable linked lists (the static CSR
-     occurrence block is immutable), walked by the bound-delta and touch
-     paths next to the static lists. *)
+     binary variables, stored as Le rows of packed literals past the
+     cutoff row.  Their occurrences live in per-variable vectors (the
+     static CSR occurrence block is immutable), walked by the bound-delta
+     and touch paths next to the static lists. *)
   is_bin : bool array;  (* root domain within {0,1}: literal-eligible *)
   pos_lb : int array;  (* var -> trail position of its live lb entry, -1 *)
   pos_ub : int array;
@@ -208,7 +211,7 @@ type search = {
          by the model plus [obj <= learn_cut] (test hook / audit) *)
   mutable cla_inc : float;
   lrn_pos : int array array;  (* var -> rows with a +1 coefficient on it *)
-  lrn_neg : int array array;  (* (contiguous, resized by doubling ... ) *)
+  lrn_neg : int array array;  (* (contiguous, grown by half ... ) *)
   lrn_pos_len : int array;  (* ... with explicit used lengths) *)
   lrn_neg_len : int array;
   an_seen : int array;  (* literal (v lsl 1) lor is_lb -> analysis gen *)
@@ -499,6 +502,30 @@ let propagate_row s ri =
     s.conflict_row <- ri;
     false
   end
+  else if ri > s.n_rows then begin
+    (* Learned clause: packed literals, +1 on lower-bound literals and -1
+       on upper-bound ones — the unit-coefficient case of the loop below. *)
+    let slack = rhs - minact in
+    for i = s.row_start.(ri) to s.row_start.(ri + 1) - 1 do
+      let lit = Array.unsafe_get s.row_var i in
+      let v = lit lsr 1 in
+      if lit land 1 = 1 then begin
+        let max_x = Array.unsafe_get s.lb v + slack in
+        if max_x < Array.unsafe_get s.ub v then begin
+          set_ub_r s v max_x ri;
+          touch s v
+        end
+      end
+      else begin
+        let min_x = Array.unsafe_get s.ub v - slack in
+        if min_x > Array.unsafe_get s.lb v then begin
+          set_lb_r s v min_x ri;
+          touch s v
+        end
+      end
+    done;
+    true
+  end
   else begin
     let slack = rhs - minact in
     for i = s.row_start.(ri) to s.row_start.(ri + 1) - 1 do
@@ -541,29 +568,31 @@ let propagate_row s ri =
    keeps at least one optimal solution, and the lex rows added at the root
    commit the search to that representative anyway.  Returns [false] on a
    canonical-order conflict. *)
+let count_orbit_fixing s =
+  match s.stats with
+  | Some st -> st.Stats.orbit_fixings <- st.Stats.orbit_fixings + 1
+  | None -> ()
+
+(* Enforce value(a) >= value(b); [false] on conflict.  After the ub clamp
+   lb(b) <= ub(a) always holds, so the lb raise below can never cross. *)
+let orbit_ge s a b =
+  if s.ub.(b) > s.ub.(a) && s.ub.(a) < s.lb.(b) then false
+  else begin
+    if s.ub.(b) > s.ub.(a) then begin
+      set_ub s b s.ub.(a);
+      count_orbit_fixing s;
+      touch s b
+    end;
+    if s.lb.(a) < s.lb.(b) then begin
+      set_lb s a s.lb.(b);
+      count_orbit_fixing s;
+      touch s a
+    end;
+    true
+  end
+
 let orbit_pass s =
   let ok = ref true in
-  (* enforce value(a) >= value(b); after the ub clamp lb(b) <= ub(a) always
-     holds, so the lb raise below can never cross *)
-  let ge a b =
-    if s.ub.(b) > s.ub.(a) then begin
-      if s.ub.(a) < s.lb.(b) then ok := false
-      else begin
-        set_ub s b s.ub.(a);
-        (match s.stats with
-        | Some st -> st.Stats.orbit_fixings <- st.Stats.orbit_fixings + 1
-        | None -> ());
-        touch s b
-      end
-    end;
-    if !ok && s.lb.(a) < s.lb.(b) then begin
-      set_lb s a s.lb.(b);
-      (match s.stats with
-      | Some st -> st.Stats.orbit_fixings <- st.Stats.orbit_fixings + 1
-      | None -> ());
-      touch s a
-    end
-  in
   (* Drain the dirty stack; a tightening made while an orbit is processed
      re-pushes the owning orbit, so the loop runs to its own fixpoint. *)
   while !ok && s.orbit_top > 0 do
@@ -575,10 +604,10 @@ let orbit_pass s =
         let m = Array.length vs in
         s.ticks <- s.ticks + 1;
         for i = 0 to m - 2 do
-          if !ok then ge vs.(i) vs.(i + 1)
+          if !ok then ok := orbit_ge s vs.(i) vs.(i + 1)
         done;
         for i = m - 2 downto 0 do
-          if !ok then ge vs.(i) vs.(i + 1)
+          if !ok then ok := orbit_ge s vs.(i) vs.(i + 1)
         done
     | Symmetry.Blocks cols ->
         let nc = Array.length cols in
@@ -590,7 +619,7 @@ let orbit_pass s =
             let i = ref 0 and go = ref true in
             while !ok && !go && !i < len do
               let u = a.(!i) and v = b.(!i) in
-              ge u v;
+              ok := orbit_ge s u v;
               (* the component ordering is only implied while every
                  earlier component pair is forced equal *)
               if
@@ -656,9 +685,10 @@ let obj_pass s =
    sound for probing trials, where a missed deduction only means a missed
    fixing, never a wrong one (callers undo the trial bounds either way). *)
 let prop_run ?(budget = max_int) s =
-  let ok = ref true in
-  let left = ref budget in
-  let drain () =
+  (* one loop and closure-free, so [ok]/[left]/[again] stay unboxed *)
+  let ok = ref true and left = ref budget and again = ref true in
+  while !again do
+    (* drain the worklist *)
     while !ok && !left > 0 && s.q_head <> s.q_tail do
       (* Deep propagation-heavy subtrees must still honour the limits:
          check on a coarse tick counter rather than only per node. *)
@@ -669,19 +699,16 @@ let prop_run ?(budget = max_int) s =
       s.q_head <- s.q_head + 1;
       Array.unsafe_set s.prop_queued i 0;
       if not (propagate_row s i) then ok := false
-    done
-  in
-  let rec fixpoint () =
-    drain ();
+    done;
+    again := false;
     if !ok && !left > 0 then
       if not (obj_pass s) then ok := false
       else if s.orbit_top > 0 && not (orbit_pass s) then ok := false
         (* orbit enforcement may move an objective variable's minact side
            without enqueueing any ordinary row, so pending obj work keeps
            the fixpoint going too *)
-      else if s.q_head <> s.q_tail || s.obj_dirty then fixpoint ()
-  in
-  fixpoint ();
+      else again := s.q_head <> s.q_tail || s.obj_dirty
+  done;
   (match s.stats with
   | Some st when not !ok ->
       st.Stats.prop_conflicts <- st.Stats.prop_conflicts + 1
@@ -821,7 +848,10 @@ let ensure_queue_capacity s total =
   if total > Array.length s.prop_queued then
     s.prop_queued <- grow_int_array s.prop_queued total 0
 
-(* Record row [ri] in [v]'s learned occurrence vector (one direction). *)
+(* Record row [ri] in [v]'s learned occurrence vector (one direction).
+   Vectors grow by half, not by doubling: together they are the largest
+   per-solve allocation of the learned store, and reduction empties them
+   without returning their capacity. *)
 let lrn_push s positive v ri =
   let arr = if positive then s.lrn_pos else s.lrn_neg in
   let lens = if positive then s.lrn_pos_len else s.lrn_neg_len in
@@ -829,7 +859,7 @@ let lrn_push s positive v ri =
   let a = arr.(v) in
   let a =
     if l = Array.length a then begin
-      let b = Array.make (max 8 (2 * l)) 0 in
+      let b = Array.make (max 4 (l + (l lsr 1))) 0 in
       Array.blit a 0 b 0 l;
       arr.(v) <- b;
       b
@@ -842,9 +872,12 @@ let lrn_push s positive v ri =
 (* Append the clause buffer as learned row [n_rows + 1 + n_learned]:
    coefficient +1 for each lower-bound literal (x >= 1), -1 for each
    upper-bound literal (x <= 0), rhs = #lb-literals - 1 — violated exactly
-   when every literal holds.  Min-activity is seeded from the current
-   bounds and then maintained by the same incremental deltas as the
-   static rows; occurrences go into the per-variable linked lists. *)
+   when every literal holds.  The row stores its packed literals
+   [(v lsl 1) lor is_lb] in [row_var] and has no [row_coef] entries: the
+   literal's low bit is the coefficient's sign.  Min-activity is seeded
+   from the current bounds and then maintained by the same incremental
+   deltas as the static rows; occurrences go into the per-variable
+   learned occurrence vectors. *)
 let append_learned s ~lbd =
   let k = s.cl_len in
   let ri = s.n_rows + 1 + s.n_learned in
@@ -853,22 +886,17 @@ let append_learned s ~lbd =
   s.row_minact <- grow_int_array s.row_minact (ri + 1) 0;
   s.row_stamp <- grow_int_array s.row_stamp (ri + 1) 1;
   let base = s.row_start.(ri) in
-  s.row_coef <- grow_int_array s.row_coef (base + k) 0;
   s.row_var <- grow_int_array s.row_var (base + k) 0;
   let n_lb = ref 0 and minact = ref 0 in
   for j = 0 to k - 1 do
     let lit = s.cl_lit.(j) in
     let v = lit lsr 1 in
-    s.row_var.(base + j) <- v;
+    s.row_var.(base + j) <- lit;
     if lit land 1 = 1 then begin
       incr n_lb;
-      s.row_coef.(base + j) <- 1;
       minact := !minact + s.lb.(v)
     end
-    else begin
-      s.row_coef.(base + j) <- -1;
-      minact := !minact - s.ub.(v)
-    end
+    else minact := !minact - s.ub.(v)
   done;
   s.row_start.(ri + 1) <- base + k;
   s.row_rhs.(ri) <- !n_lb - 1;
@@ -952,7 +980,6 @@ let reduce_db s =
         let len = se - sb in
         let db = s.row_start.(dst) in
         if dst <> src then begin
-          Array.blit s.row_coef sb s.row_coef db len;
           Array.blit s.row_var sb s.row_var db len;
           s.row_rhs.(dst) <- s.row_rhs.(src);
           s.row_minact.(dst) <- s.row_minact.(src);
@@ -963,7 +990,8 @@ let reduce_db s =
         end;
         s.row_start.(dst + 1) <- db + len;
         for p = db to db + len - 1 do
-          lrn_push s (s.row_coef.(p) > 0) s.row_var.(p) dst
+          let lit = s.row_var.(p) in
+          lrn_push s (lit land 1 = 1) (lit lsr 1) dst
         done;
         incr w
       end
@@ -1032,10 +1060,16 @@ let learn_from_conflict s =
       end
     in
     let expand r skip =
-      for i = s.row_start.(r) to s.row_start.(r + 1) - 1 do
-        let v = Array.unsafe_get s.row_var i in
-        if v <> skip && !ok then add v (Array.unsafe_get s.row_coef i > 0)
-      done
+      if r > s.n_rows then
+        for i = s.row_start.(r) to s.row_start.(r + 1) - 1 do
+          let lit = Array.unsafe_get s.row_var i in
+          if lit lsr 1 <> skip && !ok then add (lit lsr 1) (lit land 1 = 1)
+        done
+      else
+        for i = s.row_start.(r) to s.row_start.(r + 1) - 1 do
+          let v = Array.unsafe_get s.row_var i in
+          if v <> skip && !ok then add v (Array.unsafe_get s.row_coef i > 0)
+        done
     in
     expand ri (-1);
     let p = ref (s.trail_len - 1) in
@@ -2782,9 +2816,10 @@ let solve_with_learned ?(options = default) model =
   for i = s.n_learned - 1 downto 0 do
     let ri = s.n_rows + 1 + i in
     let b = s.row_start.(ri) and e = s.row_start.(ri + 1) in
+    let lits = Array.sub s.row_var b (e - b) in
     rows :=
-      ( Array.sub s.row_coef b (e - b),
-        Array.sub s.row_var b (e - b),
+      ( Array.map (fun lit -> if lit land 1 = 1 then 1 else -1) lits,
+        Array.map (fun lit -> lit lsr 1) lits,
         s.row_rhs.(ri),
         s.learn_cut.(i) )
       :: !rows

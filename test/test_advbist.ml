@@ -589,6 +589,18 @@ let test_objective_lower_bound_sound () =
     true
     (lb + e.Advbist.Encoding.base_area <= o.Advbist.Synth.area)
 
+(* Synthesis solves run without an LP relaxation: the proof of tseng k=1
+   spends no simplex resolve or pivot, and its search tree keeps the size
+   it had when the root LP still ran (its bound never pruned a node). *)
+let test_synthesis_runs_lp_free () =
+  let tseng = Option.get (Circuits.Suite.find "tseng") in
+  let o = get (Advbist.Synth.synthesize ~time_limit:60.0 ~stats:true tseng ~k:1) in
+  let st = Option.get o.Advbist.Synth.stats in
+  check_bool "tseng k=1 optimal" true o.Advbist.Synth.optimal;
+  check_int "no LP resolves" 0 st.Ilp.Stats.lp_resolves;
+  check_int "no LP pivots" 0 st.Ilp.Stats.lp_pivots;
+  check_int "nodes" 15_999 o.Advbist.Synth.nodes
+
 (* On a limit-hit solve the reported gap must reflect the structural bound:
    strictly below 100, and consistent with the outcome's own area. *)
 let test_gap_uses_structural_bound () =
@@ -973,6 +985,8 @@ let () =
             test_objective_lower_bound_sound;
           Alcotest.test_case "gap uses structural bound" `Quick
             test_gap_uses_structural_bound;
+          Alcotest.test_case "synthesis runs LP-free" `Quick
+            test_synthesis_runs_lp_free;
         ] );
       ( "encoding",
         [

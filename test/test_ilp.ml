@@ -24,6 +24,19 @@ let test_linexpr_pp () =
   let s = Format.asprintf "%a" (pp ()) (of_list [ (1, 0); (-2, 1); (1, 3) ]) in
   Alcotest.(check string) "render" "x0 - 2 x1 + x3" s
 
+(* [of_list] sorts and merges once; it must equal summing the terms one by
+   one.  Few variables and small coefficients make duplicate variables and
+   terms that cancel to zero common. *)
+let prop_linexpr_of_list_matches_fold =
+  QCheck2.Test.make ~name:"of_list = fold of add over the terms" ~count:500
+    QCheck2.Gen.(
+      list_size (int_range 0 12) (pair (int_range (-3) 3) (int_range 0 5)))
+    (fun pairs ->
+      let open Ilp.Linexpr in
+      terms (of_list pairs)
+      = terms
+          (List.fold_left (fun acc (c, v) -> add acc (term c v)) zero pairs))
+
 (* -- Model --------------------------------------------------------------- *)
 
 let knapsack () =
@@ -427,6 +440,26 @@ let prop_learned_nogoods_implied =
             end
           done;
           not !violated)
+        learned)
+
+(* Learned rows are clauses over bound literals of binary variables:
+   coefficient +1 on an x >= 1 literal, -1 on an x <= 0 literal, and
+   rhs = (number of +1 coefficients) - 1, violated exactly when every
+   literal holds. *)
+let prop_learned_rows_are_clauses =
+  QCheck2.Test.make ~name:"every learned row is a +-1 clause on binaries"
+    ~count:200 gen_small_model (fun spec ->
+      let m = build_model spec in
+      let _, learned = Ilp.Solver.solve_with_learned m in
+      let lower = Ilp.Model.lower_bounds m
+      and upper = Ilp.Model.upper_bounds m in
+      List.for_all
+        (fun (coefs, vars, rhs, _) ->
+          Array.for_all (fun c -> c = 1 || c = -1) coefs
+          && Array.for_all (fun v -> lower.(v) = 0 && upper.(v) = 1) vars
+          && rhs
+             = Array.fold_left (fun n c -> if c = 1 then n + 1 else n) 0 coefs
+               - 1)
         learned)
 
 let prop_lp_is_lower_bound =
@@ -2004,7 +2037,9 @@ let () =
         [
           Alcotest.test_case "algebra" `Quick test_linexpr_algebra;
           Alcotest.test_case "pp" `Quick test_linexpr_pp;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_linexpr_of_list_matches_fold ] );
       ("model", [ Alcotest.test_case "check" `Quick test_model_check ]);
       ( "simplex",
         [
@@ -2119,6 +2154,7 @@ let () =
           [
             prop_learning_matches_brute_force;
             prop_learned_nogoods_implied;
+            prop_learned_rows_are_clauses;
           ] );
       ( "trace",
         [
