@@ -372,6 +372,7 @@ let micro () =
    exactly.  60,000 nodes is roughly what a 2 s budget buys on a 2-vCPU
    virtual machine, and enough to prove every tseng row. *)
 let snapshot_node_limit = 60_000
+
 (* The commit the numbers were measured at, so a snapshot diff is
    attributable to a change rather than to a stale working tree. *)
 let git_commit () =

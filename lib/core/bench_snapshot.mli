@@ -17,7 +17,9 @@
     [nodes_per_sec] derived as [nodes / time_s], [waste_pct] = [None],
     [prune_shares] = [[]], conflict counters 0), and a missing
     [prune_shares] map always reads as the empty map so v5 and v6
-    zero-prune rows diff identically.  Parsing is restricted to the
+    zero-prune rows diff identically.  An optional top-level
+    [node_limit] records the per-solve node budget the sweeps ran
+    under.  Parsing is restricted to the
     subset of JSON these snapshots use — it is a file format, not a
     general JSON library. *)
 

@@ -166,8 +166,7 @@ let reference ?time_limit ?node_limit ?symmetry ?(portfolio = false)
   let warm = Result.to_option (Encoding.vector_of_netlist e d0) in
   let options =
     solver_options ?time_limit ?node_limit ?stats ?trace ?learn ?restarts
-      ~sym
-      ~orbits:(if sym then Encoding.orbits e else [])
+      ~sym ~orbits:(if sym then Encoding.orbits e else [])
       e warm
   in
   (* presolve keeps variable indices, so decoding solutions still works *)

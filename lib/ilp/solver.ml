@@ -85,7 +85,7 @@ type lp_state = {
      rhs`, Eq model rows split into two Le rows, Ge rows negated.
      Ordinary rows are [0 .. n_rows-1]; the objective cutoff row, when the
      model has an objective, is row [n_rows] in the same block — uniform
-     indexing keeps [propagate_row]/[bump_conflict] branch-free.  Learned
+     indexing keeps it on the ordinary rows' propagation path.  Learned
      nogoods follow from row [n_rows + 1] on as packed literals
      [(v lsl 1) lor is_lb] in [row_var] alone: their coefficients are
      +-1, so [row_coef] covers the static rows only.  [minact] caches the
