@@ -590,8 +590,8 @@ let test_objective_lower_bound_sound () =
     (lb + e.Advbist.Encoding.base_area <= o.Advbist.Synth.area)
 
 (* Synthesis solves run without an LP relaxation: the proof of tseng k=1
-   spends no simplex resolve or pivot, and its search tree keeps the size
-   it had when the root LP still ran (its bound never pruned a node). *)
+   spends no simplex resolve or pivot.  The node count pins its search
+   tree, which an LP bound on these encodings never pruned. *)
 let test_synthesis_runs_lp_free () =
   let tseng = Option.get (Circuits.Suite.find "tseng") in
   let o = get (Advbist.Synth.synthesize ~time_limit:60.0 ~stats:true tseng ~k:1) in
