@@ -51,9 +51,9 @@ bench-diff:
 # upload next to bench_diff.txt.
 learn-smoke:
 	@mkdir -p $(CURDIR)/_build
-	( echo "== synth tseng k=2 --learn on --restarts off =="; \
+	( echo "== synth tseng k=2 --learn on =="; \
 	  dune exec bin/advbist_cli.exe -- synth -c tseng -k 2 -t 10 \
-		--learn on --restarts off --stats 2>&1; \
+		--learn on --stats 2>&1; \
 	  echo; echo "== synth tseng k=2 --learn off =="; \
 	  dune exec bin/advbist_cli.exe -- synth -c tseng -k 2 -t 10 \
 		--learn off --stats 2>&1 ) \

@@ -496,10 +496,6 @@ let run_snapshot ~tag () =
                           (match o.Advbist.Synth.stats with
                           | Some st -> st.Ilp.Stats.deleted
                           | None -> 0);
-                        restarts =
-                          (match o.Advbist.Synth.stats with
-                          | Some st -> st.Ilp.Stats.restarts
-                          | None -> 0);
                       })
                     rows;
               })
@@ -513,7 +509,7 @@ let run_snapshot ~tag () =
     jobs;
     (* what Synth.solver_options actually runs the sweep with *)
     config =
-      { Advbist.Bench_snapshot.portfolio = false; cuts = false; lp = "never" };
+      { Advbist.Bench_snapshot.cuts = false; lp = "never" };
     circuits;
     total_wall_s = Unix.gettimeofday () -. started;
   }

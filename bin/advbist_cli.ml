@@ -76,7 +76,7 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the work-stealing parallel tree search \
-           (default: \\$(b,ADVBIST_JOBS) from the environment, else 1).")
+           (default: $(b,ADVBIST_JOBS) from the environment, else 1).")
 
 let sym_arg =
   Arg.(
@@ -97,15 +97,6 @@ let steal_arg =
            work-stealing domain pool (deterministic across -j).  \
            Default: on.")
 
-let portfolio_arg =
-  Arg.(
-    value & flag
-    & info [ "portfolio" ]
-        ~doc:
-          "Race diverse solver configurations on a domain pool with a \
-           shared incumbent bound instead of a single branch-and-bound \
-           run.")
-
 let learn_arg =
   Arg.(
     value
@@ -115,22 +106,6 @@ let learn_arg =
           "Conflict learning in the solver: 1-UIP nogoods from every \
            propagation dead end, bounded learned-clause database, \
            non-chronological backjumping.  Default: on.")
-
-let restarts_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("off", Ilp.Solver.Restarts_off);
-             ("luby", Ilp.Solver.Restarts_luby);
-           ])
-        Ilp.Solver.Restarts_off
-    & info [ "restarts" ] ~docv:"off|luby"
-        ~doc:
-          "Solver restart schedule: $(b,off) (default) a single dive, or \
-           $(b,luby) Luby-spaced re-dives from the root keeping learned \
-           clauses (needs --learn on to make progress).")
 
 let k_arg =
   Arg.(
@@ -268,12 +243,13 @@ let ref_cmd =
 (* -- synth --------------------------------------------------------------- *)
 
 let synth_cmd =
-  let run circuit file time_limit k meth verilog lp portfolio jobs sym steal
-      stats trace_file explain learn restarts =
+  let run circuit file time_limit k meth verilog lp jobs sym steal stats
+      trace_file explain learn =
     let p = or_die (load ~circuit ~file) in
     let k = Option.value k ~default:(Dfg.Problem.n_modules p) in
     Option.iter
       (fun path ->
+        if k < 1 then or_die (Error "--lp needs k >= 1 test sessions");
         let e = Advbist.Encoding.build p ~n_regs:(Dfg.Problem.min_registers p) ~k in
         Ilp.Lp_format.to_file path e.Advbist.Encoding.model;
         Format.printf "wrote %s@." path)
@@ -284,8 +260,8 @@ let synth_cmd =
       | `Advbist ->
           let o =
             or_die
-              (Advbist.Synth.synthesize ~time_limit ~portfolio ~jobs ~sym
-                 ~steal ~stats ?trace ~explain ~learn ~restarts p ~k)
+              (Advbist.Synth.synthesize ~time_limit ~jobs ~sym ~steal ~stats
+                 ?trace ~explain ~learn p ~k)
           in
           (match o.Advbist.Synth.stats with
           | Some st ->
@@ -325,20 +301,20 @@ let synth_cmd =
   Cmd.v (Cmd.info "synth" ~doc:"Synthesize a built-in self-testable data path.")
     Term.(
       const run $ circuit_arg $ file_arg $ time_limit_arg $ k_arg $ method_arg
-      $ verilog_arg $ lp_arg $ portfolio_arg $ jobs_arg $ sym_arg $ steal_arg
-      $ stats_arg $ trace_arg $ explain_arg $ learn_arg $ restarts_arg)
+      $ verilog_arg $ lp_arg $ jobs_arg $ sym_arg $ steal_arg $ stats_arg
+      $ trace_arg $ explain_arg $ learn_arg)
 
 (* -- sweep --------------------------------------------------------------- *)
 
 let sweep_cmd =
   let run circuit file time_limit fmt jobs sym steal stats trace_file explain
-      learn restarts =
+      learn =
     let p = or_die (load ~circuit ~file) in
     let trace = Option.map Ilp.Trace.file trace_file in
     let reference, rows =
       or_die
         (Advbist.Synth.sweep ~time_limit ~jobs ~sym ~steal ~stats ?trace
-           ~explain ~learn ~restarts p)
+           ~explain ~learn p)
     in
     Option.iter Ilp.Trace.close trace;
     Format.printf "reference area %d%s@." reference.Advbist.Synth.ref_area
@@ -371,7 +347,7 @@ let sweep_cmd =
     Term.(
       const run $ circuit_arg $ file_arg $ time_limit_arg $ format_arg
       $ jobs_arg $ sym_arg $ steal_arg $ stats_arg $ trace_arg
-      $ explain_arg $ learn_arg $ restarts_arg)
+      $ explain_arg $ learn_arg)
 
 (* -- compare ------------------------------------------------------------- *)
 

@@ -72,14 +72,12 @@ let align_to_clique (p : Dfg.Problem.t) (d : Datapath.Netlist.t) =
     ~module_of_op:d.Datapath.Netlist.module_of_op
 
 let solver_options ?time_limit ?node_limit ?(stats = false) ?trace
-    ?(learn = Ilp.Solver.default.Ilp.Solver.learn)
-    ?(restarts = Ilp.Solver.default.Ilp.Solver.restarts) ~sym ~orbits
-    encoding warm =
+    ?(learn = Ilp.Solver.default.Ilp.Solver.learn) ~sym ~orbits encoding
+    warm =
   {
     Ilp.Solver.default with
     Ilp.Solver.time_limit;
     learn;
-    restarts;
     node_limit;
     stats;
     trace;
@@ -87,9 +85,7 @@ let solver_options ?time_limit ?node_limit ?(stats = false) ?trace
        optima of ~1,900-3,300: cutoff-driven propagation, probing and the
        structural bound dominate it, and no bench row was ever pruned by
        it.  Synthesis therefore solves without an LP: node counts stay the
-       same, and every solve skips building the simplex engine.
-       Cuts stay off for the portfolio's LP member too: at interactive
-       budgets the root cut loop costs more wall clock than it prunes. *)
+       same, and every solve skips building the simplex engine. *)
     lp = Ilp.Solver.Lp_never;
     cuts = false;
     branch_order = Some (Encoding.branch_order encoding);
@@ -103,15 +99,10 @@ let solver_options ?time_limit ?node_limit ?(stats = false) ?trace
     orbits = (if sym then orbits else []);
   }
 
-(* One ILP solve: a portfolio race of diverse configurations sharing an
-   incumbent bound, a work-stealing parallel subtree search, or the plain
+(* One ILP solve: a work-stealing parallel subtree search, or the plain
    sequential branch-and-bound. *)
-let run_solver ~portfolio ~jobs ~steal options model =
-  if portfolio then
-    (Ilp.Portfolio.solve ~configs:(Ilp.Portfolio.default_configs options)
-       model)
-      .Ilp.Portfolio.outcome
-  else if jobs >= 2 && steal then
+let run_solver ~jobs ~steal options model =
+  if jobs >= 2 && steal then
     Ilp.Solver.solve_parallel ~options ~jobs model
   else Ilp.Solver.solve ~options model
 
@@ -156,24 +147,23 @@ let stamp_presolve (r : Ilp.Solver.outcome) presolve_s =
   | Some st -> st.Ilp.Stats.presolve_s <- st.Ilp.Stats.presolve_s +. presolve_s
   | None -> ()
 
-let reference ?time_limit ?node_limit ?symmetry ?(portfolio = false)
-    ?(jobs = 1) ?(sym = true) ?(steal = true) ?stats ?trace ?learn
-    ?restarts (p : Dfg.Problem.t) =
+let reference ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
+    ?(steal = true) ?stats ?trace ?learn (p : Dfg.Problem.t) =
   let n_regs = Dfg.Problem.min_registers p in
   let e = Encoding.build_reference ?symmetry p ~n_regs in
   let* d0 = Heuristic.netlist p in
   let* d0 = align_to_clique p d0 in
   let warm = Result.to_option (Encoding.vector_of_netlist e d0) in
   let options =
-    solver_options ?time_limit ?node_limit ?stats ?trace ?learn ?restarts
-      ~sym ~orbits:(if sym then Encoding.orbits e else [])
+    solver_options ?time_limit ?node_limit ?stats ?trace ?learn ~sym
+      ~orbits:(if sym then Encoding.orbits e else [])
       e warm
   in
   (* presolve keeps variable indices, so decoding solutions still works *)
   let t_pre = Unix.gettimeofday () in
   let model, _pstats = Ilp.Presolve.strengthen e.Encoding.model in
   let presolve_s = Unix.gettimeofday () -. t_pre in
-  let r = run_solver ~portfolio ~jobs ~steal options model in
+  let r = run_solver ~jobs ~steal options model in
   stamp_presolve r presolve_s;
   match r.Ilp.Solver.solution with
   | None -> Error "reference synthesis found no data path"
@@ -188,10 +178,13 @@ let reference ?time_limit ?node_limit ?symmetry ?(portfolio = false)
           ref_stats = r.Ilp.Solver.stats;
         }
 
-let synthesize ?time_limit ?node_limit ?symmetry ?(portfolio = false)
-    ?(jobs = 1) ?(sym = true) ?(steal = true) ?stats ?trace
-    ?(explain = false) ?learn ?restarts ?seed (p : Dfg.Problem.t)
-    ~k =
+let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
+    ?(steal = true) ?stats ?trace ?(explain = false) ?learn ?seed
+    (p : Dfg.Problem.t) ~k =
+  let* () =
+    if k >= 1 then Ok ()
+    else Error (Printf.sprintf "k must be >= 1 (got %d)" k)
+  in
   let n_regs = Dfg.Problem.min_registers p in
   let e = Encoding.build ?symmetry p ~n_regs ~k in
   (* Two warm-start candidates: the constructive heuristic's data path,
@@ -233,8 +226,7 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(portfolio = false)
      analysis under [explain] *)
   let orbits = if sym || explain then Encoding.orbits e else [] in
   let options =
-    solver_options ?time_limit ?node_limit ?stats ?learn ?restarts
-      ~sym ~orbits e warm
+    solver_options ?time_limit ?node_limit ?stats ?learn ~sym ~orbits e warm
   in
   let options = { options with Ilp.Solver.incumbent_start = incumbent } in
   (* presolve keeps variable indices, so decoding solutions still works *)
@@ -244,7 +236,7 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(portfolio = false)
   let r, report =
     with_explain ~explain ?trace ~orbits (fun tr ->
         let options = { options with Ilp.Solver.trace = tr } in
-        let r = run_solver ~portfolio ~jobs ~steal options model in
+        let r = run_solver ~jobs ~steal options model in
         stamp_presolve r presolve_s;
         r)
   in
@@ -296,10 +288,10 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(portfolio = false)
 type sweep_row = { k : int; outcome : outcome; overhead_pct : float }
 
 let sweep ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
-    ?(steal = true) ?stats ?trace ?explain ?learn ?restarts p =
+    ?(steal = true) ?stats ?trace ?explain ?learn p =
   let* reference =
     reference ?time_limit ?node_limit ?symmetry ~jobs ~sym ~steal ?stats
-      ?trace ?learn ?restarts p
+      ?trace ?learn p
   in
   let n = Dfg.Problem.n_modules p in
   (* The sweep is sequential in k so each instance can be seeded with the
@@ -312,7 +304,7 @@ let sweep ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
     else
       let* outcome =
         synthesize ?time_limit ?node_limit ?symmetry ~jobs ~sym ~steal
-          ?stats ?trace ?explain ?learn ?restarts ~seed p ~k
+          ?stats ?trace ?explain ?learn ~seed p ~k
       in
       let overhead_pct =
         Bist.Plan.overhead_pct outcome.plan ~reference:reference.ref_area

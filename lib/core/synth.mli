@@ -45,32 +45,26 @@ type reference = {
 
 val reference :
   ?time_limit:float -> ?node_limit:int -> ?symmetry:bool ->
-  ?portfolio:bool -> ?jobs:int -> ?sym:bool -> ?steal:bool ->
-  ?stats:bool -> ?trace:Ilp.Trace.sink ->
-  ?learn:bool -> ?restarts:Ilp.Solver.restart_mode ->
+  ?jobs:int -> ?sym:bool -> ?steal:bool ->
+  ?stats:bool -> ?trace:Ilp.Trace.sink -> ?learn:bool ->
   Dfg.Problem.t ->
   (reference, string) result
 (** Area-optimal non-BIST data path (registers all plain + minimal mux
-    area), warm-started from left-edge + greedy binding.  [portfolio]
-    races diverse solver configurations on a domain pool
-    ({!Ilp.Portfolio}); default false.  [sym] (default true) passes the
-    encoding's verified orbits to the solver for lex rows and orbital
-    fixing.  [jobs >= 2] with [steal] (default true) runs the
-    work-stealing parallel tree search ({!Ilp.Solver.solve_parallel})
-    unless [portfolio] is set.  Every synthesis solve runs without an LP
+    area), warm-started from left-edge + greedy binding.  [sym] (default
+    true) passes the encoding's verified orbits to the solver for lex
+    rows and orbital fixing.  [jobs >= 2] with [steal] (default true)
+    runs the work-stealing parallel tree search
+    ({!Ilp.Solver.solve_parallel}).  Every synthesis solve runs without an LP
     relaxation ({!Ilp.Solver.Lp_never}): on these encodings its bound
     never prunes. *)
 
 val synthesize :
   ?time_limit:float -> ?node_limit:int -> ?symmetry:bool ->
-  ?portfolio:bool -> ?jobs:int -> ?sym:bool -> ?steal:bool ->
-  ?stats:bool -> ?trace:Ilp.Trace.sink -> ?explain:bool ->
-  ?learn:bool -> ?restarts:Ilp.Solver.restart_mode ->
+  ?jobs:int -> ?sym:bool -> ?steal:bool ->
+  ?stats:bool -> ?trace:Ilp.Trace.sink -> ?explain:bool -> ?learn:bool ->
   ?seed:Datapath.Netlist.t -> Dfg.Problem.t -> k:int ->
   (outcome, string) result
-(** [portfolio] races diverse solver configurations with a shared
-    incumbent bound instead of one branch-and-bound run; same optima,
-    often less wall-clock on hard instances.  Default false.
+(** [Error] when [k < 1]: a BIST design needs at least one test session.
 
     [stats] (default false) collects solver telemetry into
     [outcome.stats]; [trace] installs a structured event sink
@@ -100,8 +94,7 @@ type sweep_row = {
 val sweep :
   ?time_limit:float -> ?node_limit:int -> ?symmetry:bool -> ?jobs:int ->
   ?sym:bool -> ?steal:bool -> ?stats:bool -> ?trace:Ilp.Trace.sink ->
-  ?explain:bool -> ?learn:bool -> ?restarts:Ilp.Solver.restart_mode ->
-  Dfg.Problem.t ->
+  ?explain:bool -> ?learn:bool -> Dfg.Problem.t ->
   (reference * sweep_row list, string) result
 (** One design per k-test session, k = 1 .. N (N = number of modules) —
     Table 2 of the paper.  [time_limit] and [node_limit] apply per k;

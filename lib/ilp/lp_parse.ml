@@ -79,8 +79,11 @@ let tokenize s =
           if !i < n && (s.[!i] = '.' || s.[!i] = 'e' || s.[!i] = 'E') then
             err "fractional coefficients are not supported"
           else begin
-            toks := Int (int_of_string (String.sub s start (!i - start))) :: !toks;
-            loop ()
+            match int_of_string_opt (String.sub s start (!i - start)) with
+            | Some v ->
+                toks := Int v :: !toks;
+                loop ()
+            | None -> err "integer literal out of range"
           end
       | c when is_ident_start c ->
           let start = !i in
@@ -274,19 +277,32 @@ let of_string s =
   (* build the model: stable variable order = first appearance order is lost
      in the hashtable; sort names for determinism *)
   let names = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) vars []) in
+  let default_ub = 1_000_000 in
+  let domain name =
+    if Hashtbl.mem binaries name then (0, 1)
+    else
+      match Hashtbl.find_opt bounds name with
+      | Some (l, u) ->
+          (Option.value l ~default:0, Option.value u ~default:default_ub)
+      | None -> (0, default_ub)
+  in
+  let* () =
+    match
+      List.find_map
+        (fun name ->
+          let lb, ub = domain name in
+          if lb <= ub then None
+          else Some (Printf.sprintf "empty bounds %d <= %s <= %d" lb name ub))
+        names
+    with
+    | Some msg -> err msg
+    | None -> Ok ()
+  in
   let model = Model.create ~name:"lp" () in
   let index = Hashtbl.create 97 in
-  let default_ub = 1_000_000 in
   List.iter
     (fun name ->
-      let lb, ub =
-        if Hashtbl.mem binaries name then (0, 1)
-        else
-          match Hashtbl.find_opt bounds name with
-          | Some (l, u) ->
-              (Option.value l ~default:0, Option.value u ~default:default_ub)
-          | None -> (0, default_ub)
-      in
+      let lb, ub = domain name in
       Hashtbl.replace index name (Model.int_var model ~lb ~ub name))
     names;
   let to_expr terms =

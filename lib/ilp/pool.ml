@@ -10,7 +10,6 @@ type packed = Job : 'a task -> packed
 and 'a task = {
   pool : t;
   thunk : unit -> 'a;
-  token : bool Atomic.t;
   mutable state : 'a state;
 }
 
@@ -62,9 +61,8 @@ let create ~jobs =
   t.workers <- List.init n_jobs (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let submit ?cancel t thunk =
-  let token = match cancel with Some a -> a | None -> Atomic.make false in
-  let task = { pool = t; thunk; token; state = Pending } in
+let submit t thunk =
+  let task = { pool = t; thunk; state = Pending } in
   Mutex.lock t.lock;
   if t.stopping then begin
     Mutex.unlock t.lock;
@@ -74,9 +72,6 @@ let submit ?cancel t thunk =
   Condition.signal t.work_cv;
   Mutex.unlock t.lock;
   task
-
-let cancel task = Atomic.set task.token true
-let cancel_token task = task.token
 
 let await task =
   let t = task.pool in
@@ -99,18 +94,6 @@ let shutdown t =
   let ws = t.workers in
   t.workers <- [];
   List.iter Domain.join ws
-
-let map ~jobs f xs =
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | _ when jobs <= 1 -> List.map f xs
-  | _ ->
-      let pool = create ~jobs:(min jobs (List.length xs)) in
-      let tasks = List.map (fun x -> submit pool (fun () -> f x)) xs in
-      let results = List.map await tasks in
-      shutdown pool;
-      List.map (function Ok v -> v | Error e -> raise e) results
 
 (* Work-stealing deques: one LIFO deque per owner, each guarded by its own
    mutex.  Owners push and pop at the front (newest first — depth-first

@@ -1,10 +1,8 @@
-(** Fixed-size domain pool with a work queue and per-task cancellation.
+(** Fixed-size domain pool with a work queue.
 
-    The solve farm behind parallel k-sweeps and solver portfolios: a small
-    set of OCaml 5 domains pulls closures off a shared queue.  Tasks are
-    plain [unit -> 'a] thunks; each carries a cancellation token (a
-    [bool Atomic.t]) that cooperative workloads — notably
-    {!Solver.options.stop} — poll to abandon work early.
+    The solve farm behind parallel k-sweeps and {!Solver.solve_parallel}:
+    a small set of OCaml 5 domains pulls closures off a shared queue.
+    Tasks are plain [unit -> 'a] thunks.
 
     Results are retrieved with {!await}, which re-raises nothing: worker
     exceptions are captured and returned as [Error].  Await only from the
@@ -22,30 +20,14 @@ val jobs : t -> int
 
 type 'a task
 
-val submit : ?cancel:bool Atomic.t -> t -> (unit -> 'a) -> 'a task
-(** Enqueue a thunk.  [cancel] (fresh by default) is the task's
-    cancellation token; {!cancel} sets it, and the thunk — if it polls the
-    token — is expected to return early.  The pool itself never kills a
-    running thunk. *)
-
-val cancel : 'a task -> unit
-(** Set the task's cancellation token.  Cooperative: a thunk that ignores
-    its token runs to completion regardless. *)
-
-val cancel_token : 'a task -> bool Atomic.t
+val submit : t -> (unit -> 'a) -> 'a task
+(** Enqueue a thunk.  The pool never kills a running thunk. *)
 
 val await : 'a task -> ('a, exn) result
 (** Block until the task's thunk has returned (or raised). *)
 
 val shutdown : t -> unit
 (** Wait for queued tasks to drain, then join all workers.  Idempotent. *)
-
-val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] applies [f] to every element on a transient pool of
-    [jobs] workers and returns results in input order.  [jobs <= 1] (or a
-    singleton list) degrades to plain [List.map] — byte-identical to the
-    sequential path.  The first worker exception, if any, is re-raised
-    after all tasks settle. *)
 
 (** Work-stealing deques for splitting one workload across the pool's
     workers: one LIFO deque per owner.  Owners push and pop at the front

@@ -13,7 +13,6 @@ type problem = {
 }
 
 type status = Basic | At_lower | At_upper
-type pricing = Dantzig | Devex
 
 let eps_cost = 1e-7
 let eps_pivot = 1e-9
@@ -574,30 +573,11 @@ let relax ?lower ?upper (model : Model.t) =
    any bound change — without a phase I).  Reduced costs do not depend on
    variable bounds, so the basis left behind by the previous solve stays
    dual feasible when branch-and-bound tightens bounds; [resolve] then
-   re-optimizes in a handful of dual pivots.
-
-   [stashes] are full basis images (status, basis, inverse, x_B, duals,
-   bounds, devex weights) indexed by slot; the solver stashes the parent
-   factorization once per branch and unstashes it for every later sibling,
-   replacing the per-child refactorization with a flat memcpy. *)
-type stash = {
-  sb_ncols : int;
-  sb_m : int;
-  sb_status : status array;
-  sb_basis : int array;
-  sb_binv : fa;
-  sb_xb : fa;
-  sb_d : fa;
-  sb_dw : fa;
-  sb_lo : fa;
-  sb_up : fa;
-  mutable sb_pivots : int;
-}
-
+   re-optimizes in a handful of dual pivots.  Leaving rows are priced by
+   devex reference weights [dw]. *)
 type instance = {
   inst_n : int;  (* structural variables *)
   mutable st : state;
-  mutable pricing : pricing;
   mutable pivots : int;  (* dual pivots since the last refactorization *)
   mutable total_pivots : int;  (* dual pivots over the instance's lifetime *)
   mutable total_iters : int;  (* dual simplex iterations (lifetime) *)
@@ -605,13 +585,12 @@ type instance = {
   mutable d : fa;  (* reduced costs by column *)
   mutable alpha : fa;  (* pivot-row scratch by column *)
   mutable dw : fa;  (* devex reference weights by row *)
-  (* Stall detection for the Dantzig/devex -> Bland switch.  Kept on the
+  (* Stall detection for the devex -> Bland switch.  Kept on the
      instance so the policy is explicit: [resolve] resets both fields on
      entry, so a stalled parent solve can never pin a child's warm
      re-solve to Bland. *)
   mutable stall : int;
   mutable stall_obj : float;
-  mutable stashes : stash option array;
 }
 
 let eps_dual = 1e-6
@@ -628,7 +607,7 @@ let inst_refactorize t =
   if ok then devex_reset t;
   ok
 
-let instance_of_problem ?(pricing = Devex) (p : problem) =
+let instance_of_problem (p : problem) =
   let n = p.n_vars in
   let finite = ref true in
   for j = 0 to n - 1 do
@@ -686,7 +665,6 @@ let instance_of_problem ?(pricing = Devex) (p : problem) =
       {
         inst_n = n;
         st;
-        pricing;
         pivots = 0;
         total_pivots = 0;
         total_iters = 0;
@@ -696,18 +674,16 @@ let instance_of_problem ?(pricing = Devex) (p : problem) =
         dw;
         stall = 0;
         stall_obj = neg_infinity;
-        stashes = [||];
       }
   end
 
-let instance_of_model ?pricing ?lower ?upper model =
-  instance_of_problem ?pricing (problem_of_model ?lower ?upper model)
+let instance_of_model ?lower ?upper model =
+  instance_of_problem (problem_of_model ?lower ?upper model)
 
 let n_rows t = t.st.m
 let pivots t = t.total_pivots
 let iters t = t.total_iters
 let refactors t = t.total_refactors
-let set_pricing t p = t.pricing <- p
 
 (* Bound changes never touch the basis or the reduced costs; only the
    resting value of a nonbasic column moves, which shifts the basic
@@ -856,11 +832,10 @@ let extract_optimal t =
   Optimal { objective = !obj; primal }
 
 (* Bounded-variable dual simplex from the current (dual-feasible) basis.
-   Leaving: devex reference-weight pricing (largest viol^2 / weight) by
-   default, plain most-violated under Dantzig, smallest row under the
-   Bland anti-cycling fallback — entering: shortest dual ratio
-   |d_j / alpha_j| among sign-eligible nonbasics, tie-broken by pivot
-   magnitude (Bland: smallest column index). *)
+   Leaving: devex reference-weight pricing (largest viol^2 / weight),
+   smallest row under the Bland anti-cycling fallback — entering: shortest
+   dual ratio |d_j / alpha_j| among sign-eligible nonbasics, tie-broken by
+   pivot magnitude (Bland: smallest column index). *)
 let resolve ?(max_iters = 256) t =
   let st = t.st in
   let m = st.m in
@@ -906,11 +881,7 @@ let resolve ?(max_iters = 256) t =
                  raise Exit
                end
                else begin
-                 let score =
-                   match t.pricing with
-                   | Dantzig -> viol
-                   | Devex -> viol *. viol /. fget t.dw i
-                 in
+                 let score = viol *. viol /. fget t.dw i in
                  if score > !best then begin
                    best := score;
                    r := i;
@@ -1032,24 +1003,21 @@ let resolve ?(max_iters = 256) t =
               end
             done;
             (* devex reference-weight update from the pivot column *)
-            (match t.pricing with
-            | Dantzig -> ()
-            | Devex ->
-                let wr2 = wr *. wr in
-                if wr2 > 0.0 then begin
-                  let dr = fget t.dw r in
-                  for i = 0 to m - 1 do
-                    if i <> r then begin
-                      let wi = fget w i in
-                      if wi <> 0.0 then begin
-                        let cand = wi *. wi *. dr /. wr2 in
-                        if cand > fget t.dw i then fset t.dw i cand
-                      end
-                    end
-                  done;
-                  let nr = dr /. wr2 in
-                  fset t.dw r (if nr > 1.0 then nr else 1.0)
-                end);
+            let wr2 = wr *. wr in
+            if wr2 > 0.0 then begin
+              let dr = fget t.dw r in
+              for i = 0 to m - 1 do
+                if i <> r then begin
+                  let wi = fget w i in
+                  if wi <> 0.0 then begin
+                    let cand = wi *. wi *. dr /. wr2 in
+                    if cand > fget t.dw i then fset t.dw i cand
+                  end
+                end
+              done;
+              let nr = dr /. wr2 in
+              fset t.dw r (if nr > 1.0 then nr else 1.0)
+            end;
             (* incremental reduced costs: d_k -= theta alpha_k *)
             let theta = fget t.d j /. arj in
             if theta <> 0.0 then
@@ -1158,8 +1126,6 @@ let add_row t terms rhs =
   t.alpha <- fa_make ncols';
   t.dw <- fa_make m';
   A1.fill t.dw 1.0;
-  (* stashed bases predate the new row; the dimension check in [unstash]
-     rejects them from now on *)
   recompute_xb t.st
 
 (* Reads the incrementally-maintained reduced costs — O(n), no fresh
@@ -1207,84 +1173,6 @@ let dual_bound t =
         end
   done;
   if !usable then Some (dual_objective t -. !corr) else None
-
-(* --- basis stash slots: shared parent factorization for sibling LPs ---- *)
-
-(* A stash is a flat image of everything [resolve] warm-starts from.
-   Restoring one replaces the refactorize-from-scratch a child LP would
-   otherwise trigger after the search undoes and re-applies bounds, with
-   O(m^2 + ncols) blits.  Slots are capped (and gated on problem size) so
-   a deep search cannot hold unbounded basis copies alive. *)
-let stash_max_slots = 32
-let stash_max_m = 512
-
-let stash t ~slot =
-  let st = t.st in
-  if slot < 0 || slot >= stash_max_slots || st.m = 0 || st.m > stash_max_m then
-    false
-  else begin
-    if slot >= Array.length t.stashes then begin
-      let len =
-        min stash_max_slots (max (slot + 1) ((2 * Array.length t.stashes) + 4))
-      in
-      let a = Array.make len None in
-      Array.blit t.stashes 0 a 0 (Array.length t.stashes);
-      t.stashes <- a
-    end;
-    let sb =
-      match t.stashes.(slot) with
-      | Some sb when sb.sb_ncols = st.ncols && sb.sb_m = st.m -> sb
-      | _ ->
-          let sb =
-            {
-              sb_ncols = st.ncols;
-              sb_m = st.m;
-              sb_status = Array.make st.ncols At_lower;
-              sb_basis = Array.make st.m 0;
-              sb_binv = fa_make (st.m * st.m);
-              sb_xb = fa_make st.m;
-              sb_d = fa_make st.ncols;
-              sb_dw = fa_make st.m;
-              sb_lo = fa_make st.ncols;
-              sb_up = fa_make st.ncols;
-              sb_pivots = 0;
-            }
-          in
-          t.stashes.(slot) <- Some sb;
-          sb
-    in
-    Array.blit st.status 0 sb.sb_status 0 st.ncols;
-    Array.blit st.basis 0 sb.sb_basis 0 st.m;
-    fa_blit st.binv sb.sb_binv (st.m * st.m);
-    fa_blit st.xb sb.sb_xb st.m;
-    fa_blit t.d sb.sb_d st.ncols;
-    fa_blit t.dw sb.sb_dw st.m;
-    fa_blit st.lo sb.sb_lo st.ncols;
-    fa_blit st.up sb.sb_up st.ncols;
-    sb.sb_pivots <- t.pivots;
-    true
-  end
-
-let unstash t ~slot =
-  if slot < 0 || slot >= Array.length t.stashes then false
-  else
-    match t.stashes.(slot) with
-    | None -> false
-    | Some sb ->
-        let st = t.st in
-        if sb.sb_ncols <> st.ncols || sb.sb_m <> st.m then false
-        else begin
-          Array.blit sb.sb_status 0 st.status 0 st.ncols;
-          Array.blit sb.sb_basis 0 st.basis 0 st.m;
-          fa_blit sb.sb_binv st.binv (st.m * st.m);
-          fa_blit sb.sb_xb st.xb st.m;
-          fa_blit sb.sb_d t.d st.ncols;
-          fa_blit sb.sb_dw t.dw st.m;
-          fa_blit sb.sb_lo st.lo st.ncols;
-          fa_blit sb.sb_up st.up st.ncols;
-          t.pivots <- sb.sb_pivots;
-          true
-        end
 
 type snapshot = {
   snap_status : status array;

@@ -50,35 +50,22 @@ val problem_of_model :
 
 type instance
 
-type pricing =
-  | Dantzig  (** most-violated basic bound leaves *)
-  | Devex
-      (** reference-weight pricing: largest violation^2 / weight leaves;
-          weights grow with the pivot column and reset at refactorization.
-          Cuts warm re-solve iteration counts on degenerate LPs. *)
-
-val instance_of_problem : ?pricing:pricing -> problem -> instance option
+val instance_of_problem : problem -> instance option
 (** [None] when some variable bound is infinite (the all-slack dual-feasible
-    start needs every structural parked at a finite bound).  [pricing]
-    defaults to [Devex]. *)
+    start needs every structural parked at a finite bound). *)
 
 val instance_of_model :
-  ?pricing:pricing ->
-  ?lower:int array ->
-  ?upper:int array ->
-  Model.t ->
-  instance option
-
-val set_pricing : instance -> pricing -> unit
-(** Switch the leaving-row rule for subsequent {!resolve} calls. *)
+  ?lower:int array -> ?upper:int array -> Model.t -> instance option
 
 val set_bounds : instance -> int -> lo:float -> up:float -> unit
 (** Update one structural variable's bounds.  Preserves dual feasibility. *)
 
 val resolve : ?max_iters:int -> instance -> result
 (** Dual-simplex re-optimization from the current basis ([max_iters]
-    defaults to [256]).  Leaving row by the instance's {!pricing} rule with
-    a Bland's-rule fallback once the dual objective stalls — the stall
+    defaults to [256]).  Leaving row by devex reference-weight pricing
+    (largest violation^2 / weight; weights grow with the pivot column and
+    reset at refactorization), with a Bland's-rule fallback once the dual
+    objective stalls — the stall
     counter is reset on every call, so a stalled parent solve never pins a
     child's warm re-solve to Bland.  Refactorizes every 512 pivots and
     audits the primal residual before declaring optimality.  [Infeasible]
@@ -88,8 +75,7 @@ val resolve : ?max_iters:int -> instance -> result
 val add_row : instance -> (int * float) list -> float -> unit
 (** [add_row t terms rhs] appends the cut [terms <= rhs] ([(var, coef)]
     pairs over structural variables).  The basis inverse is extended in
-    O(m^2) with the new slack basic, keeping the basis dual feasible.
-    Stashed bases from before the call are invalidated. *)
+    O(m^2) with the new slack basic, keeping the basis dual feasible. *)
 
 val nonbasic_reduced_costs : instance -> (int * bool * float) list
 (** After an [Optimal] {!resolve}: [(var, at_upper, d)] for each nonbasic
@@ -115,19 +101,6 @@ val iters : instance -> int
 val refactors : instance -> int
 (** Cumulative basis refactorizations over the instance's lifetime
     (periodic refreshes, drift audits, restores and cold restarts). *)
-
-val stash : instance -> slot:int -> bool
-(** [stash t ~slot] copies the full warm-start image (basis, inverse,
-    primal values, reduced costs, bounds, devex weights) into a
-    preallocated slot, so every later sibling LP at a branch can restart
-    from the shared parent factorization instead of refactorizing.
-    Returns [false] (and stashes nothing) when [slot] is out of range or
-    the instance is too large for stashing to pay for itself. *)
-
-val unstash : instance -> slot:int -> bool
-(** [unstash t ~slot] restores the image saved by {!stash}.  O(m^2 + n)
-    blits, no refactorization.  Returns [false] when the slot is empty or
-    the instance's dimensions changed (e.g. {!add_row}) since the stash. *)
 
 type snapshot
 (** A saved basis (status + basic set), restorable after bound changes. *)

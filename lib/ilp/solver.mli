@@ -3,7 +3,7 @@
     Depth-first search over variable domains with:
     - bound-tightening (pseudo-boolean) propagation at every node,
     - an objective cutoff row updated whenever the incumbent improves,
-    - optional LP-relaxation bounding via {!Simplex} (root and/or periodic),
+    - optional LP-relaxation bounding via {!Simplex} at the root node,
     - a caller-supplied branching order and warm-start solution,
     - wall-clock time limit with best-found-so-far reporting, mirroring the
       24-hour CPU cap the paper applied to CPLEX.
@@ -45,43 +45,28 @@ type outcome = {
 
 type lp_mode =
   | Lp_never
-  | Lp_root  (** LP bound at the root node only *)
-  | Lp_depth of int  (** LP bound at nodes of depth <= the given value *)
-
-type restart_mode =
-  | Restarts_off
-      (** a single dive (default); learned clauses still propagate.
-          Asserting nogoods keep their effect: a root-asserting clause
-          aborts the dive and fixes its variable for good during the
-          root re-propagation, a non-chronological backjump. *)
-  | Restarts_luby
-      (** additionally abandon the dive after [512 * luby(i)] {e stored}
-          conflicts and re-enter from the root, keeping learned clauses,
-          the incumbent and the warm LP engine (basis and devex weights).
-          Off by default: in this depth-first branch-and-bound a restart
-          replays the whole prefix of the dive, and measured on the bench
-          suite the replay cost consistently outweighs the reordering
-          benefit (it loses proofs that {!Restarts_off} closes). *)
+  | Lp_root
+      (** LP bound at the root node only: the root cut loop, reduced-cost
+          fixing against the incumbent, and a devex-priced warm dual
+          simplex that re-solves on every re-dive and at each parallel
+          subtree's root *)
 
 type options = {
   time_limit : float option;  (** seconds *)
   node_limit : int option;
   lp : lp_mode;
-  pricing : Simplex.pricing;
-      (** leaving-row pricing rule for every warm LP engine this solve
-          creates (root cut loop, node bounding, parallel workers):
-          [Devex] (default) reference-weight pricing, or [Dantzig]
-          most-violated.  Both fall back to Bland's rule on stalls. *)
   cuts : bool;
       (** run the root cutting-plane loop ({!Cuts}: extended cover +
           clique cuts) before branching, when [lp] is not [Lp_never].
           Cut generation is capped at a quarter of [time_limit]. *)
   branch_order : int list option;
       (** variables branched first, highest priority first; remaining
-          variables follow in index order.  Branching is dynamic
-          (most-constrained domain, then conflict activity), with this
-          order as the final tie-break — so it fully decides the first
-          descents, before any conflicts are recorded. *)
+          variables follow in index order.  Branching is dynamic: the
+          branched variable is the most-constrained (smallest domain,
+          then highest conflict activity) among the first 16 unfixed
+          variables of this order, with the order as the final tie-break
+          — so it fully decides the first descents, before any conflicts
+          are recorded. *)
   prefer_high : bool;  (** try the upper bound value first when branching *)
   warm_start : int array option;
       (** a (claimed) feasible assignment used as initial incumbent; it is
@@ -102,22 +87,6 @@ type options = {
           as a {!Trace.stderr_human} sink installed when [trace] is
           [None]; an explicit [trace] sink takes precedence and receives
           the same events (plus the full node/prune stream). *)
-  branch_window : int;
-      (** dynamic-branching lookahead: the branched variable is the
-          most-constrained (smallest domain, then highest conflict
-          activity) among the first [branch_window] unfixed variables of
-          the branch order.  [1] = purely static order; larger windows
-          let conflict activity reorder locally.  Default 16. *)
-  stop : bool Atomic.t option;
-      (** cooperative cancellation: when the flag turns true the search
-          stops at the next limit check and reports best-found-so-far,
-          exactly like a time limit.  Used by {!Pool} tasks. *)
-  shared_incumbent : int Atomic.t option;
-      (** cross-solver objective bound for portfolio races: every new
-          incumbent's objective is published here (monotonically
-          decreasing), and values published by other solvers tighten this
-          search's cutoff.  Only ever written with true solution
-          objectives, so pruning against it preserves completeness. *)
   sym : bool;
       (** master switch for symmetry breaking (default true): when off,
           [orbits] is ignored and no detection runs *)
@@ -146,21 +115,17 @@ type options = {
           propagation fixpoint fails, derive a pseudo-boolean nogood over
           bound literals of binary variables from the reason-annotated
           trail and append it to the row block, where the unchanged
-          propagation kernel enforces it everywhere below the root.  In
-          {!solve_parallel} the databases are subtree-local, preserving
-          jobs-invariance. *)
-  restarts : restart_mode;
-      (** restart policy (default [Restarts_off]); only meaningful
-          together with [learn] — without learned clauses a restarted
-          dive would repeat the previous one exactly, so the budget is
-          not even tracked. *)
+          propagation kernel enforces it everywhere below the root.  A
+          root-asserting nogood aborts the dive; the root re-propagation
+          then fixes its variable for good (a non-chronological backjump)
+          and the search dives again.  In {!solve_parallel} the databases
+          are subtree-local, preserving jobs-invariance. *)
 }
 
 val default : options
-(** No limits, [Lp_root], devex pricing, cuts on, no order, prefer 1, no
-    warm start, quiet, no cancellation token, no shared incumbent,
-    symmetry breaking on with auto-detected orbits, no stats, no
-    trace, conflict learning on, restarts off. *)
+(** No limits, [Lp_root], cuts on, no order, prefer 1, no warm start,
+    quiet, symmetry breaking on with auto-detected orbits, no stats, no
+    trace, conflict learning on. *)
 
 val solve : ?options:options -> Model.t -> outcome
 
@@ -190,11 +155,10 @@ val solve_parallel : ?options:options -> jobs:int -> Model.t -> outcome
     [jobs], and only when a limit actually fires. *)
 
 val with_root_cuts : ?options:options -> Model.t -> Model.t
-(** The model strengthened by one root cutting-plane loop, for callers
-    that share cuts across several solves ({!Portfolio} runs this once
-    and hands every member the same strengthened model with
-    [cuts = false]).  Returns the model unchanged when [options] disables
-    cuts or LP bounding. *)
+(** The model strengthened by one root cutting-plane loop.  A test hook:
+    the property tests check that the cuts keep the 0-1 feasible set.
+    Returns the model unchanged when [options] disables cuts or LP
+    bounding. *)
 
 (** {2 Test and micro-benchmark hooks}
 

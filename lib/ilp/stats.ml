@@ -18,7 +18,7 @@ type t = {
   mutable search_s : float;  (* tree search (all nodes, all workers) *)
   (* Sub-timers: CPU time summed across workers, attributed inside
      [search_s] / [root_s]; not part of the disjoint phase account. *)
-  mutable lp_s : float;  (* node LP bounding *)
+  mutable lp_s : float;  (* root LP bounding *)
   mutable probe_s : float;  (* in-tree probing *)
   (* Symmetry detection inside [prepare_s]. *)
   mutable sym_refine_passes : int;  (* colour-refinement passes run *)
@@ -31,11 +31,10 @@ type t = {
   mutable prop_fixpoints : int;  (* worklist fixpoints run *)
   mutable prop_ticks : int;  (* row propagations + orbit passes *)
   mutable prop_conflicts : int;  (* fixpoints ending in a conflict *)
-  (* Conflict engine (1-UIP nogood learning + restarts). *)
+  (* Conflict engine (1-UIP nogood learning). *)
   mutable conflicts : int;  (* conflicts analyzed at depth > 0 *)
   mutable learned : int;  (* nogoods appended to the clause database *)
   mutable deleted : int;  (* learned rows dropped by database reduction *)
-  mutable restarts : int;  (* Luby-scheduled re-dives from the root *)
   mutable backjumps : int;  (* root-asserting conflicts that aborted the dive *)
   mutable backjump_depth : int;  (* sum of (conflict level - asserting level) *)
   (* Probing (in-tree shaving + root shaving trials). *)
@@ -44,8 +43,8 @@ type t = {
   mutable probe_trials : int;  (* tentative endpoint propagations *)
   mutable probe_hits : int;  (* probing steps that landed a fixing *)
   mutable probe_backoffs : int;  (* times the skip gap widened *)
-  (* Node LP bounding. *)
-  mutable lp_resolves : int;  (* all node LP calls *)
+  (* Root LP bounding (each re-dive and parallel subtree root). *)
+  mutable lp_resolves : int;  (* all root LP calls *)
   mutable lp_warm : int;  (* warm re-solves reaching optimality *)
   mutable lp_fallbacks : int;  (* capped re-solves rescued by weak duality *)
   mutable lp_infeasible : int;  (* LP-infeasible verdicts *)
@@ -53,7 +52,6 @@ type t = {
   mutable lp_pivots : int;  (* cumulative dual pivots of the warm engine *)
   mutable lp_iters : int;  (* cumulative dual-simplex iterations *)
   mutable lp_refactors : int;  (* basis refactorizations of the warm engine *)
-  mutable lp_batched : int;  (* sibling re-solves from a stashed parent basis *)
   mutable rc_fixings : int;  (* variables fixed by reduced cost *)
   mutable orbit_fixings : int;  (* bound changes by the orbital propagator *)
   (* Primal progress: every incumbent improvement as
@@ -90,7 +88,6 @@ let create () =
     conflicts = 0;
     learned = 0;
     deleted = 0;
-    restarts = 0;
     backjumps = 0;
     backjump_depth = 0;
     probe_calls = 0;
@@ -106,7 +103,6 @@ let create () =
     lp_pivots = 0;
     lp_iters = 0;
     lp_refactors = 0;
-    lp_batched = 0;
     rc_fixings = 0;
     orbit_fixings = 0;
     incumbents = [];
@@ -185,7 +181,6 @@ let merge a b =
     conflicts = a.conflicts + b.conflicts;
     learned = a.learned + b.learned;
     deleted = a.deleted + b.deleted;
-    restarts = a.restarts + b.restarts;
     backjumps = a.backjumps + b.backjumps;
     backjump_depth = a.backjump_depth + b.backjump_depth;
     probe_calls = a.probe_calls + b.probe_calls;
@@ -201,7 +196,6 @@ let merge a b =
     lp_pivots = a.lp_pivots + b.lp_pivots;
     lp_iters = a.lp_iters + b.lp_iters;
     lp_refactors = a.lp_refactors + b.lp_refactors;
-    lp_batched = a.lp_batched + b.lp_batched;
     rc_fixings = a.rc_fixings + b.rc_fixings;
     orbit_fixings = a.orbit_fixings + b.orbit_fixings;
     incumbents = List.sort (fun x y -> compare y x) (a.incumbents @ b.incumbents);
@@ -246,9 +240,9 @@ let pp ?time_s ppf t =
     else 0.0
   in
   fprintf ppf
-    "@,conflict engine: %d conflicts, %d learned, %d deleted, %d restarts, \
-     avg backjump %.1f"
-    t.conflicts t.learned t.deleted t.restarts avg_backjump;
+    "@,conflict engine: %d conflicts, %d learned, %d deleted, avg backjump \
+     %.1f"
+    t.conflicts t.learned t.deleted avg_backjump;
   fprintf ppf
     "@,probing: %d calls (%d hits, %d trials), %d skipped, %d backoffs"
     t.probe_calls t.probe_hits t.probe_trials t.probe_skips t.probe_backoffs;
@@ -257,18 +251,15 @@ let pp ?time_s ppf t =
      cold), %d pivots"
     t.lp_resolves t.lp_warm t.lp_fallbacks t.lp_infeasible t.lp_cold
     t.lp_pivots;
-  (* The engine counters only mean something relative to the resolve
-     count: iters/resolve is the warm-start quality, batched share the
-     fraction of siblings that reused a stashed parent basis. *)
-  let per_resolve n =
-    if t.lp_resolves > 0 then float_of_int n /. float_of_int t.lp_resolves
+  (* Iterations only mean something relative to the resolve count:
+     iters/resolve is the warm-start quality. *)
+  let per_resolve =
+    if t.lp_resolves > 0 then
+      float_of_int t.lp_iters /. float_of_int t.lp_resolves
     else 0.0
   in
-  fprintf ppf
-    "@,lp engine: %d iters (%.1f/resolve), %d refactors, %d batched siblings \
-     (%.0f%% of resolves)"
-    t.lp_iters (per_resolve t.lp_iters) t.lp_refactors t.lp_batched
-    (100.0 *. per_resolve t.lp_batched);
+  fprintf ppf "@,lp engine: %d iters (%.1f/resolve), %d refactors" t.lp_iters
+    per_resolve t.lp_refactors;
   fprintf ppf "@,fixings: %d reduced-cost, %d orbital" t.rc_fixings
     t.orbit_fixings;
   fprintf ppf "@,nodes: %d (max depth %d)" (total_nodes t) (max_depth t);

@@ -50,8 +50,9 @@ type event =
           asserting), [lbd] is the number of distinct decision levels
           among its literals and [size] its literal count *)
   | Restart of { conflicts : int; learned : int; nodes : int }
-      (** the dive was abandoned and re-entered from the root
-          ([conflicts] analyzed and [learned] clauses retained so far) *)
+      (** a root-asserting nogood abandoned the dive and the search
+          re-entered from the root ([conflicts] analyzed and [learned]
+          clauses retained so far) *)
   | Message of string  (** free-form progress line *)
 
 type sink

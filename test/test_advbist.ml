@@ -37,6 +37,24 @@ let test_encoding_rejects_bad_inputs () =
        false
      with Invalid_argument _ -> true)
 
+(* Synthesis reports a session count below 1 as an error, also on a DFG
+   with no operations, where the default k (one session per module) is
+   0. *)
+let test_synthesize_rejects_k_below_1 () =
+  let rejects name p ~k =
+    check_bool name true
+      (match Advbist.Synth.synthesize ~time_limit:1.0 p ~k with
+      | Error _ -> true
+      | Ok _ -> false)
+  in
+  rejects "k = 0 is an error" fig1 ~k:0;
+  rejects "k = -1 is an error" fig1 ~k:(-1);
+  let empty =
+    get (Dfg.Parse.of_string "(dfg (name t) (inputs))")
+  in
+  let p = get (Dfg.Problem.make empty []) in
+  rejects "no operations: k = 0 is an error" p ~k:(Dfg.Problem.n_modules p)
+
 let test_encoding_symmetry_fixes_clique () =
   let e = Advbist.Encoding.build fig1 ~n_regs:3 ~k:1 in
   (* the maximum clique {2,3,4} is pre-assigned: those x variables are
@@ -633,16 +651,14 @@ let load_committed_snapshot () =
 
 let test_bench_snapshot_parse_committed () =
   let t = load_committed_snapshot () in
-  check_bool "committed snapshot is schema v2..v6" true
-    (t.Advbist.Bench_snapshot.version >= 2
-    && t.Advbist.Bench_snapshot.version <= 6);
+  check_int "committed snapshot is schema v6" 6
+    t.Advbist.Bench_snapshot.version;
   List.iter
     (fun (c : Advbist.Bench_snapshot.circuit) ->
       List.iter
         (fun (r : Advbist.Bench_snapshot.row) ->
           check_bool
-            (Printf.sprintf "%s k=%d throughput derived when absent" c.circuit
-               r.k)
+            (Printf.sprintf "%s k=%d carries its throughput" c.circuit r.k)
             true
             (r.time_s <= 0.0 || r.nodes_per_sec > 0.0 || r.nodes = 0))
         c.rows)
@@ -928,7 +944,6 @@ let test_bench_diff_flags_conflict_density () =
           conflicts = int_of_float (float_of_int r.nodes *. density);
           learned = 17;
           deleted = 3;
-          restarts = 1;
         })
   in
   let baseline = with_counters 0.10 in
@@ -941,7 +956,7 @@ let test_bench_diff_flags_conflict_density () =
              List.exists
                (fun (r : row) ->
                  c.circuit = circuit && r.k = k && r.learned = 17
-                 && r.deleted = 3 && r.restarts = 1)
+                 && r.deleted = 3)
                c.rows)
            t'.circuits));
   let current = with_counters 0.15 in
@@ -992,6 +1007,8 @@ let () =
         [
           Alcotest.test_case "stats" `Quick test_encoding_stats;
           Alcotest.test_case "bad inputs" `Quick test_encoding_rejects_bad_inputs;
+          Alcotest.test_case "synthesize rejects k < 1" `Quick
+            test_synthesize_rejects_k_below_1;
           Alcotest.test_case "symmetry fixing" `Quick
             test_encoding_symmetry_fixes_clique;
           Alcotest.test_case "lp export" `Quick test_lp_export_of_encoding;

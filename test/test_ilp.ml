@@ -389,29 +389,23 @@ let prop_bb_without_lp_matches =
 
 (* -- Conflict learning --------------------------------------------------- *)
 
-(* The conflict engine is pure pruning: learning on/off, and Luby restarts
-   on top, must all land on the brute-force optimum (or agree the model is
-   infeasible).  Models are rebuilt per solve so no run sees another's
-   presolve. *)
+(* The conflict engine is pure pruning: learning on and off must both
+   land on the brute-force optimum (or agree the model is infeasible).
+   Models are rebuilt per solve so no run sees another's presolve. *)
 let prop_learning_matches_brute_force =
-  QCheck2.Test.make
-    ~name:"learn on/off and Luby restarts all match brute force" ~count:300
+  QCheck2.Test.make ~name:"learn on/off both match brute force" ~count:300
     gen_small_model (fun spec ->
       let expect = brute_force (build_model spec) in
       List.for_all
-        (fun (learn, restarts) ->
-          let options = { Ilp.Solver.default with Ilp.Solver.learn; restarts } in
+        (fun learn ->
+          let options = { Ilp.Solver.default with Ilp.Solver.learn } in
           let r = Ilp.Solver.solve ~options (build_model spec) in
           match (expect, r.Ilp.Solver.status) with
           | None, Ilp.Solver.Infeasible -> true
           | None, _ | Some _, Ilp.Solver.Infeasible -> false
           | Some e, Ilp.Solver.Optimal -> Option.get r.Ilp.Solver.objective = e
           | Some _, (Ilp.Solver.Feasible | Ilp.Solver.Unknown) -> false)
-        [
-          (true, Ilp.Solver.Restarts_off);
-          (false, Ilp.Solver.Restarts_off);
-          (true, Ilp.Solver.Restarts_luby);
-        ])
+        [ true; false ])
 
 (* Soundness of the 1-UIP derivation itself: every nogood alive at the end
    of the search must hold at every 0-1 point that satisfies the model and
@@ -534,26 +528,39 @@ let prop_node_lp_bound_sound =
           | Ilp.Simplex.Infeasible, None -> true
           | (Ilp.Simplex.Unbounded | Ilp.Simplex.Iteration_limit), _ -> true))
 
-(* Reduced-cost fixing and probing are pruning heuristics driven by the
-   incumbent cutoff; forcing node LPs at every depth exercises both, and
-   the solver must still return the brute-force optimum. *)
+(* Reduced-cost fixing is a pruning heuristic driven by the incumbent
+   cutoff: the root LP runs it as soon as an incumbent exists.  Warm
+   starting from the worst feasible point gives the root a weak cutoff,
+   so the fixings run on nearly every model, sequentially and at each
+   parallel subtree's root, and the solver must still return the
+   brute-force optimum. *)
 let prop_rc_fixing_preserves_optimum =
   QCheck2.Test.make
-    ~name:"deep node LPs + reduced-cost fixing keep the optimum" ~count:150
+    ~name:"root LP + reduced-cost fixing keep the optimum" ~count:150
     gen_small_model (fun spec ->
       let m = build_model spec in
-      let opts =
-        { Ilp.Solver.default with Ilp.Solver.lp = Ilp.Solver.Lp_depth 64 }
+      let n = Ilp.Model.n_vars m in
+      let worst = ref None in
+      for mask = 0 to (1 lsl n) - 1 do
+        let x = Array.init n (fun i -> (mask lsr i) land 1) in
+        if Ilp.Model.check m x = Ok () then
+          let obj = Ilp.Model.objective_value m x in
+          match !worst with
+          | Some (o, _) when o >= obj -> ()
+          | Some _ | None -> worst := Some (obj, x)
+      done;
+      let warm_start = Option.map snd !worst in
+      let options = { Ilp.Solver.default with Ilp.Solver.warm_start } in
+      let optimal (r : Ilp.Solver.outcome) =
+        match (brute_force m, r.Ilp.Solver.status) with
+        | None, Ilp.Solver.Infeasible -> true
+        | Some expect, Ilp.Solver.Optimal ->
+            Option.get r.Ilp.Solver.objective = expect
+            && r.Ilp.Solver.bound = expect
+        | _ -> false
       in
-      let r = Ilp.Solver.solve ~options:opts m in
-      match (brute_force m, r.Ilp.Solver.status) with
-      | None, Ilp.Solver.Infeasible -> true
-      | None, _ -> false
-      | Some _, Ilp.Solver.Infeasible -> false
-      | Some expect, Ilp.Solver.Optimal ->
-          Option.get r.Ilp.Solver.objective = expect
-          && r.Ilp.Solver.bound = expect
-      | Some _, (Ilp.Solver.Feasible | Ilp.Solver.Unknown) -> false)
+      optimal (Ilp.Solver.solve ~options m)
+      && optimal (Ilp.Solver.solve_parallel ~options ~jobs:2 m))
 
 (* Cover and clique cuts are derived from the constraint rows alone, so
    they must not cut off any integer-feasible point (not merely the
@@ -786,6 +793,16 @@ End";
 Subject To
  c: x <= y
 End";
+      "Minimize obj: 99999999999999999999 x
+Subject To
+ c: x <= 1
+End";
+      "Minimize obj: x
+Subject To
+ c: x >= 1
+Bounds
+ 5 <= x <= 2
+End";
     ]
 
 let prop_lp_roundtrip =
@@ -884,24 +901,44 @@ let prop_lp_roundtrip_structural =
       | Ok { Ilp.Lp_parse.model = m'; negated } ->
           (not negated) && models_structurally_equal m m')
 
+(* Malformed input is an [Error], never an exception: random byte edits of
+   a valid file (insert, delete, replace) and spliced-in digit runs too
+   long for a native int must all come back as a result. *)
+let gen_lp_edit =
+  QCheck2.Gen.(
+    let* kind = int_range 0 3 in
+    let* pos = nat in
+    let* byte = printable in
+    let* digits = int_range 19 40 in
+    return (kind, pos, byte, digits))
+
+let apply_lp_edit src (kind, pos, byte, digits) =
+  let n = String.length src in
+  let i = pos mod (n + 1) in
+  let before = String.sub src 0 i and after = String.sub src i (n - i) in
+  match kind with
+  | 0 -> before ^ String.make 1 byte ^ after
+  | 1 when i < n -> before ^ String.sub src (i + 1) (n - i - 1)
+  | 2 when i < n ->
+      before ^ String.make 1 byte ^ String.sub src (i + 1) (n - i - 1)
+  | _ -> before ^ " " ^ String.make digits '9' ^ after
+
+let prop_lp_parse_never_raises =
+  QCheck2.Test.make ~name:"LP parse of edited files returns a result"
+    ~count:300
+    QCheck2.Gen.(pair gen_small_model (list_size (int_range 1 4) gen_lp_edit))
+    (fun (spec, edits) ->
+      let src =
+        List.fold_left apply_lp_edit
+          (Ilp.Lp_format.to_string (build_model spec))
+          edits
+      in
+      match Ilp.Lp_parse.of_string src with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck2.Test.fail_reportf "%s raised %s" src (Printexc.to_string e))
+
 (* -- Pool ----------------------------------------------------------------- *)
-
-let test_pool_map_matches_sequential () =
-  let xs = List.init 40 Fun.id in
-  let f x = (x * x) + 1 in
-  Alcotest.(check (list int))
-    "parallel map = List.map" (List.map f xs)
-    (Ilp.Pool.map ~jobs:4 f xs)
-
-let test_pool_map_propagates_exception () =
-  check_bool "raises" true
-    (try
-       ignore
-         (Ilp.Pool.map ~jobs:3
-            (fun x -> if x = 5 then failwith "boom" else x)
-            (List.init 8 Fun.id));
-       false
-     with Failure msg -> msg = "boom")
 
 let test_pool_submit_await () =
   let pool = Ilp.Pool.create ~jobs:2 in
@@ -918,69 +955,6 @@ let test_pool_submit_await () =
        ignore (Ilp.Pool.submit pool (fun () -> ()));
        false
      with Invalid_argument _ -> true)
-
-let test_pool_cancellation () =
-  let pool = Ilp.Pool.create ~jobs:1 in
-  let token = Atomic.make false in
-  let task =
-    Ilp.Pool.submit ~cancel:token pool (fun () ->
-        (* a cooperative workload: spin until the token flips (bounded so a
-           cancellation bug fails the test instead of hanging it) *)
-        let i = ref 0 in
-        while (not (Atomic.get token)) && !i < 2_000_000_000 do
-          incr i
-        done;
-        if Atomic.get token then "cancelled" else "ran to completion")
-  in
-  Ilp.Pool.cancel task;
-  check_bool "observed the token" true
-    (Ilp.Pool.await task = Ok "cancelled");
-  Ilp.Pool.shutdown pool
-
-let test_solver_stop_token () =
-  (* a pre-set stop token halts the search at the first limit check *)
-  let m, _, _, _ = knapsack () in
-  let stop = Atomic.make true in
-  let r =
-    Ilp.Solver.solve
-      ~options:{ Ilp.Solver.default with Ilp.Solver.stop = Some stop }
-      m
-  in
-  check_bool "no proof claimed" true
-    (r.Ilp.Solver.status = Ilp.Solver.Unknown
-    || r.Ilp.Solver.status = Ilp.Solver.Feasible)
-
-(* -- Portfolio ------------------------------------------------------------ *)
-
-let test_portfolio_knapsack () =
-  let m, _, _, _ = knapsack () in
-  let { Ilp.Portfolio.outcome; outcomes; _ } =
-    Ilp.Portfolio.solve
-      ~configs:(Ilp.Portfolio.default_configs Ilp.Solver.default)
-      m
-  in
-  check_int "three members" 3 (List.length outcomes);
-  check_bool "optimal" true (outcome.Ilp.Solver.status = Ilp.Solver.Optimal);
-  check_int "objective (-20: b+c)" (-20)
-    (Option.get outcome.Ilp.Solver.objective);
-  check_int "bound = objective" (-20) outcome.Ilp.Solver.bound
-
-let prop_portfolio_matches_brute_force =
-  QCheck2.Test.make ~name:"portfolio = brute force on random 0-1 models"
-    ~count:60 gen_small_model (fun spec ->
-      let m = build_model spec in
-      let { Ilp.Portfolio.outcome = r; _ } =
-        Ilp.Portfolio.solve
-          ~configs:(Ilp.Portfolio.default_configs Ilp.Solver.default)
-          m
-      in
-      match (brute_force m, r.Ilp.Solver.status) with
-      | None, Ilp.Solver.Infeasible -> true
-      | None, _ -> false
-      | Some _, Ilp.Solver.Infeasible -> false
-      | Some expect, Ilp.Solver.Optimal ->
-          Option.get r.Ilp.Solver.objective = expect
-      | Some _, (Ilp.Solver.Feasible | Ilp.Solver.Unknown) -> false)
 
 let test_lp_format_sanitize () =
   let m = Ilp.Model.create () in
@@ -1466,48 +1440,6 @@ let prop_parallel_matches_brute_force =
 
 (* -- Flat kernel cross-checks --------------------------------------------- *)
 
-(* Devex and Dantzig leaving-row rules must land on the same LP optimum,
-   both on the cold first solve and on warm dual re-solves under the kind
-   of bound fixings branch-and-bound performs. *)
-let prop_devex_matches_dantzig =
-  QCheck2.Test.make ~name:"devex = Dantzig LP optimum (cold and warm)"
-    ~count:200
-    QCheck2.Gen.(pair gen_small_model (int_range 0 1_000_000))
-    (fun (spec, seed) ->
-      let m = build_model spec in
-      let n = Ilp.Model.n_vars m in
-      let agree ra rb =
-        match (ra, rb) with
-        | ( Ilp.Simplex.Optimal { objective = oa; _ },
-            Ilp.Simplex.Optimal { objective = ob; _ } ) ->
-            abs_float (oa -. ob) <= 1e-6
-        | Ilp.Simplex.Infeasible, Ilp.Simplex.Infeasible -> true
-        | Ilp.Simplex.Unbounded, Ilp.Simplex.Unbounded -> true
-        | Ilp.Simplex.Iteration_limit, _ | _, Ilp.Simplex.Iteration_limit ->
-            true (* no claim made *)
-        | _ -> false
-      in
-      match
-        ( Ilp.Simplex.instance_of_model ~pricing:Ilp.Simplex.Dantzig m,
-          Ilp.Simplex.instance_of_model ~pricing:Ilp.Simplex.Devex m )
-      with
-      | None, None -> true
-      | Some a, Some b ->
-          agree (Ilp.Simplex.resolve a) (Ilp.Simplex.resolve b)
-          &&
-          let rng = Random.State.make [| seed |] in
-          let ok = ref true in
-          for _ = 1 to 4 do
-            let v = Random.State.int rng n in
-            let x = float_of_int (Random.State.int rng 2) in
-            Ilp.Simplex.set_bounds a v ~lo:x ~up:x;
-            Ilp.Simplex.set_bounds b v ~lo:x ~up:x;
-            if not (agree (Ilp.Simplex.resolve a) (Ilp.Simplex.resolve b))
-            then ok := false
-          done;
-          !ok
-      | _ -> false)
-
 (* The flat CSR kernel's incremental minimal activities must equal an
    independent recomputation from the boxed model: normalize exactly as
    the solver does (Le as-is, Ge negated, Eq split positive-then-negated)
@@ -1548,36 +1480,23 @@ let prop_flat_min_activities =
       in
       Ilp.Solver.row_min_activities ~lower ~upper m = expect)
 
-(* The optimum must be invariant to both the pricing rule and the worker
-   count; within one pricing rule the reported solution must be identical
-   across jobs (first-found determinism). *)
-let prop_pricing_and_jobs_invariant =
-  QCheck2.Test.make
-    ~name:"optimum invariant to pricing rule and worker count" ~count:60
+(* The optimum must be invariant to the worker count, and the reported
+   solution identical across jobs (first-found determinism). *)
+let prop_jobs_invariant =
+  QCheck2.Test.make ~name:"optimum invariant to worker count" ~count:60
     gen_small_model (fun spec ->
       let m = build_model spec in
-      let run pricing jobs =
-        Ilp.Solver.solve_parallel
-          ~options:{ Ilp.Solver.default with Ilp.Solver.pricing }
-          ~jobs m
-      in
-      let dv1 = run Ilp.Simplex.Devex 1 in
-      let dv3 = run Ilp.Simplex.Devex 3 in
-      let da1 = run Ilp.Simplex.Dantzig 1 in
-      let da3 = run Ilp.Simplex.Dantzig 3 in
-      dv1.Ilp.Solver.status = da1.Ilp.Solver.status
-      && dv1.Ilp.Solver.objective = da1.Ilp.Solver.objective
-      && dv3.Ilp.Solver.status = dv1.Ilp.Solver.status
-      && dv3.Ilp.Solver.objective = dv1.Ilp.Solver.objective
-      && dv3.Ilp.Solver.solution = dv1.Ilp.Solver.solution
-      && da3.Ilp.Solver.status = da1.Ilp.Solver.status
-      && da3.Ilp.Solver.objective = da1.Ilp.Solver.objective
-      && da3.Ilp.Solver.solution = da1.Ilp.Solver.solution
+      let run jobs = Ilp.Solver.solve_parallel ~jobs m in
+      let r1 = run 1 in
+      let r3 = run 3 in
+      r3.Ilp.Solver.status = r1.Ilp.Solver.status
+      && r3.Ilp.Solver.objective = r1.Ilp.Solver.objective
+      && r3.Ilp.Solver.solution = r1.Ilp.Solver.solution
       &&
-      match (brute_force m, dv1.Ilp.Solver.status) with
+      match (brute_force m, r1.Ilp.Solver.status) with
       | None, Ilp.Solver.Infeasible -> true
       | Some expect, Ilp.Solver.Optimal ->
-          Option.get dv1.Ilp.Solver.objective = expect
+          Option.get r1.Ilp.Solver.objective = expect
       | _ -> false)
 
 (* -- Stats & trace ------------------------------------------------------- *)
@@ -1719,21 +1638,20 @@ let test_stats_pp_conflict_line () =
   st.Ilp.Stats.conflicts <- 40;
   st.Ilp.Stats.learned <- 31;
   st.Ilp.Stats.deleted <- 7;
-  st.Ilp.Stats.restarts <- 2;
   st.Ilp.Stats.backjumps <- 5;
   st.Ilp.Stats.backjump_depth <- 100;
   let out = Format.asprintf "%a" (Ilp.Stats.pp ?time_s:None) st in
   check_bool "conflict-engine line renders the counters" true
     (contains out
        ~needle:
-         "conflict engine: 40 conflicts, 31 learned, 7 deleted, 2 restarts, \
-          avg backjump 2.5");
+         "conflict engine: 40 conflicts, 31 learned, 7 deleted, avg backjump \
+          2.5");
   let quiet = Format.asprintf "%a" (Ilp.Stats.pp ?time_s:None) (Ilp.Stats.create ()) in
   check_bool "zero conflicts renders avg backjump 0.0" true
     (contains quiet
        ~needle:
-         "conflict engine: 0 conflicts, 0 learned, 0 deleted, 0 restarts, \
-          avg backjump 0.0")
+         "conflict engine: 0 conflicts, 0 learned, 0 deleted, avg backjump \
+          0.0")
 
 let test_stats_pp_prepare_line () =
   let st = Ilp.Stats.create () in
@@ -1773,7 +1691,6 @@ let mk_stats ints =
   st.Ilp.Stats.conflicts <- get 21;
   st.Ilp.Stats.learned <- get 22;
   st.Ilp.Stats.deleted <- get 23;
-  st.Ilp.Stats.restarts <- get 24;
   st.Ilp.Stats.backjumps <- get 25;
   st.Ilp.Stats.backjump_depth <- get 26;
   st.Ilp.Stats.sym_refine_passes <- get 27;
@@ -2096,20 +2013,13 @@ let () =
           Alcotest.test_case "errors" `Quick test_lp_parse_errors;
         ]
         @ List.map QCheck_alcotest.to_alcotest
-            [ prop_lp_roundtrip; prop_lp_roundtrip_structural ] );
+            [
+              prop_lp_roundtrip;
+              prop_lp_roundtrip_structural;
+              prop_lp_parse_never_raises;
+            ] );
       ( "pool",
-        [
-          Alcotest.test_case "map order" `Quick test_pool_map_matches_sequential;
-          Alcotest.test_case "map exception" `Quick
-            test_pool_map_propagates_exception;
-          Alcotest.test_case "submit/await" `Quick test_pool_submit_await;
-          Alcotest.test_case "cancellation" `Quick test_pool_cancellation;
-          Alcotest.test_case "solver stop token" `Quick test_solver_stop_token;
-        ] );
-      ( "portfolio",
-        [ Alcotest.test_case "knapsack" `Quick test_portfolio_knapsack ]
-        @ List.map QCheck_alcotest.to_alcotest
-            [ prop_portfolio_matches_brute_force ] );
+        [ Alcotest.test_case "submit/await" `Quick test_pool_submit_await ] );
       ( "symmetry",
         [
           Alcotest.test_case "planted group detected" `Quick
@@ -2130,11 +2040,7 @@ let () =
             [ prop_parallel_matches_brute_force ] );
       ( "flat_kernel",
         List.map QCheck_alcotest.to_alcotest
-          [
-            prop_devex_matches_dantzig;
-            prop_flat_min_activities;
-            prop_pricing_and_jobs_invariant;
-          ] );
+          [ prop_flat_min_activities; prop_jobs_invariant ] );
       ( "stats",
         [
           Alcotest.test_case "sequential solve" `Quick test_stats_sequential;
