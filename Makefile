@@ -66,14 +66,21 @@ learn-smoke:
 perf:
 	dune exec bench/main.exe -- perf | tee $(CURDIR)/_build/perf_micro.txt
 
-# Benchmark smoke: one short untraced pass of the explore workload on the
-# circuits as shipped (seed 0).  Fails unless the JSON result on the last
-# line of its output reports "correct": true (every design re-audited).
+# Benchmark smoke: one short untraced pass each of the explore and prove
+# workloads on the circuits as shipped (seed 0).  Fails unless the JSON
+# result on the last line of each output reports "correct": true: every
+# explore design is re-audited, and every prove proof is checked against
+# its known optimum, so a propagation change that loses a deduction fails
+# here instead of only slowing down.
 perfbench-smoke:
 	@mkdir -p $(CURDIR)/_build
 	python3 perfbench/run.py --workload explore --seed 0 --seconds 1 \
 		--trace 0 | tee $(CURDIR)/_build/perfbench_smoke.txt
 	tail -n 1 $(CURDIR)/_build/perfbench_smoke.txt | grep -q '"correct": true'
+	python3 perfbench/run.py --workload prove --seed 0 --seconds 1 \
+		--trace 0 | tee $(CURDIR)/_build/perfbench_smoke_prove.txt
+	tail -n 1 $(CURDIR)/_build/perfbench_smoke_prove.txt \
+		| grep -q '"correct": true'
 
 # Fast gate for every change: build, unit tests, the conflict-engine
 # smoke above, then the bench smoke + regression diff — the smoke asserts
@@ -84,7 +91,8 @@ perfbench-smoke:
 # micro-rates ride along non-gating (`|| true` lives in the CI step, not
 # here, so interactive `make perf` still reports failures).  The
 # benchmark smoke checks that the explore workload still runs and every
-# design it returns passes the audit.
+# design it returns passes the audit, and that every prove proof still
+# reaches its known optimum.
 ci: build test learn-smoke bench-diff perfbench-smoke
 
 clean:

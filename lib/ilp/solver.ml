@@ -70,8 +70,9 @@ type lp_state = {
 (* Search state.  The per-node hot structures are flat int arrays:
 
    - Rows live in one CSR block ([row_start]/[row_coef]/[row_var], with
-     [row_rhs]/[row_minact]/[row_stamp] per row): `sum coefs * vars <=
-     rhs`, Eq model rows split into two Le rows, Ge rows negated.
+     [row_rhs]/[row_minact] per row and [row_span]/[row_stamp] per static
+     row): `sum coefs * vars <= rhs`, Eq model rows split into two Le
+     rows, Ge rows negated.
      Ordinary rows are [0 .. n_rows-1]; the objective cutoff row, when the
      model has an objective, is row [n_rows] in the same block — uniform
      indexing keeps it on the ordinary rows' propagation path.  Learned
@@ -108,10 +109,13 @@ type search = {
   mutable row_var : int array;  (* variables; packed literals when learned *)
   mutable row_rhs : int array;
   mutable row_minact : int array;
-  mutable row_stamp : int array;
-      (* generation of the last (non-probing) min-activity change; lets
-         probing skip variables whose rows haven't moved since their last
-         probe *)
+  row_stamp : int array;
+      (* static rows and the cutoff row: generation of the last
+         (non-probing) min-activity change; lets probing skip variables
+         whose rows haven't moved since their last probe *)
+  row_span : int array;
+      (* static rows and the cutoff row: max |a| * (ub - lb) over the
+         build bounds, max_int on overflow (see [propagate_row]) *)
   occ_start : int array;  (* n + 1 *)
   occ_row : int array;  (* deduped row indices, ascending *)
   occ_pos_start : int array;
@@ -154,6 +158,7 @@ type search = {
   mutable incumbent_obj : int;
   mutable nodes : int;
   mutable ticks : int;  (* row propagations, for the limit-check cadence *)
+  mutable scans : int;  (* row propagations that scanned the row's entries *)
   mutable root_bound : int;
   mutable lp_st : lp_state option;
   mutable prop_queue : int array;  (* ring buffer, power-of-two capacity *)
@@ -272,13 +277,14 @@ let apply_lb_delta s v delta =
      the trial's bound moves and their undos are both bracketed by
      [no_stamp], so skipping the walk leaves their min-activities exact
      once the trial unwinds — probing just doesn't pay the clause
-     database on every trial bound change. *)
+     database on every trial bound change.  Learned rows carry no stamp
+     ([probe_candidates] reads static rows' only), so the walk is one
+     store per cell. *)
   if stamping then begin
     let rows = Array.unsafe_get s.lrn_pos v in
     for i = 0 to Array.unsafe_get s.lrn_pos_len v - 1 do
       let r = Array.unsafe_get rows i in
-      Array.unsafe_set minact r (Array.unsafe_get minact r + delta);
-      Array.unsafe_set stamp r gen
+      Array.unsafe_set minact r (Array.unsafe_get minact r + delta)
     done
   end;
   let c = Array.unsafe_get s.objc v in
@@ -301,8 +307,7 @@ let apply_ub_delta s v delta =
     let rows = Array.unsafe_get s.lrn_neg v in
     for i = 0 to Array.unsafe_get s.lrn_neg_len v - 1 do
       let r = Array.unsafe_get rows i in
-      Array.unsafe_set minact r (Array.unsafe_get minact r - delta);
-      Array.unsafe_set stamp r gen
+      Array.unsafe_set minact r (Array.unsafe_get minact r - delta)
     done
   end;
   let c = Array.unsafe_get s.objc v in
@@ -443,31 +448,40 @@ let touch s v =
   (* Learned rows are clauses (+-1 coefficients over binary variables):
      they can deduce or conflict exactly when minact >= rhs, so slack-y
      rows skip the queue — the filter is what keeps dense clause
-     databases off the fixpoint's critical path.  Probing trials skip
-     them entirely: their min-activities are frozen inside a trial
-     (see [apply_lb_delta]), and redundant rows a trial ignores can only
-     cost a missed fixing, never a wrong one. *)
+     databases off the fixpoint's critical path.  Only the list whose
+     literal on [v] may hold is walked: once [v] is fixed, every row of
+     the other list contains [v]'s false literal, is satisfied, and can
+     neither deduce nor conflict until [v] is unfixed.  Probing trials
+     skip learned rows entirely: their min-activities are frozen inside
+     a trial (see [apply_lb_delta]), and redundant rows a trial ignores
+     can only cost a missed fixing, never a wrong one. *)
   if not s.no_stamp then begin
     let minact = s.row_minact and rhs = s.row_rhs in
-    let rows = Array.unsafe_get s.lrn_pos v in
-    for i = 0 to Array.unsafe_get s.lrn_pos_len v - 1 do
-      let r = Array.unsafe_get rows i in
-      if Array.unsafe_get minact r >= Array.unsafe_get rhs r then
-        enqueue_row s r
-    done;
-    let rows = Array.unsafe_get s.lrn_neg v in
-    for i = 0 to Array.unsafe_get s.lrn_neg_len v - 1 do
-      let r = Array.unsafe_get rows i in
-      if Array.unsafe_get minact r >= Array.unsafe_get rhs r then
-        enqueue_row s r
-    done
+    if Array.unsafe_get s.ub v > 0 then begin
+      let rows = Array.unsafe_get s.lrn_pos v in
+      for i = 0 to Array.unsafe_get s.lrn_pos_len v - 1 do
+        let r = Array.unsafe_get rows i in
+        if Array.unsafe_get minact r >= Array.unsafe_get rhs r then
+          enqueue_row s r
+      done
+    end;
+    if Array.unsafe_get s.lb v < 1 then begin
+      let rows = Array.unsafe_get s.lrn_neg v in
+      for i = 0 to Array.unsafe_get s.lrn_neg_len v - 1 do
+        let r = Array.unsafe_get rows i in
+        if Array.unsafe_get minact r >= Array.unsafe_get rhs r then
+          enqueue_row s r
+      done
+    end
   end
 
 (* Bound tightening on one Le row; returns false on conflict, enqueues the
    rows of every touched variable.  A row's own tightenings never move its
    cached [minact] (positive-coefficient vars lose upper bound, which the
    min-activity does not read, and symmetrically), so the slack computed
-   on entry stays valid throughout the scan. *)
+   on entry stays valid throughout the scan.  A static row whose slack
+   reaches its [row_span] returns at once: a term tightens only when
+   slack < |a| * (ub - lb), and no term's range exceeds the span. *)
 let propagate_row s ri =
   let minact = Array.unsafe_get s.row_minact ri in
   let rhs = Array.unsafe_get s.row_rhs ri in
@@ -483,6 +497,7 @@ let propagate_row s ri =
   else if ri > s.n_rows then begin
     (* Learned clause: packed literals, +1 on lower-bound literals and -1
        on upper-bound ones — the unit-coefficient case of the loop below. *)
+    s.scans <- s.scans + 1;
     let slack = rhs - minact in
     for i = s.row_start.(ri) to s.row_start.(ri + 1) - 1 do
       let lit = Array.unsafe_get s.row_var i in
@@ -504,7 +519,9 @@ let propagate_row s ri =
     done;
     true
   end
+  else if rhs - minact >= Array.unsafe_get s.row_span ri then true
   else begin
+    s.scans <- s.scans + 1;
     let slack = rhs - minact in
     for i = s.row_start.(ri) to s.row_start.(ri + 1) - 1 do
       let a = Array.unsafe_get s.row_coef i
@@ -844,7 +861,6 @@ let append_learned s ~lbd =
   s.row_start <- grow_int_array s.row_start (ri + 2) 0;
   s.row_rhs <- grow_int_array s.row_rhs (ri + 1) 0;
   s.row_minact <- grow_int_array s.row_minact (ri + 1) 0;
-  s.row_stamp <- grow_int_array s.row_stamp (ri + 1) 1;
   let base = s.row_start.(ri) in
   s.row_var <- grow_int_array s.row_var (base + k) 0;
   let n_lb = ref 0 and minact = ref 0 in
@@ -861,7 +877,6 @@ let append_learned s ~lbd =
   s.row_start.(ri + 1) <- base + k;
   s.row_rhs.(ri) <- !n_lb - 1;
   s.row_minact.(ri) <- !minact;
-  s.row_stamp.(ri) <- s.change_gen;
   s.learn_lbd <- grow_int_array s.learn_lbd (s.n_learned + 1) 0;
   s.learn_cut <- grow_int_array s.learn_cut (s.n_learned + 1) 0;
   s.learn_act <- grow_float_array s.learn_act (s.n_learned + 1);
@@ -876,11 +891,13 @@ let append_learned s ~lbd =
   s.n_learned <- s.n_learned + 1
 
 (* Initial clause-database cap.  The cap is what keeps the counter-based
-   kernel honest: every bound change on a variable walks its full learned
-   occurrence list (there are no watched literals), so per-change cost is
-   proportional to the database size — unbounded growth turns the O(1)
-   hot path quadratic.  Reduction halves the database on overflow and
-   lets the cap creep up MiniSat-style. *)
+   kernel honest: every bound change on a variable walks the learned
+   occurrence list of the side that moved, twice — once in the delta
+   walk that keeps min-activities exact, once in [touch] to enqueue the
+   rows at their threshold (there are no watched literals) — so
+   per-change cost is proportional to the database size: unbounded
+   growth turns the O(1) hot path quadratic.  Reduction halves the database on
+   overflow and lets the cap creep up MiniSat-style. *)
 (* Sized to the instance: 4x the variable count keeps tens of dives'
    worth of nogoods live.  Smaller caps (n/8) measurably lengthen the
    optimality proofs on the bench models — the delta walks get cheaper
@@ -895,7 +912,8 @@ let max_learnts_init n = max 512 (4 * n)
    remapped after compaction, which makes reduction safe at any point
    where no propagation fixpoint is in flight (mid-dive included).
    Rebuilds the learned CSR region and occurrence lists in place;
-   min-activities move with their rows. *)
+   min-activities move with their rows (learned rows carry no stamps or
+   spans). *)
 let reduce_db s =
   if s.n_learned > s.max_learnts then begin
     let m = s.n_learned in
@@ -943,7 +961,6 @@ let reduce_db s =
           Array.blit s.row_var sb s.row_var db len;
           s.row_rhs.(dst) <- s.row_rhs.(src);
           s.row_minact.(dst) <- s.row_minact.(src);
-          s.row_stamp.(dst) <- s.row_stamp.(src);
           s.learn_act.(!w) <- s.learn_act.(i);
           s.learn_lbd.(!w) <- s.learn_lbd.(i);
           s.learn_cut.(!w) <- s.learn_cut.(i)
@@ -964,10 +981,10 @@ let reduce_db s =
     | Some st -> st.Stats.deleted <- st.Stats.deleted + (m - !w)
     | None -> ());
     s.n_learned <- !w;
-    (* Additive creep, not geometric: the delta walks that maintain
-       min-activities cost O(database) per bound change no matter how
-       lazily rows are enqueued, so the cap must stay near its initial
-       size. *)
+    (* Additive creep, not geometric: the delta walk and the [touch]
+       walk of a bound change each visit every learned row holding the
+       moved side's literal, however few of them are enqueued, so the
+       cap must stay near its initial size. *)
     s.max_learnts <- s.max_learnts + 32
   end
 
@@ -1941,16 +1958,27 @@ let build_search ?stats ~(options : options) ~started model warm_inst =
         end)
   done;
   (* Initial min-activities from the root bounds; every later bound change
-     updates them through the trail.  The loop covers the cutoff row too
-     (its range is empty without an objective). *)
+     updates them through the trail.  The spans are fixed here for good:
+     the search only ever narrows these bounds.  The loop covers the
+     cutoff row too (its range is empty without an objective). *)
   let row_minact = Array.make (n_rows + 1) 0 in
+  let row_span = Array.make (n_rows + 1) 0 in
   for ri = 0 to n_rows do
-    let acc = ref 0 in
+    let acc = ref 0 and span = ref 0 in
     for t = row_start.(ri) to row_start.(ri + 1) - 1 do
       let a = row_coef.(t) and v = row_var.(t) in
-      acc := !acc + (if a > 0 then a * lb.(v) else a * ub.(v))
+      acc := !acc + (if a > 0 then a * lb.(v) else a * ub.(v));
+      let a = abs a and d = ub.(v) - lb.(v) in
+      (* a < 0 only for min_int, d < 0 only on overflow *)
+      let term =
+        if a = 0 then 0
+        else if a < 0 || d < 0 || d > max_int / a then max_int
+        else a * d
+      in
+      if term > !span then span := term
     done;
-    row_minact.(ri) <- !acc
+    row_minact.(ri) <- !acc;
+    row_span.(ri) <- !span
   done;
   let branch_seq =
     match options.branch_order with
@@ -1990,6 +2018,7 @@ let build_search ?stats ~(options : options) ~started model warm_inst =
       row_rhs;
       row_minact;
       row_stamp = Array.make (n_rows + 1) 1;
+      row_span;
       occ_start;
       occ_row;
       occ_pos_start;
@@ -2019,6 +2048,7 @@ let build_search ?stats ~(options : options) ~started model warm_inst =
       incumbent_obj = max_int;
       nodes = 0;
       ticks = 0;
+      scans = 0;
       root_bound = min_int;
       lp_st =
         Option.map
@@ -2105,13 +2135,15 @@ let build_search ?stats ~(options : options) ~started model warm_inst =
   s
 
 (* End-of-search stamping of the counters that are kept outside the hot
-   path: propagation ticks live in the search record; the simplex pivot,
-   iteration and refactorization totals in the warm instance. *)
+   path: propagation ticks and scans live in the search record; the
+   simplex pivot, iteration and refactorization totals in the warm
+   instance. *)
 let finalize_stats s =
   (match s.stats with
   | None -> ()
   | Some st -> (
       st.Stats.prop_ticks <- st.Stats.prop_ticks + s.ticks;
+      st.Stats.prop_scans <- st.Stats.prop_scans + s.scans;
       match s.lp_st with
       | Some l ->
           st.Stats.lp_pivots <- st.Stats.lp_pivots + Simplex.pivots l.inst;
@@ -2667,7 +2699,9 @@ let with_root_cuts ?(options = default) model =
 let bare_options =
   { default with lp = Lp_never; cuts = false; sym = false; orbits = [] }
 
-let row_min_activities ?lower ?upper model =
+(* A bare search over [model] with its bounds tightened to [lower] /
+   [upper] through the incremental update path. *)
+let bare_search ?lower ?upper model =
   let s = build_search ~options:bare_options ~started:(now ()) model None in
   (match lower with
   | Some lbs -> Array.iteri (fun v b -> if b > s.lb.(v) then set_lb s v b) lbs
@@ -2675,7 +2709,15 @@ let row_min_activities ?lower ?upper model =
   (match upper with
   | Some ubs -> Array.iteri (fun v b -> if b < s.ub.(v) then set_ub s v b) ubs
   | None -> ());
+  s
+
+let row_min_activities ?lower ?upper model =
+  let s = bare_search ?lower ?upper model in
   Array.sub s.row_minact 0 s.n_rows
+
+let propagate_bounds ?lower ?upper model =
+  let s = bare_search ?lower ?upper model in
+  if propagate s None then Some (s.lb, s.ub) else None
 
 (* Sequential solve that also returns the learned nogoods surviving at the
    end of the search, each as (coefs, vars, rhs, cutoff-rhs-at-derivation):

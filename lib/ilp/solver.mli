@@ -163,7 +163,7 @@ val with_root_cuts : ?options:options -> Model.t -> Model.t
 (** {2 Test and micro-benchmark hooks}
 
     Thin windows into the propagation kernel, for property tests and the
-    [bench perf] micro-benchmark.  Both build a bare search state (no LP,
+    [bench perf] micro-benchmark.  Each builds a bare search state (no LP,
     no cuts, no symmetry) over the model's normalized Le rows: Ge rows
     negated, Eq rows split into a Le pair in model order. *)
 
@@ -174,6 +174,16 @@ val row_min_activities :
     rows under the model bounds, optionally tightened by [lower]/[upper]
     — tightenings are applied through the solver's incremental update
     path, so this exercises exactly the machinery the search trusts. *)
+
+val propagate_bounds :
+  ?lower:int array ->
+  ?upper:int array ->
+  Model.t ->
+  (int array * int array) option
+(** The bounds (lower, upper) after the worklist propagation fixpoint
+    over every normalized row, starting from the model bounds tightened
+    by [lower]/[upper]; [None] when propagation runs into a conflict.
+    No objective cutoff, learning or orbits take part. *)
 
 val propagation_rate : Model.t -> sweeps:int -> float
 (** Full propagation-fixpoint sweeps per second over [sweeps] repeats

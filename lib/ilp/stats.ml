@@ -30,6 +30,7 @@ type t = {
   (* Propagation. *)
   mutable prop_fixpoints : int;  (* worklist fixpoints run *)
   mutable prop_ticks : int;  (* row propagations + orbit passes *)
+  mutable prop_scans : int;  (* row propagations that scanned the entries *)
   mutable prop_conflicts : int;  (* fixpoints ending in a conflict *)
   (* Conflict engine (1-UIP nogood learning). *)
   mutable conflicts : int;  (* conflicts analyzed at depth > 0 *)
@@ -84,6 +85,7 @@ let create () =
     cuts_kept = 0;
     prop_fixpoints = 0;
     prop_ticks = 0;
+    prop_scans = 0;
     prop_conflicts = 0;
     conflicts = 0;
     learned = 0;
@@ -177,6 +179,7 @@ let merge a b =
     cuts_kept = a.cuts_kept + b.cuts_kept;
     prop_fixpoints = a.prop_fixpoints + b.prop_fixpoints;
     prop_ticks = a.prop_ticks + b.prop_ticks;
+    prop_scans = a.prop_scans + b.prop_scans;
     prop_conflicts = a.prop_conflicts + b.prop_conflicts;
     conflicts = a.conflicts + b.conflicts;
     learned = a.learned + b.learned;
@@ -229,8 +232,8 @@ let pp ?time_s ppf t =
   fprintf ppf "@,  %-12s %9.4f  %-12s %9.4f" "lp" t.lp_s "probe" t.probe_s;
   fprintf ppf "@,cuts: %d kept / %d generated in %d rounds" t.cuts_kept
     t.cuts_generated t.cut_rounds;
-  fprintf ppf "@,propagation: %d fixpoints, %d ticks, %d conflicts"
-    t.prop_fixpoints t.prop_ticks t.prop_conflicts;
+  fprintf ppf "@,propagation: %d fixpoints, %d ticks, %d scans, %d conflicts"
+    t.prop_fixpoints t.prop_ticks t.prop_scans t.prop_conflicts;
   (* Conflict engine on its own line: the counters are only comparable to
      each other (learned <= conflicts, deleted <= learned), and the mean
      jump distance is the quality of the 1-UIP nogoods. *)

@@ -36,6 +36,13 @@ type t = {
   mutable cuts_kept : int;
   mutable prop_fixpoints : int;
   mutable prop_ticks : int;  (** row propagations + orbit passes *)
+  mutable prop_scans : int;
+      (** row propagations that scanned the row's entries (the objective
+          cutoff row's included, which ticks do not count).  The other
+          ticks returned in O(1) — a conflict, or a row whose slack
+          reaches its span — or were orbit passes, so
+          [prop_ticks - prop_scans] is a deterministic count of the
+          scans the span test saved *)
   mutable prop_conflicts : int;
   mutable conflicts : int;
       (** propagation conflicts analyzed by the conflict engine (depth > 0

@@ -608,8 +608,10 @@ let test_objective_lower_bound_sound () =
     (lb + e.Advbist.Encoding.base_area <= o.Advbist.Synth.area)
 
 (* Synthesis solves run without an LP relaxation: the proof of tseng k=1
-   spends no simplex resolve or pivot.  The node count pins its search
-   tree, which an LP bound on these encodings never pruned. *)
+   spends no simplex resolve or pivot.  The node count pins the size of
+   its search tree, which an LP bound on these encodings never pruned;
+   the propagation and conflict-engine counters pin the tree itself, so a
+   kernel change that loses or reorders a deduction fails here. *)
 let test_synthesis_runs_lp_free () =
   let tseng = Option.get (Circuits.Suite.find "tseng") in
   let o = get (Advbist.Synth.synthesize ~time_limit:60.0 ~stats:true tseng ~k:1) in
@@ -617,7 +619,15 @@ let test_synthesis_runs_lp_free () =
   check_bool "tseng k=1 optimal" true o.Advbist.Synth.optimal;
   check_int "no LP resolves" 0 st.Ilp.Stats.lp_resolves;
   check_int "no LP pivots" 0 st.Ilp.Stats.lp_pivots;
-  check_int "nodes" 15_999 o.Advbist.Synth.nodes
+  check_int "nodes" 15_999 o.Advbist.Synth.nodes;
+  check_int "fixpoints" 125_563 st.Ilp.Stats.prop_fixpoints;
+  check_int "propagation conflicts" 21_736 st.Ilp.Stats.prop_conflicts;
+  check_int "analysed conflicts" 6_342 st.Ilp.Stats.conflicts;
+  check_int "learned" 3_385 st.Ilp.Stats.learned;
+  check_int "deleted" 2_511 st.Ilp.Stats.deleted;
+  check_bool "some ticks end without a scan" true
+    (st.Ilp.Stats.prop_scans > 0
+    && st.Ilp.Stats.prop_scans < st.Ilp.Stats.prop_ticks)
 
 (* On a limit-hit solve the reported gap must reflect the structural bound:
    strictly below 100, and consistent with the outcome's own area. *)

@@ -1440,10 +1440,23 @@ let prop_parallel_matches_brute_force =
 
 (* -- Flat kernel cross-checks --------------------------------------------- *)
 
+(* The model's rows as (terms, rhs) of `terms <= rhs`, normalized exactly
+   as the solver does: Le as-is, Ge negated, Eq split positive-then-negated. *)
+let normalized_rows m =
+  List.concat_map
+    (fun (c : Ilp.Model.constr) ->
+      let terms = Ilp.Linexpr.terms c.Ilp.Model.expr in
+      let neg = List.map (fun (a, v) -> (-a, v)) terms in
+      let rhs = c.Ilp.Model.rhs in
+      match c.Ilp.Model.sense with
+      | Ilp.Model.Le -> [ (terms, rhs) ]
+      | Ilp.Model.Ge -> [ (neg, -rhs) ]
+      | Ilp.Model.Eq -> [ (terms, rhs); (neg, -rhs) ])
+    (Array.to_list (Ilp.Model.constraints m))
+
 (* The flat CSR kernel's incremental minimal activities must equal an
-   independent recomputation from the boxed model: normalize exactly as
-   the solver does (Le as-is, Ge negated, Eq split positive-then-negated)
-   and fold each row's min activity directly from the bounds. *)
+   independent recomputation from the boxed model: fold each normalized
+   row's min activity directly from the bounds. *)
 let prop_flat_min_activities =
   QCheck2.Test.make
     ~name:"flat min-activities = boxed recomputation under random fixings"
@@ -1468,17 +1481,113 @@ let prop_flat_min_activities =
       in
       let expect =
         Array.of_list
-          (List.concat_map
-             (fun (c : Ilp.Model.constr) ->
-               let terms = Ilp.Linexpr.terms c.Ilp.Model.expr in
-               let neg = List.map (fun (a, v) -> (-a, v)) terms in
-               match c.Ilp.Model.sense with
-               | Ilp.Model.Le -> [ min_activity terms ]
-               | Ilp.Model.Ge -> [ min_activity neg ]
-               | Ilp.Model.Eq -> [ min_activity terms; min_activity neg ])
-             (Array.to_list (Ilp.Model.constraints m)))
+          (List.map (fun (terms, _) -> min_activity terms) (normalized_rows m))
       in
       Ilp.Solver.row_min_activities ~lower ~upper m = expect)
+
+(* Bound propagation on general integers: variables over 0..5, each row
+   on a random subset of them with coefficients +-1..+-4 and a random
+   sense, plus a random narrowing (or fixing) of every domain.  Each
+   right-hand side sits near the row's activity at a random point, most
+   often on its feasible side, and most narrowings keep that point, so
+   propagation tightens at least as often as it conflicts. *)
+let gen_int_propagation_case =
+  QCheck2.Gen.(
+    let* n = int_range 2 7 in
+    let* point = array_size (return n) (int_range 0 5) in
+    let coef = map2 (fun m neg -> if neg then -m else m) (int_range 1 4) bool in
+    let* rows =
+      list_size (int_range 1 6)
+        (let* terms = list_size (return n) (opt coef) in
+         let* sense = oneofl [ Ilp.Model.Le; Ilp.Model.Ge; Ilp.Model.Eq ] in
+         let* off =
+           match sense with
+           | Ilp.Model.Le -> int_range (-1) 6
+           | Ilp.Model.Ge -> int_range (-6) 1
+           | Ilp.Model.Eq -> return 0
+         in
+         let act =
+           List.fold_left ( + ) 0
+             (List.mapi
+                (fun i c -> match c with Some c -> c * point.(i) | None -> 0)
+                terms)
+         in
+         return (terms, sense, act + off))
+    in
+    let* doms =
+      flatten_l
+        (List.init n (fun i ->
+             let p = point.(i) in
+             oneof
+               [
+                 return (0, 5);
+                 return (p, p);
+                 map (fun x -> (x, x)) (int_range 0 5);
+                 pair (int_range 0 p) (int_range p 5);
+               ]))
+    in
+    return (n, rows, doms))
+
+(* The reference fixpoint: sweep every normalized row, tightening each
+   term against the row's slack, until a whole sweep moves no bound. *)
+let reference_fixpoint m lower upper =
+  let rows = normalized_rows m in
+  let lb = Array.copy lower and ub = Array.copy upper in
+  let exception Conflict in
+  let sweep (terms, rhs) moved =
+    let minact =
+      List.fold_left
+        (fun acc (a, v) -> acc + if a > 0 then a * lb.(v) else a * ub.(v))
+        0 terms
+    in
+    let slack = rhs - minact in
+    if slack < 0 then raise Conflict;
+    List.fold_left
+      (fun moved (a, v) ->
+        if a > 0 && lb.(v) + (slack / a) < ub.(v) then begin
+          ub.(v) <- lb.(v) + (slack / a);
+          true
+        end
+        else if a < 0 && ub.(v) - (slack / -a) > lb.(v) then begin
+          lb.(v) <- ub.(v) - (slack / -a);
+          true
+        end
+        else moved)
+      moved terms
+  in
+  try
+    while List.fold_left (fun moved row -> sweep row moved) false rows do
+      ()
+    done;
+    Some (lb, ub)
+  with Conflict -> None
+
+(* The worklist kernel — incremental min-activities, the slack-span exit,
+   the queue — must reach the same fixpoint (or the same conflict) as the
+   naive re-sweep: bound propagation's fixpoint is unique. *)
+let prop_fixpoint_matches_resweep =
+  QCheck2.Test.make ~name:"propagation fixpoint = naive re-sweep" ~count:1000
+    gen_int_propagation_case (fun (n, rows, doms) ->
+      let m = Ilp.Model.create ~name:"intprop" () in
+      let xs =
+        Array.init n (fun i ->
+            Ilp.Model.int_var m ~lb:0 ~ub:5 (Printf.sprintf "x%d" i))
+      in
+      List.iter
+        (fun (terms, sense, rhs) ->
+          let e =
+            Ilp.Linexpr.of_list
+              (List.filter_map Fun.id
+                 (List.mapi
+                    (fun i c -> Option.map (fun c -> (c, xs.(i))) c)
+                    terms))
+          in
+          Ilp.Model.add m e sense rhs)
+        rows;
+      let lower = Array.of_list (List.map fst doms)
+      and upper = Array.of_list (List.map snd doms) in
+      Ilp.Solver.propagate_bounds ~lower ~upper m
+      = reference_fixpoint m lower upper)
 
 (* The optimum must be invariant to the worker count, and the reported
    solution identical across jobs (first-found determinism). *)
@@ -1695,6 +1804,7 @@ let mk_stats ints =
   st.Ilp.Stats.backjump_depth <- get 26;
   st.Ilp.Stats.sym_refine_passes <- get 27;
   st.Ilp.Stats.sym_transpositions <- get 28;
+  st.Ilp.Stats.prop_scans <- get 29;
   for d = 0 to get 17 mod 8 do
     Ilp.Stats.node st ~depth:d
   done;
@@ -2040,7 +2150,11 @@ let () =
             [ prop_parallel_matches_brute_force ] );
       ( "flat_kernel",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_flat_min_activities; prop_jobs_invariant ] );
+          [
+            prop_flat_min_activities;
+            prop_fixpoint_matches_resweep;
+            prop_jobs_invariant;
+          ] );
       ( "stats",
         [
           Alcotest.test_case "sequential solve" `Quick test_stats_sequential;
