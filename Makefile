@@ -1,6 +1,6 @@
 # Convenience targets around dune.
 
-.PHONY: all build test bench bench-json bench-diff learn-smoke perf perfbench-smoke ci clean
+.PHONY: all build test bench bench-json bench-diff learn-smoke ilp-smoke perf perfbench-smoke ci clean
 
 all: build
 
@@ -59,10 +59,24 @@ learn-smoke:
 		--learn off --stats 2>&1 ) \
 		| tee $(CURDIR)/_build/learning_stats.txt
 
-# Kernel micro-benchmark: simplex re-solve iterations/s and propagation
-# fixpoint sweeps/s on a fixed instance (tseng k=1).  Non-gating — rates
-# are machine-dependent — but the report is kept in _build/perf_micro.txt
-# so CI can upload it next to bench_diff.txt for trend eyeballing.
+# End-to-end check of the standalone ILP solver: export tseng k=1 as a
+# CPLEX-LP file, solve it with `ilp_cli solve --stats` (about 3 s) and
+# keep the output in _build/ilp_smoke.txt.  Fails unless the solve
+# proves the known optimum: "status: optimal" and "objective: 1104".
+ilp-smoke:
+	@mkdir -p $(CURDIR)/_build
+	dune exec bin/advbist_cli.exe -- synth -c tseng -k 1 \
+		--lp $(CURDIR)/_build/ilp_smoke.lp > /dev/null
+	dune exec bin/ilp_cli.exe -- solve $(CURDIR)/_build/ilp_smoke.lp --stats \
+		2>&1 | tee $(CURDIR)/_build/ilp_smoke.txt
+	grep -q '^status: optimal$$' $(CURDIR)/_build/ilp_smoke.txt
+	grep -q '^objective: 1104$$' $(CURDIR)/_build/ilp_smoke.txt
+
+# Kernel micro-benchmark: propagation fixpoint sweeps/s on a fixed
+# instance (tseng k=1) and symmetry detect calls/s (wavelet6 k=2).
+# Non-gating — rates are machine-dependent — but the report is kept in
+# _build/perf_micro.txt so CI can upload it next to bench_diff.txt for
+# trend eyeballing.
 perf:
 	dune exec bench/main.exe -- perf | tee $(CURDIR)/_build/perf_micro.txt
 
@@ -83,7 +97,8 @@ perfbench-smoke:
 		| grep -q '"correct": true'
 
 # Fast gate for every change: build, unit tests, the conflict-engine
-# smoke above, then the bench smoke + regression diff — the smoke asserts
+# smoke above, the ilp_cli end-to-end solve, then the bench smoke +
+# regression diff — the smoke asserts
 # the solver still proves tseng k=1 optimal at the 2 s budget and that no
 # (circuit, k) row's design area regressed vs the committed
 # BENCH_solver.json, and the diff report classifies every other drift
@@ -93,7 +108,7 @@ perfbench-smoke:
 # benchmark smoke checks that the explore workload still runs and every
 # design it returns passes the audit, and that every prove proof still
 # reaches its known optimum.
-ci: build test learn-smoke bench-diff perfbench-smoke
+ci: build test learn-smoke ilp-smoke bench-diff perfbench-smoke
 
 clean:
 	dune clean

@@ -671,13 +671,10 @@ let smoke () =
 
 (* ------------------------------------------------- kernel micro-benchmark *)
 
-(* `perf` arm: allocation-free kernel rates on a fixed instance (tseng
+(* `perf` arm: the propagation kernel's rate on a fixed instance (tseng
    k=1), for the CI artifact next to bench_diff.txt, plus the symmetry
-   detection rate on wavelet6 k=2.  Three numbers:
+   detection rate on wavelet6 k=2.  Two numbers:
 
-   - simplex re-solve iterations/s: the warm dual-simplex engine is
-     driven through a deterministic cycle of bound tightenings and
-     re-solves (the node-LP access pattern, minus the search around it);
    - propagation sweeps/s: full worklist fixpoints over the presolved
      model's rows via Ilp.Solver.propagation_rate;
    - symmetry detect calls/s: Ilp.Symmetry.detect on the presolved
@@ -697,39 +694,6 @@ let perf () =
   let e = Advbist.Encoding.build p ~n_regs:(Dfg.Problem.min_registers p) ~k:1 in
   let model, _ = Ilp.Presolve.strengthen e.Advbist.Encoding.model in
   Printf.printf "perf: %s\n" (Ilp.Model.stats model);
-  (* simplex: warm re-solves under a rolling window of 0/1 bound fixes *)
-  (match Ilp.Simplex.instance_of_model model with
-  | None -> Printf.printf "perf: simplex engine unavailable (unbounded vars)\n"
-  | Some inst ->
-      ignore (Ilp.Simplex.resolve ~max_iters:20_000 inst);
-      let n = Ilp.Model.n_vars model in
-      let lb = Ilp.Model.lower_bounds model
-      and ub = Ilp.Model.upper_bounds model in
-      let resolves = 2_000 in
-      let iters0 = Ilp.Simplex.iters inst in
-      let t0 = Unix.gettimeofday () in
-      for r = 0 to resolves - 1 do
-        (* fix a sliding pair of binaries, re-solve, release them — a
-           deterministic stand-in for dive-and-backtrack bound traffic *)
-        let v1 = r mod n and v2 = (7 * r + 3) mod n in
-        Ilp.Simplex.set_bounds inst v1 ~lo:(float_of_int ub.(v1))
-          ~up:(float_of_int ub.(v1));
-        Ilp.Simplex.set_bounds inst v2 ~lo:(float_of_int lb.(v2))
-          ~up:(float_of_int lb.(v2));
-        ignore (Ilp.Simplex.resolve ~max_iters:40 inst);
-        Ilp.Simplex.set_bounds inst v1 ~lo:(float_of_int lb.(v1))
-          ~up:(float_of_int ub.(v1));
-        Ilp.Simplex.set_bounds inst v2 ~lo:(float_of_int lb.(v2))
-          ~up:(float_of_int ub.(v2))
-      done;
-      let dt = Unix.gettimeofday () -. t0 in
-      let iters = Ilp.Simplex.iters inst - iters0 in
-      Printf.printf
-        "perf: simplex %d re-solves, %d iters in %.3fs = %.0f resolves/s, \
-         %.0f iters/s\n"
-        resolves iters dt
-        (float_of_int resolves /. dt)
-        (float_of_int iters /. dt));
   (* propagation: full fixpoint sweeps on the same model *)
   let sweeps = 2_000 in
   let rate = Ilp.Solver.propagation_rate model ~sweeps in

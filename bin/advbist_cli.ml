@@ -147,10 +147,10 @@ let stats_arg =
     value & flag
     & info [ "stats" ]
         ~doc:
-          "Collect solver telemetry (per-phase timers, propagation/LP/\
-           probing counters, incumbent curve, depth histogram) and print \
-           the table to stderr; sweep prints the aggregate over every \
-           solve.")
+          "Collect solver telemetry (per-phase timers, propagation, \
+           conflict and probing counters, incumbent curve, depth \
+           histogram) and print the table to stderr; sweep prints the \
+           aggregate over every solve.")
 
 let trace_arg =
   Arg.(
@@ -159,7 +159,7 @@ let trace_arg =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Write the structured solver search trace (nodes, prunes, \
-           incumbents, cut rounds, subtree spawns/steals) to $(docv) as \
+           incumbents, conflicts, subtree spawns/steals) to $(docv) as \
            JSON lines.")
 
 let explain_arg =

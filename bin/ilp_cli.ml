@@ -1,9 +1,10 @@
 (* ilp_cli — standalone driver for the ILP substrate: solve CPLEX-LP files
-   with the branch & bound solver or just their LP relaxation.
+   with the LP-free branch & bound solver, print their dimensions, or
+   explain a recorded search trace.
 
      dune exec bin/ilp_cli.exe -- solve model.lp [-t SECONDS]
-     dune exec bin/ilp_cli.exe -- relax model.lp
-     dune exec bin/ilp_cli.exe -- stats model.lp *)
+     dune exec bin/ilp_cli.exe -- stats model.lp
+     dune exec bin/ilp_cli.exe -- explain trace.jsonl *)
 
 open Cmdliner
 
@@ -21,15 +22,6 @@ let time_limit_arg =
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log incumbents.")
-
-let cuts_arg =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "cuts" ] ~docv:"on|off"
-        ~doc:
-          "Root cut loop (lifted cover + clique cuts appended before \
-           branching).  Default: on.")
 
 let learn_arg =
   Arg.(
@@ -73,9 +65,9 @@ let stats_flag_arg =
     value & flag
     & info [ "stats" ]
         ~doc:
-          "Collect solver telemetry (per-phase timers, propagation/LP/\
-           probing counters, incumbent curve, depth histogram) and print \
-           the table to stderr after the solve.")
+          "Collect solver telemetry (per-phase timers, propagation, \
+           conflict and probing counters, incumbent curve, depth \
+           histogram) and print the table to stderr after the solve.")
 
 let trace_arg =
   Arg.(
@@ -84,7 +76,7 @@ let trace_arg =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Write the structured search trace (nodes, prunes, incumbents, \
-           cut rounds, subtree spawns/steals) to $(docv) as JSON lines.")
+           conflicts, subtree spawns/steals) to $(docv) as JSON lines.")
 
 let load path =
   match Ilp.Lp_parse.of_file path with
@@ -94,7 +86,7 @@ let load path =
       exit 1
 
 let solve_cmd =
-  let run path time_limit verbose cuts learn sym steal jobs stats trace_file =
+  let run path time_limit verbose learn sym steal jobs stats trace_file =
     let { Ilp.Lp_parse.model; negated } = load path in
     Printf.printf "%s\n" (Ilp.Model.stats model);
     let trace = Option.map Ilp.Trace.file trace_file in
@@ -103,7 +95,6 @@ let solve_cmd =
         Ilp.Solver.default with
         Ilp.Solver.time_limit;
         verbose;
-        cuts;
         learn;
         sym;
         stats;
@@ -162,24 +153,8 @@ let solve_cmd =
   in
   Cmd.v (Cmd.info "solve" ~doc:"Solve an integer program to optimality.")
     Term.(
-      const run $ file_arg $ time_limit_arg $ verbose_arg $ cuts_arg
-      $ learn_arg $ sym_arg $ steal_arg $ jobs_arg $ stats_flag_arg
-      $ trace_arg)
-
-let relax_cmd =
-  let run path =
-    let { Ilp.Lp_parse.model; negated } = load path in
-    match Ilp.Simplex.relax model with
-    | Ilp.Simplex.Optimal { objective; _ } ->
-        Printf.printf "lp relaxation: %.6f\n"
-          (if negated then -.objective else objective)
-    | Ilp.Simplex.Infeasible -> Printf.printf "lp relaxation: infeasible\n"
-    | Ilp.Simplex.Unbounded -> Printf.printf "lp relaxation: unbounded\n"
-    | Ilp.Simplex.Iteration_limit ->
-        Printf.printf "lp relaxation: iteration limit\n"
-  in
-  Cmd.v (Cmd.info "relax" ~doc:"Solve only the LP relaxation (simplex).")
-    Term.(const run $ file_arg)
+      const run $ file_arg $ time_limit_arg $ verbose_arg $ learn_arg
+      $ sym_arg $ steal_arg $ jobs_arg $ stats_flag_arg $ trace_arg)
 
 let stats_cmd =
   let run path =
@@ -234,4 +209,4 @@ let () =
        (Cmd.group
           (Cmd.info "ilp" ~version:"1.0.0"
              ~doc:"Standalone 0-1/integer linear programming solver")
-          [ solve_cmd; relax_cmd; stats_cmd; explain_cmd ]))
+          [ solve_cmd; stats_cmd; explain_cmd ]))

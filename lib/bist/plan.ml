@@ -171,7 +171,7 @@ let objective_cost t =
   area_with ~const_port_cost:Datapath.Area.constant_tpg_weight t
 
 let overhead_pct t ~reference =
-  100.0 *. float_of_int (area t - reference) /. float_of_int reference
+  100.0 *. float_of_int (area t - reference) /. float_of_int (max 1 reference)
 
 let modules_in_session t s =
   List.filter

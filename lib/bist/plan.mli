@@ -65,7 +65,10 @@ val objective_cost : t -> int
     {!Datapath.Area.constant_tpg_weight} (the steering weight [w_tc]). *)
 
 val overhead_pct : t -> reference:int -> float
-(** Percent area overhead with respect to a reference (non-BIST) area. *)
+(** Percent area overhead with respect to a reference (non-BIST) area:
+    [100 * (area t - reference) / max 1 reference].  The one-transistor
+    floor keeps the result finite for a zero-area reference (an
+    operation-free DFG): 0 when the plan's area is 0 too. *)
 
 val modules_in_session : t -> int -> int list
 

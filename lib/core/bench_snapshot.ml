@@ -425,8 +425,8 @@ let diff_row ~circuit (b : row) (c : row) =
   if b.optimal && c.optimal && Float.abs node_pct > 20.0 then begin
     (* Localize the tree-size move to the pruning machinery whose share
        of the closed nodes shifted most (rows with a post-mortem): a smaller
-       lp_bound share with a bigger cutoff share says the LP got weaker,
-       not that propagation broke. *)
+       probed share with a bigger cutoff share says probing refuted fewer
+       nodes, not that propagation broke. *)
     let attribution =
       match (b.prune_shares, c.prune_shares) with
       | [], _ | _, [] -> ""

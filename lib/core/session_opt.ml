@@ -146,9 +146,7 @@ let solve ?time_limit (d : Datapath.Netlist.t) ~k =
            ])
   done;
   Ilp.Model.set_objective m !objective;
-  let options =
-    { Ilp.Solver.default with Ilp.Solver.time_limit; lp = Ilp.Solver.Lp_never }
-  in
+  let options = { Ilp.Solver.default with Ilp.Solver.time_limit } in
   let r = Ilp.Solver.solve ~options m in
   match (r.Ilp.Solver.status, r.Ilp.Solver.solution) with
   | Ilp.Solver.Infeasible, _ ->

@@ -81,13 +81,6 @@ let solver_options ?time_limit ?node_limit ?(stats = false) ?trace
     node_limit;
     stats;
     trace;
-    (* The BIST encodings' LP relaxation bounds at 289-413 against integer
-       optima of ~1,900-3,300: cutoff-driven propagation, probing and the
-       structural bound dominate it, and no bench row was ever pruned by
-       it.  Synthesis therefore solves without an LP: node counts stay the
-       same, and every solve skips building the simplex engine. *)
-    lp = Ilp.Solver.Lp_never;
-    cuts = false;
     branch_order = Some (Encoding.branch_order encoding);
     warm_start = warm;
     prefer_high = false;

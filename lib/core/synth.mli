@@ -54,9 +54,7 @@ val reference :
     true) passes the encoding's verified orbits to the solver for lex
     rows and orbital fixing.  [jobs >= 2] with [steal] (default true)
     runs the work-stealing parallel tree search
-    ({!Ilp.Solver.solve_parallel}).  Every synthesis solve runs without an LP
-    relaxation ({!Ilp.Solver.Lp_never}): on these encodings its bound
-    never prunes. *)
+    ({!Ilp.Solver.solve_parallel}). *)
 
 val synthesize :
   ?time_limit:float -> ?node_limit:int -> ?symmetry:bool ->

@@ -74,9 +74,7 @@ let feasible ?time_limit ?inputs_at_start (k : Kernel.t) ~modules ~latency =
           if List.length users > cap then Ilp.Model.add_le m (lx users) cap
         done)
       kinds;
-    let options =
-      { Ilp.Solver.default with Ilp.Solver.time_limit; lp = Ilp.Solver.Lp_never }
-    in
+    let options = { Ilp.Solver.default with Ilp.Solver.time_limit } in
     let r = Ilp.Solver.solve ~options m in
     match (r.Ilp.Solver.status, r.Ilp.Solver.solution) with
     | Ilp.Solver.Infeasible, _ -> Ok None

@@ -112,8 +112,6 @@ let string_field line key =
 let reason_of_name = function
   | "cutoff" -> Ok Trace.Cutoff
   | "probed" -> Ok Trace.Probed
-  | "lp_infeasible" -> Ok Trace.Lp_infeasible
-  | "lp_bound" -> Ok Trace.Lp_bound
   | r -> Error (Printf.sprintf "unknown prune reason %S" r)
 
 let ( let* ) = Result.bind
@@ -144,10 +142,6 @@ let event_of_line line =
         let* objective = int_field line "objective" in
         let* nodes = int_field line "nodes" in
         Ok (Trace.Incumbent { objective; nodes })
-    | "cut_round" ->
-        let* round = int_field line "round" in
-        let* cuts = int_field line "cuts" in
-        Ok (Trace.Cut_round { round; cuts })
     | "subtree" ->
         let* id = int_field line "id" in
         let* depth = int_field line "depth" in
@@ -156,11 +150,6 @@ let event_of_line line =
         let* thief = int_field line "thief" in
         let* victim = int_field line "victim" in
         Ok (Trace.Steal { thief; victim })
-    | "lp" ->
-        let* pivots = int_field line "pivots" in
-        let* iters = int_field line "iters" in
-        let* refactors = int_field line "refactors" in
-        Ok (Trace.Lp { pivots; iters; refactors })
     | "conflict" ->
         let* depth = int_field line "depth" in
         let* level = int_field line "level" in
@@ -229,16 +218,11 @@ type report = {
   depths : depth_row list;
   subtrees : int;
   steals : int;
-  cut_rounds : int;
-  cuts : int;
   conflicts : int;
   learned : int;  (** conflicts whose 1-UIP nogood entered the database *)
   restarts : int;
   avg_backjump : float;
       (** mean (conflict depth - asserting level) over asserting nogoods *)
-  lp_pivots : int;
-  lp_iters : int;
-  lp_refactors : int;
 }
 
 let grow a n default =
@@ -263,13 +247,8 @@ let analyze ?orbits events =
       None events
   in
   let nodes = ref 0 and pruned_total = ref 0 in
-  let reason_count = Array.make 4 0 and reason_time = Array.make 4 0.0 in
-  let reason_ix = function
-    | Trace.Cutoff -> 0
-    | Trace.Probed -> 1
-    | Trace.Lp_infeasible -> 2
-    | Trace.Lp_bound -> 3
-  in
+  let reason_count = Array.make 2 0 and reason_time = Array.make 2 0.0 in
+  let reason_ix = function Trace.Cutoff -> 0 | Trace.Probed -> 1 in
   (* Tree replay: [bound_at.(d)] is the entry bound of the most recently
      opened node at depth [d] — under the emission order of one worker's
      depth-first search, the parent of a depth-d node.  Exact for
@@ -285,10 +264,8 @@ let analyze ?orbits events =
   let last_t = ref 0.0 in
   let last_node_depth = ref (-1) in
   let subtrees = ref 0 and steals = ref 0 in
-  let cut_rounds = ref 0 and cuts = ref 0 in
   let conflicts = ref 0 and learned = ref 0 and restarts = ref 0 in
   let backjump_sum = ref 0 and backjump_n = ref 0 in
-  let lp_pivots = ref 0 and lp_iters = ref 0 and lp_refactors = ref 0 in
   List.iter
     (fun (t, ev) ->
       let dt = max 0.0 (t -. !last_t) in
@@ -328,15 +305,8 @@ let analyze ?orbits events =
           last_node_depth := -1
       | Trace.Bound { bound; _ } -> dual := (t, bound) :: !dual
       | Trace.Incumbent { objective; _ } -> primal := (t, objective) :: !primal
-      | Trace.Cut_round { cuts = n; _ } ->
-          incr cut_rounds;
-          cuts := !cuts + n
       | Trace.Subtree _ -> incr subtrees
       | Trace.Steal _ -> incr steals
-      | Trace.Lp { pivots; iters; refactors } ->
-          lp_pivots := !lp_pivots + pivots;
-          lp_iters := !lp_iters + iters;
-          lp_refactors := !lp_refactors + refactors
       | Trace.Conflict { depth; level; _ } ->
           incr conflicts;
           incr learned;
@@ -354,7 +324,7 @@ let analyze ?orbits events =
          (fun reason ->
            let i = reason_ix reason in
            { reason; count = reason_count.(i); time_s = reason_time.(i) })
-         [ Trace.Cutoff; Trace.Probed; Trace.Lp_infeasible; Trace.Lp_bound ])
+         [ Trace.Cutoff; Trace.Probed ])
   in
   let prunes =
     List.sort (fun a b -> compare (b.count, a.reason) (a.count, b.reason)) prunes
@@ -430,17 +400,12 @@ let analyze ?orbits events =
     depths;
     subtrees = !subtrees;
     steals = !steals;
-    cut_rounds = !cut_rounds;
-    cuts = !cuts;
     conflicts = !conflicts;
     learned = !learned;
     restarts = !restarts;
     avg_backjump =
       (if !backjump_n = 0 then 0.0
        else float_of_int !backjump_sum /. float_of_int !backjump_n);
-    lp_pivots = !lp_pivots;
-    lp_iters = !lp_iters;
-    lp_refactors = !lp_refactors;
   }
 
 let prune_shares r =
@@ -519,16 +484,11 @@ let render_report ppf r =
   if r.subtrees > 0 || r.steals > 0 then
     fprintf ppf "  parallel       %d subtrees spawned, %d steals@." r.subtrees
       r.steals;
-  if r.cut_rounds > 0 then
-    fprintf ppf "  root cuts      %d cuts in %d rounds@." r.cuts r.cut_rounds;
   if r.conflicts > 0 || r.restarts > 0 then
     fprintf ppf
       "  conflicts      %d analyzed, %d learned, %d restarts, avg backjump \
        %.1f@."
-      r.conflicts r.learned r.restarts r.avg_backjump;
-  if r.lp_iters > 0 || r.lp_pivots > 0 then
-    fprintf ppf "  lp engine      %d pivots, %d iters, %d refactors@."
-      r.lp_pivots r.lp_iters r.lp_refactors
+      r.conflicts r.learned r.restarts r.avg_backjump
 
 (* --- Chrome trace-event export ------------------------------------------ *)
 
@@ -583,10 +543,6 @@ let chrome_of_events ?(phases = []) events =
           obj
             "{\"name\":\"incumbent\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":%.1f,\"args\":{\"objective\":%d}}"
             (us t) objective
-      | Trace.Cut_round { round; cuts } ->
-          obj
-            "{\"name\":\"cut round %d\",\"ph\":\"i\",\"s\":\"p\",\"pid\":1,\"tid\":0,\"ts\":%.1f,\"args\":{\"cuts\":%d}}"
-            round (us t) cuts
       | Trace.Subtree { id; depth } ->
           obj
             "{\"name\":\"subtree %d\",\"ph\":\"i\",\"s\":\"p\",\"pid\":1,\"tid\":1,\"ts\":%.1f,\"args\":{\"depth\":%d}}"
@@ -595,10 +551,6 @@ let chrome_of_events ?(phases = []) events =
           obj
             "{\"name\":\"steal\",\"ph\":\"i\",\"s\":\"p\",\"pid\":1,\"tid\":%d,\"ts\":%.1f,\"args\":{\"victim\":%d}}"
             (2 + thief) (us t) victim
-      | Trace.Lp { pivots; iters; refactors } ->
-          obj
-            "{\"name\":\"lp totals\",\"ph\":\"i\",\"s\":\"p\",\"pid\":1,\"tid\":0,\"ts\":%.1f,\"args\":{\"pivots\":%d,\"iters\":%d,\"refactors\":%d}}"
-            (us t) pivots iters refactors
       | Trace.Conflict { depth; lbd; _ } ->
           if !nodes land 63 = 0 then
             obj

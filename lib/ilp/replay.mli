@@ -68,17 +68,12 @@ type report = {
   depths : depth_row list;  (** per-depth expansion/prune profile *)
   subtrees : int;
   steals : int;
-  cut_rounds : int;
-  cuts : int;
   conflicts : int;  (** [Conflict] events (one per analyzed conflict) *)
   learned : int;  (** conflicts whose 1-UIP nogood entered the database *)
   restarts : int;  (** [Restart] events *)
   avg_backjump : float;
       (** mean (conflict depth - asserting level) over asserting nogoods;
           0 when none *)
-  lp_pivots : int;
-  lp_iters : int;
-  lp_refactors : int;  (** summed over workers' [Lp] events *)
 }
 
 val analyze :

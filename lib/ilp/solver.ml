@@ -12,13 +12,9 @@ type outcome = {
   stats : Stats.t option;
 }
 
-type lp_mode = Lp_never | Lp_root
-
 type options = {
   time_limit : float option;
   node_limit : int option;
-  lp : lp_mode;
-  cuts : bool;
   branch_order : int list option;
   prefer_high : bool;
   warm_start : int array option;
@@ -35,8 +31,6 @@ let default =
   {
     time_limit = None;
     node_limit = None;
-    lp = Lp_root;
-    cuts = true;
     branch_order = None;
     prefer_high = true;
     warm_start = None;
@@ -50,22 +44,6 @@ let default =
   }
 
 exception Out_of_time
-
-(* Warm LP engine state: one persistent dual-simplex instance reused across
-   every node of the DFS.  The basis is never rewound with the trail — the
-   parent's optimal basis stays dual feasible under the child's bounds, so
-   each node re-solves in a few dual pivots from wherever the last node
-   left off.  [root_basis] is a recovery point (restored after repeated
-   numerical failures), not a per-node protocol. *)
-type lp_state = {
-  inst : Simplex.instance;
-  root_basis : Simplex.snapshot;
-  mutable fails : int;  (* consecutive resolves without a usable result *)
-  mutable last_obj : float;  (* objective of the last Optimal resolve *)
-  mutable at_optimum : bool;
-      (* the last resolve reached optimality — required before the
-         reduced costs can drive variable fixing *)
-}
 
 (* Search state.  The per-node hot structures are flat int arrays:
 
@@ -145,7 +123,7 @@ type search = {
   mutable trail_reason : int array;
       (* row index that propagated the entry; [-1] for decisions and for
          bound changes the conflict analysis must treat as opaque
-         antecedents (orbit enforcement, reduced-cost and probing fixings) *)
+         antecedents (orbit enforcement and probing fixings) *)
   mutable trail_level : int array;  (* decision level at push time *)
   mutable trail_prev : int array;
       (* previous trail position of the same (var, side), [-1] when the
@@ -159,8 +137,6 @@ type search = {
   mutable nodes : int;
   mutable ticks : int;  (* row propagations, for the limit-check cadence *)
   mutable scans : int;  (* row propagations that scanned the row's entries *)
-  mutable root_bound : int;
-  mutable lp_st : lp_state option;
   mutable prop_queue : int array;  (* ring buffer, power-of-two capacity *)
   mutable queue_mask : int;
   mutable q_head : int;
@@ -357,7 +333,7 @@ let set_ub_r s v value reason =
   end
 
 (* Reason-less tightening: decisions and the fixings conflict analysis
-   keeps as opaque antecedent literals (orbits, reduced costs, probing). *)
+   keeps as opaque antecedent literals (orbits, probing). *)
 let set_lb s v value = set_lb_r s v value (-1)
 let set_ub s v value = set_ub_r s v value (-1)
 
@@ -750,7 +726,7 @@ let propagate1 ?budget s v =
      [solve_parallel] the subtree path is applied at level 0, which makes
      every clause subtree-local — [reset_for_subtree] clears the database.
    - Bound changes without a reason row (decisions, orbit enforcement,
-     reduced-cost and probing fixings) are kept in the clause as opaque
+     probing fixings) are kept in the clause as opaque
      antecedent literals instead of being expanded.  Fixings derived
      against the objective cutoff stay valid because the cutoff only
      tightens; orbit enforcement holds everywhere this search runs.
@@ -1148,116 +1124,6 @@ let handle_conflict s =
 let objective_min_activity s =
   if s.has_obj_row then s.row_minact.(s.n_rows) else 0
 
-(* The LP is float-based; round up only past a safety margin so the integer
-   bound can never overshoot the true optimum. *)
-let safe_bound obj =
-  int_of_float (Float.ceil (obj -. 1e-4 -. (1e-9 *. Float.abs obj)))
-
-(* An explicit infeasibility constructor instead of the old [Some max_int]
-   sentinel, which any caller arithmetic could have silently overflowed. *)
-type node_bound = Bound of int | Bound_infeasible | Bound_none
-
-(* At most this many dual pivots per node LP.  A capped solve still
-   returns its weak-duality bound, so the cap trades bound sharpness for
-   node throughput — unfinished re-optimization simply continues from the
-   same basis at the next node. *)
-let node_lp_iters = 40
-
-let lp_bound_core s =
-  match s.lp_st with
-  | Some st when st.fails < 50 -> begin
-      let inst = st.inst in
-      for v = 0 to s.n - 1 do
-        Simplex.set_bounds inst v ~lo:(float_of_int s.lb.(v))
-          ~up:(float_of_int s.ub.(v))
-      done;
-      (match s.stats with
-      | Some t -> t.Stats.lp_resolves <- t.Stats.lp_resolves + 1
-      | None -> ());
-      match Simplex.resolve ~max_iters:node_lp_iters inst with
-      | Simplex.Optimal { objective; _ } ->
-          st.fails <- 0;
-          st.last_obj <- objective;
-          st.at_optimum <- true;
-          (match s.stats with
-          | Some t -> t.Stats.lp_warm <- t.Stats.lp_warm + 1
-          | None -> ());
-          Bound (safe_bound objective)
-      | Simplex.Infeasible ->
-          st.fails <- 0;
-          st.at_optimum <- false;
-          (match s.stats with
-          | Some t -> t.Stats.lp_infeasible <- t.Stats.lp_infeasible + 1
-          | None -> ());
-          Bound_infeasible
-      | Simplex.Iteration_limit | Simplex.Unbounded -> (
-          st.at_optimum <- false;
-          match Simplex.dual_bound inst with
-          | Some z ->
-              st.fails <- 0;
-              (match s.stats with
-              | Some t -> t.Stats.lp_fallbacks <- t.Stats.lp_fallbacks + 1
-              | None -> ());
-              Bound (safe_bound z)
-          | None ->
-              st.fails <- st.fails + 1;
-              if st.fails mod 5 = 0 then
-                ignore (Simplex.restore inst st.root_basis);
-              Bound_none)
-    end
-  | Some _ -> Bound_none (* engine written off after repeated failures *)
-  | None -> begin
-      (* cold fallback: two-phase solve from scratch *)
-      (match s.stats with
-      | Some t ->
-          t.Stats.lp_resolves <- t.Stats.lp_resolves + 1;
-          t.Stats.lp_cold <- t.Stats.lp_cold + 1
-      | None -> ());
-      match Simplex.relax ~lower:s.lb ~upper:s.ub s.model with
-      | Simplex.Optimal { objective; _ } -> Bound (safe_bound objective)
-      | Simplex.Infeasible ->
-          (match s.stats with
-          | Some t -> t.Stats.lp_infeasible <- t.Stats.lp_infeasible + 1
-          | None -> ());
-          Bound_infeasible
-      | Simplex.Unbounded | Simplex.Iteration_limit -> Bound_none
-    end
-
-let lp_bound s =
-  match s.stats with
-  | None -> lp_bound_core s
-  | Some st ->
-      let t0 = now () in
-      let r = lp_bound_core s in
-      st.Stats.lp_s <- st.Stats.lp_s +. (now () -. t0);
-      r
-
-(* Reduced-cost fixing against cutoff [c]: with node LP value [z], moving a
-   nonbasic variable off its bound costs at least its reduced cost, so if
-   [z + |d|] already rounds to [>= c] no solution *better* than the
-   incumbent can move it — fix it at the bound for the whole subtree (via
-   the trail, so backtracking undoes it).  Returns the fixed variables for
-   the propagation fixpoint. *)
-let reduced_cost_fix s c =
-  match s.lp_st with
-  | None -> []
-  | Some st when not st.at_optimum -> []
-  | Some st ->
-      let z = st.last_obj in
-      let fixed = ref [] in
-      List.iter
-        (fun (v, at_upper, d) ->
-          if s.lb.(v) < s.ub.(v) && safe_bound (z +. Float.abs d) >= c then begin
-            if at_upper then set_lb s v s.ub.(v) else set_ub s v s.lb.(v);
-            fixed := v :: !fixed
-          end)
-        (Simplex.nonbasic_reduced_costs st.inst);
-      (match (s.stats, !fixed) with
-      | Some t, _ :: _ ->
-          t.Stats.rc_fixings <- t.Stats.rc_fixings + List.length !fixed
-      | _ -> ());
-      !fixed
-
 (* Root probing (failed-literal shaving) against the incumbent cutoff:
    tentatively commit each endpoint of every unit-domain variable and run
    the propagation fixpoint; an endpoint that conflicts is removed for
@@ -1312,8 +1178,6 @@ let probe_fixpoint s ~max_passes =
     done;
     !alive
   end
-
-let lp_at_root s depth = depth = 0 && s.opts.lp = Lp_root
 
 (* In-tree probing parameters.  [probe_window] candidates are examined per
    probed node; each trial propagation is cut off after [probe_budget] row
@@ -1561,35 +1425,13 @@ let rec dfs s depth ~var ~value =
              bound = objective_min_activity s;
            })
   | None -> ());
-  if s.nodes land 63 = 0 || lp_at_root s depth then check_limits s;
+  if s.nodes land 63 = 0 then check_limits s;
   let c = s.incumbent_obj in
   if c < max_int && objective_min_activity s >= c then
     pruned s depth Trace.Cutoff (objective_min_activity s)
   else if
     depth > 0 && depth <= s.probe_depth && c < max_int && probe_prune s
   then pruned s depth Trace.Probed max_int
-  else if lp_at_root s depth then begin
-    match lp_bound s with
-    | Bound_infeasible -> pruned s depth Trace.Lp_infeasible max_int
-    | Bound_none -> branch s depth
-    | Bound b ->
-        if b > s.root_bound then begin
-          s.root_bound <- b;
-          match s.opts.trace with
-          | Some tr ->
-              Trace.emit tr ~time_s:(now () -. s.started)
-                (Trace.Bound { bound = b; nodes = s.nodes })
-          | None -> ()
-        end;
-        if c < max_int && b >= c then pruned s depth Trace.Lp_bound b
-        else if c = max_int then branch s depth
-        else begin
-          (* bound-based fixings join the node's propagation fixpoint *)
-          let fixed = reduced_cost_fix s c in
-          if fixed = [] || propagate s (Some fixed) then branch s depth
-          else handle_conflict s
-        end
-  end
   else branch s depth
 
 and branch s depth =
@@ -1647,10 +1489,9 @@ and branch s depth =
    rewinds the trail, reduces the learned database while no reason can
    dangle, re-propagates the root — newly learned clauses fix their root
    implications permanently, which is the non-chronological backjump —
-   and dives again.  Learned clauses, the incumbent and the warm LP engine
-   (basis and devex weights) all survive the re-dive, which the trace
-   records as a [Restart] event.  [root_mark] tracks the root trail
-   watermark as root fixings accumulate. *)
+   and dives again.  Learned clauses and the incumbent survive the
+   re-dive, which the trace records as a [Restart] event.  [root_mark]
+   tracks the root trail watermark as root fixings accumulate. *)
 let search_drive s root_mark =
   let again = ref true in
   while !again do
@@ -1679,70 +1520,6 @@ let search_drive s root_mark =
            fall through with the search complete *)
       end
   done
-
-(* --- root cut loop ------------------------------------------------------ *)
-
-(* Solve the root LP, separate violated cover/clique cuts, append them to
-   (a copy of) the model and to the warm instance, and repeat until no cut
-   is violated, the round limit is hit, or the deadline passes.  Returns
-   the possibly-strengthened model and the warm instance (already hot on
-   the cut-augmented root LP) for the search to keep using. *)
-let root_cut_loop ?deadline ?stats ?started ~(options : options) model =
-  match Simplex.instance_of_model model with
-  | None -> (model, None)
-  | Some inst ->
-      let t0 = match started with Some t -> t | None -> now () in
-      let model = ref model and copied = ref false in
-      let rounds = ref 0 and total = ref 0 and go = ref true in
-      while !go && !rounds < 8 do
-        incr rounds;
-        (match deadline with
-        | Some d when now () > d -> go := false
-        | Some _ | None -> ());
-        if !go then
-          match Simplex.resolve ~max_iters:20_000 inst with
-          | Simplex.Optimal { primal; _ } ->
-              let cuts = Cuts.separate !model ~x:primal ~max_cuts:64 in
-              if cuts = [] then go := false
-              else begin
-                if not !copied then begin
-                  model := Model.copy !model;
-                  copied := true
-                end;
-                List.iteri
-                  (fun i (c : Cuts.cut) ->
-                    Model.add_le !model
-                      ~name:(Printf.sprintf "cut%d_%d" !rounds i)
-                      (Linexpr.of_list c.terms) c.rhs;
-                    Simplex.add_row inst
-                      (List.map (fun (a, v) -> (v, float_of_int a)) c.terms)
-                      (float_of_int c.rhs))
-                  cuts;
-                let n = List.length cuts in
-                total := !total + n;
-                (match stats with
-                | Some st ->
-                    st.Stats.cut_rounds <- st.Stats.cut_rounds + 1;
-                    st.Stats.cuts_generated <- st.Stats.cuts_generated + n;
-                    st.Stats.cuts_kept <- st.Stats.cuts_kept + n
-                | None -> ());
-                match options.trace with
-                | Some tr ->
-                    Trace.emit tr ~time_s:(now () -. t0)
-                      (Trace.Cut_round { round = !rounds; cuts = n })
-                | None -> ()
-              end
-          | Simplex.Infeasible | Simplex.Unbounded | Simplex.Iteration_limit
-            ->
-              go := false
-      done;
-      (match options.trace with
-      | Some tr when !total > 0 ->
-          Trace.emit tr ~time_s:(now () -. t0)
-            (Trace.Message
-               (Printf.sprintf "%d root cuts in %d rounds" !total (!rounds - 1)))
-      | Some _ | None -> ());
-      (!model, Some inst)
 
 (* Decide the orbit list and canonical warm start for a solve.  Caller
    orbits are trusted (they must already be verified, e.g. through
@@ -1815,21 +1592,10 @@ let prepare ?stats ~(options : options) model =
   in
   (model, { options with warm_start = warm; incumbent_start; orbits })
 
-(* Root cut loop under the solve's budget: cap cut generation at a quarter
-   of any time limit so branching always gets the lion's share. *)
-let cut_phase ?stats ~(options : options) ~started model =
-  if options.lp = Lp_never then (model, None)
-  else if options.cuts then
-    let deadline =
-      Option.map (fun tl -> started +. (0.25 *. tl)) options.time_limit
-    in
-    root_cut_loop ?deadline ?stats ~started ~options model
-  else (model, Simplex.instance_of_model model)
-
 (* Build the full search state for [model]: normalized rows, occurrence
-   lists, incremental activities, the warm LP engine, and the warm-start
-   incumbent.  [model] must already carry its lex rows and cuts. *)
-let build_search ?stats ~(options : options) ~started model warm_inst =
+   lists, incremental activities and the warm-start incumbent.  [model]
+   must already carry its lex rows. *)
+let build_search ?stats ~(options : options) ~started model =
   let n = Model.n_vars model in
   let lb = Model.lower_bounds model and ub = Model.upper_bounds model in
   (* Normalize rows to Le, as (coefs, vars, rhs) triples in model order
@@ -2049,18 +1815,6 @@ let build_search ?stats ~(options : options) ~started model warm_inst =
       nodes = 0;
       ticks = 0;
       scans = 0;
-      root_bound = min_int;
-      lp_st =
-        Option.map
-          (fun inst ->
-            {
-              inst;
-              root_basis = Simplex.save inst;
-              fails = 0;
-              last_obj = neg_infinity;
-              at_optimum = false;
-            })
-          warm_inst;
       prop_queue = Array.make queue_cap 0;
       queue_mask = queue_cap - 1;
       q_head = 0;
@@ -2135,32 +1889,13 @@ let build_search ?stats ~(options : options) ~started model warm_inst =
   s
 
 (* End-of-search stamping of the counters that are kept outside the hot
-   path: propagation ticks and scans live in the search record; the
-   simplex pivot, iteration and refactorization totals in the warm
-   instance. *)
+   path: propagation ticks and scans live in the search record. *)
 let finalize_stats s =
-  (match s.stats with
+  match s.stats with
   | None -> ()
-  | Some st -> (
+  | Some st ->
       st.Stats.prop_ticks <- st.Stats.prop_ticks + s.ticks;
-      st.Stats.prop_scans <- st.Stats.prop_scans + s.scans;
-      match s.lp_st with
-      | Some l ->
-          st.Stats.lp_pivots <- st.Stats.lp_pivots + Simplex.pivots l.inst;
-          st.Stats.lp_iters <- st.Stats.lp_iters + Simplex.iters l.inst;
-          st.Stats.lp_refactors <-
-            st.Stats.lp_refactors + Simplex.refactors l.inst
-      | None -> ()));
-  match (s.opts.trace, s.lp_st) with
-  | Some tr, Some l ->
-      Trace.emit tr ~time_s:(now () -. s.started)
-        (Trace.Lp
-           {
-             pivots = Simplex.pivots l.inst;
-             iters = Simplex.iters l.inst;
-             refactors = Simplex.refactors l.inst;
-           })
-  | _ -> ()
+      st.Stats.prop_scans <- st.Stats.prop_scans + s.scans
 
 (* Phase-boundary timer: [tick stats last set] charges the wall clock
    since [!last] to one stats field and advances the boundary.  Per-solve
@@ -2181,9 +1916,7 @@ let solve_internal ~(options : options) model =
   let last = ref started in
   let model, options = prepare ?stats ~options model in
   tick stats last (fun st d -> st.Stats.prepare_s <- d);
-  let model, warm_inst = cut_phase ?stats ~options ~started model in
-  tick stats last (fun st d -> st.Stats.cuts_s <- d);
-  let s = build_search ?stats ~options ~started model warm_inst in
+  let s = build_search ?stats ~options ~started model in
   tick stats last (fun st d -> st.Stats.build_s <- d);
   let root_mark = ref 0 in
   let complete =
@@ -2192,8 +1925,8 @@ let solve_internal ~(options : options) model =
       tick stats last (fun st d -> st.Stats.root_s <- d);
       root_mark := mark s;
       if root_ok then begin
-        (* first point of the dual curve: the root-propagated trivial
-           bound (depth-0 LP improvements emit further Bound events) *)
+        (* the dual curve's only point: the root-propagated trivial
+           bound *)
         (match s.opts.trace with
         | Some tr ->
             Trace.emit tr ~time_s:(now () -. s.started)
@@ -2235,7 +1968,7 @@ let solve_internal ~(options : options) model =
         status = Feasible;
         solution = Some x;
         objective = Some s.incumbent_obj;
-        bound = max s.root_bound trivial_bound;
+        bound = trivial_bound;
         nodes = s.nodes;
         time_s;
         orbits;
@@ -2259,7 +1992,7 @@ let solve_internal ~(options : options) model =
         status = Unknown;
         solution = None;
         objective = None;
-        bound = max s.root_bound trivial_bound;
+        bound = trivial_bound;
         nodes = s.nodes;
         time_s;
         orbits;
@@ -2274,7 +2007,7 @@ let solve ?(options = default) model = fst (solve_internal ~options model)
 (* --- parallel subtree search --------------------------------------------
 
    One hard instance, several domains: the main domain runs the root phase
-   (propagation, probing, cuts) once, expands the root breadth-first into a
+   (propagation, probing) once, expands the root breadth-first into a
    frontier of open subtrees — each a list of (var, lo, hi) bound
    restrictions — and distributes them round-robin over per-worker
    work-stealing deques.  Idle workers steal the oldest (largest) pending
@@ -2283,11 +2016,10 @@ let solve ?(options = default) model = fst (solve_internal ~options model)
    Determinism is by subtree isolation.  Each subtree is solved from a
    per-subtree reset of the worker's search state (activities, probe
    state, row stamps, incumbent re-seeded from the deterministic root
-   phase, the simplex engine restored to its root basis), so its result
-   depends only on the subtree, never on the schedule.  Workers share no
-   incumbent: inside a subtree only the deterministic seed prunes, so the
-   node count and depth histogram are jobs-invariant too.  The final
-   solution is
+   phase), so its result depends only on the subtree, never on the
+   schedule.  Workers share no incumbent: inside a subtree only the
+   deterministic seed prunes, so the node count and depth histogram are
+   jobs-invariant too.  The final solution is
    the minimum over all subtree results (and the root-phase incumbent)
    under the (objective, lexicographic solution) order — independent of
    which worker finished first, so [~jobs:1] and [~jobs:4] return
@@ -2324,14 +2056,7 @@ let reset_for_subtree s ~seed =
   s.conflicts_total <- 0;
   s.learn_closed <- false;
   s.max_learnts <- max_learnts_init s.n;
-  enqueue_all_orbits s;
-  match s.lp_st with
-  | Some st ->
-      ignore (Simplex.restore st.inst st.root_basis);
-      st.fails <- 0;
-      st.last_obj <- neg_infinity;
-      st.at_optimum <- false
-  | None -> ()
+  enqueue_all_orbits s
 
 (* Child decisions of branching on [v], in exactly the order [branch]
    would explore them (warm-start hint first, then the preferred end). *)
@@ -2407,8 +2132,6 @@ let solve_parallel ?(options = default) ~jobs model =
     | None -> options
   in
   tick stats last (fun st d -> st.Stats.prepare_s <- d);
-  let model, warm_inst = cut_phase ?stats ~options ~started model in
-  tick stats last (fun st d -> st.Stats.cuts_s <- d);
   (* Force the model's lazy caches before it crosses domains. *)
   if Model.n_vars model > 0 then ignore (Model.bounds model 0);
   let orbit_count = List.length options.orbits in
@@ -2464,7 +2187,7 @@ let solve_parallel ?(options = default) ~jobs model =
           stats;
         }
   in
-  let s0 = build_search ?stats ~options ~started model warm_inst in
+  let s0 = build_search ?stats ~options ~started model in
   tick stats last (fun st d -> st.Stats.build_s <- d);
   let root_state =
     try
@@ -2530,19 +2253,8 @@ let solve_parallel ?(options = default) ~jobs model =
         let incomplete = Atomic.make false in
         let results = Array.make n_sub None in
         let work idx =
-          let winst =
-            if options.lp = Lp_never then None
-            else
-              match Simplex.instance_of_model model with
-              | None -> None
-              | Some inst ->
-                  (* pay for the root LP once per worker so the saved root
-                     basis each subtree restores is the optimal one *)
-                  ignore (Simplex.resolve ~max_iters:20_000 inst);
-                  Some inst
-          in
           let wstats = if options.stats then Some (Stats.create ()) else None in
-          let ws = build_search ?stats:wstats ~options ~started model winst in
+          let ws = build_search ?stats:wstats ~options ~started model in
           let total_nodes = ref 0 in
           (* Capture and zero the per-search node counter, so each subtree
              gets the full node budget.  A cumulative budget would make a
@@ -2659,7 +2371,7 @@ let solve_parallel ?(options = default) ~jobs model =
           | None -> None
           | Some st ->
               (* Phase timers live on the main record (workers only fill
-                 CPU sub-timers like lp_s/probe_s), so the merged phases
+                 CPU sub-timers like probe_s), so the merged phases
                  still sum to the call's wall clock. *)
               st.Stats.search_s <- now () -. !last;
               let merged =
@@ -2681,28 +2393,16 @@ let solve_parallel ?(options = default) ~jobs model =
           ~bound:root_bound ~stats !best
       end
 
-(* One root cut loop on its own, returning the strengthened model. *)
-let with_root_cuts ?(options = default) model =
-  if options.lp = Lp_never || not options.cuts then model
-  else begin
-    let options = reroute_verbose options in
-    let deadline =
-      Option.map (fun tl -> now () +. (0.25 *. tl)) options.time_limit
-    in
-    fst (root_cut_loop ?deadline ~options model)
-  end
-
 (* --- test + micro-benchmark hooks --------------------------------------- *)
 
-(* A bare search state: no LP, no cuts, no symmetry — just the normalized
-   rows and the incremental propagation machinery. *)
-let bare_options =
-  { default with lp = Lp_never; cuts = false; sym = false; orbits = [] }
+(* A bare search state: no symmetry — just the normalized rows and the
+   incremental propagation machinery. *)
+let bare_options = { default with sym = false }
 
 (* A bare search over [model] with its bounds tightened to [lower] /
    [upper] through the incremental update path. *)
 let bare_search ?lower ?upper model =
-  let s = build_search ~options:bare_options ~started:(now ()) model None in
+  let s = build_search ~options:bare_options ~started:(now ()) model in
   (match lower with
   | Some lbs -> Array.iteri (fun v b -> if b > s.lb.(v) then set_lb s v b) lbs
   | None -> ());
@@ -2741,7 +2441,7 @@ let solve_with_learned ?(options = default) model =
   (outcome, !rows)
 
 let propagation_rate model ~sweeps =
-  let s = build_search ~options:bare_options ~started:(now ()) model None in
+  let s = build_search ~options:bare_options ~started:(now ()) model in
   let t0 = now () in
   for _ = 1 to max 1 sweeps do
     let m = mark s in

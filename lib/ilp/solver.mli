@@ -3,7 +3,7 @@
     Depth-first search over variable domains with:
     - bound-tightening (pseudo-boolean) propagation at every node,
     - an objective cutoff row updated whenever the incumbent improves,
-    - optional LP-relaxation bounding via {!Simplex} at the root node,
+      which is the only bound: there is no LP relaxation,
     - a caller-supplied branching order and warm-start solution,
     - wall-clock time limit with best-found-so-far reporting, mirroring the
       24-hour CPU cap the paper applied to CPLEX.
@@ -26,7 +26,7 @@ type outcome = {
   time_s : float;
       (** wall-clock seconds of the whole call, measured from entry to
           return of {!solve} / {!solve_parallel} — it covers presolve
-          done by the entry point, symmetry detection, cut generation,
+          done by the entry point, symmetry detection,
           search-state construction and the search itself, so it is the
           number a caller's own stopwatch around the call would read. *)
   orbits : int;
@@ -39,26 +39,13 @@ type outcome = {
           [options.stats] was set.  For {!solve_parallel} this is the
           merge of the main domain's record with every worker's (see
           {!Stats.merge}); deterministic counters (nodes, depth
-          histogram, orbit fixings, cut counts) are identical for any
+          histogram, orbit fixings) are identical for any
           [jobs]. *)
 }
-
-type lp_mode =
-  | Lp_never
-  | Lp_root
-      (** LP bound at the root node only: the root cut loop, reduced-cost
-          fixing against the incumbent, and a devex-priced warm dual
-          simplex that re-solves on every re-dive and at each parallel
-          subtree's root *)
 
 type options = {
   time_limit : float option;  (** seconds *)
   node_limit : int option;
-  lp : lp_mode;
-  cuts : bool;
-      (** run the root cutting-plane loop ({!Cuts}: extended cover +
-          clique cuts) before branching, when [lp] is not [Lp_never].
-          Cut generation is capped at a quarter of [time_limit]. *)
   branch_order : int list option;
       (** variables branched first, highest priority first; remaining
           variables follow in index order.  Branching is dynamic: the
@@ -83,7 +70,7 @@ type options = {
           (e.g. a cross-instance seed next to a same-instance heuristic).
           Checked and silently discarded if infeasible. *)
   verbose : bool;
-      (** progress lines on stderr (incumbents, cut totals).  Implemented
+      (** progress lines on stderr (incumbents).  Implemented
           as a {!Trace.stderr_human} sink installed when [trace] is
           [None]; an explicit [trace] sink takes precedence and receives
           the same events (plus the full node/prune stream). *)
@@ -107,7 +94,7 @@ type options = {
   trace : Trace.sink option;
       (** structured event sink (default [None]).  Receives the full
           typed event stream: nodes, prunes with reasons, incumbents,
-          cut rounds, subtree spawns and steals. The sink is shared by
+          conflicts, subtree spawns and steals. The sink is shared by
           all parallel workers (writes are serialized); the caller owns
           it and should {!Trace.close} it after the solve. *)
   learn : bool;
@@ -123,15 +110,16 @@ type options = {
 }
 
 val default : options
-(** No limits, [Lp_root], cuts on, no order, prefer 1, no warm start,
-    quiet, symmetry breaking on with auto-detected orbits, no stats, no
-    trace, conflict learning on. *)
+(** No limits, no order, prefer 1, no warm start, quiet, symmetry
+    breaking on with auto-detected orbits, no stats, no trace, conflict
+    learning on.  Every solve is LP-free: nodes are bounded by the
+    objective cutoff row alone. *)
 
 val solve : ?options:options -> Model.t -> outcome
 
 val solve_parallel : ?options:options -> jobs:int -> Model.t -> outcome
-(** One instance, [jobs] domains: the root phase (cuts, propagation,
-    probing) runs once, the root is expanded breadth-first into open
+(** One instance, [jobs] domains: the root phase (propagation, probing)
+    runs once, the root is expanded breadth-first into open
     subtrees using the sequential branching order, and the subtrees are
     spread over per-worker work-stealing deques ({!Pool.Deques}) — idle
     workers steal the oldest pending subtree of a busy one.  Workers do
@@ -154,17 +142,11 @@ val solve_parallel : ?options:options -> jobs:int -> Model.t -> outcome
     (Optimal vs Feasible) and the node/stolen counters may vary across
     [jobs], and only when a limit actually fires. *)
 
-val with_root_cuts : ?options:options -> Model.t -> Model.t
-(** The model strengthened by one root cutting-plane loop.  A test hook:
-    the property tests check that the cuts keep the 0-1 feasible set.
-    Returns the model unchanged when [options] disables cuts or LP
-    bounding. *)
-
 (** {2 Test and micro-benchmark hooks}
 
     Thin windows into the propagation kernel, for property tests and the
-    [bench perf] micro-benchmark.  Each builds a bare search state (no LP,
-    no cuts, no symmetry) over the model's normalized Le rows: Ge rows
+    [bench perf] micro-benchmark.  Each builds a bare search state (no
+    symmetry) over the model's normalized Le rows: Ge rows
     negated, Eq rows split into a Le pair in model order. *)
 
 val row_min_activities :
@@ -195,6 +177,7 @@ val solve_with_learned :
 (** {!solve}, additionally returning the learned nogoods alive at the end
     of the search, each as [(coefs, vars, rhs, cutoff_rhs)]: the clause
     row [sum coefs.(i) * x.(vars.(i)) <= rhs] is claimed to be implied by
-    the model conjoined with [objective <= cutoff_rhs] (the cutoff row's
-    right-hand side when the clause was derived).  The differential tests
-    audit exactly this implication by enumeration. *)
+    the searched model (with symmetry breaking on, the model plus its
+    orbits' lex rows) conjoined with [objective <= cutoff_rhs] (the cutoff
+    row's right-hand side when the clause was derived).  The differential
+    tests audit exactly this implication by enumeration. *)

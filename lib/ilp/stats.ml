@@ -12,21 +12,15 @@ type t = {
      sum accounts for (almost all of) [outcome.time_s]. *)
   mutable presolve_s : float;  (* caller-side Presolve.strengthen, if any *)
   mutable prepare_s : float;  (* symmetry detection + canonicalization *)
-  mutable cuts_s : float;  (* root cut loop (incl. its LP resolves) *)
   mutable build_s : float;  (* search-state construction + warm start *)
   mutable root_s : float;  (* root propagation + shaving fixpoint *)
   mutable search_s : float;  (* tree search (all nodes, all workers) *)
   (* Sub-timers: CPU time summed across workers, attributed inside
-     [search_s] / [root_s]; not part of the disjoint phase account. *)
-  mutable lp_s : float;  (* root LP bounding *)
+     [search_s]; not part of the disjoint phase account. *)
   mutable probe_s : float;  (* in-tree probing *)
   (* Symmetry detection inside [prepare_s]. *)
   mutable sym_refine_passes : int;  (* colour-refinement passes run *)
   mutable sym_transpositions : int;  (* transposition checks by detection *)
-  (* Root cut loop. *)
-  mutable cut_rounds : int;
-  mutable cuts_generated : int;  (* separated by Cuts.separate *)
-  mutable cuts_kept : int;  (* appended to the model *)
   (* Propagation. *)
   mutable prop_fixpoints : int;  (* worklist fixpoints run *)
   mutable prop_ticks : int;  (* row propagations + orbit passes *)
@@ -44,16 +38,11 @@ type t = {
   mutable probe_trials : int;  (* tentative endpoint propagations *)
   mutable probe_hits : int;  (* probing steps that landed a fixing *)
   mutable probe_backoffs : int;  (* times the skip gap widened *)
-  (* Root LP bounding (each re-dive and parallel subtree root). *)
-  mutable lp_resolves : int;  (* all root LP calls *)
-  mutable lp_warm : int;  (* warm re-solves reaching optimality *)
-  mutable lp_fallbacks : int;  (* capped re-solves rescued by weak duality *)
-  mutable lp_infeasible : int;  (* LP-infeasible verdicts *)
-  mutable lp_cold : int;  (* cold two-phase solves (no warm engine) *)
-  mutable lp_pivots : int;  (* cumulative dual pivots of the warm engine *)
-  mutable lp_iters : int;  (* cumulative dual-simplex iterations *)
-  mutable lp_refactors : int;  (* basis refactorizations of the warm engine *)
-  mutable rc_fixings : int;  (* variables fixed by reduced cost *)
+  (* Always 0: the solver has no LP relaxation.  Kept because the
+     benchmark harness reports them as its simplex.* metrics. *)
+  mutable lp_s : float;
+  mutable lp_resolves : int;
+  mutable lp_pivots : int;
   mutable orbit_fixings : int;  (* bound changes by the orbital propagator *)
   (* Primal progress: every incumbent improvement as
      (seconds since solve start, nodes so far, objective), newest first. *)
@@ -72,7 +61,6 @@ let create () =
   {
     presolve_s = 0.0;
     prepare_s = 0.0;
-    cuts_s = 0.0;
     build_s = 0.0;
     root_s = 0.0;
     search_s = 0.0;
@@ -80,9 +68,6 @@ let create () =
     probe_s = 0.0;
     sym_refine_passes = 0;
     sym_transpositions = 0;
-    cut_rounds = 0;
-    cuts_generated = 0;
-    cuts_kept = 0;
     prop_fixpoints = 0;
     prop_ticks = 0;
     prop_scans = 0;
@@ -98,14 +83,7 @@ let create () =
     probe_hits = 0;
     probe_backoffs = 0;
     lp_resolves = 0;
-    lp_warm = 0;
-    lp_fallbacks = 0;
-    lp_infeasible = 0;
-    lp_cold = 0;
     lp_pivots = 0;
-    lp_iters = 0;
-    lp_refactors = 0;
-    rc_fixings = 0;
     orbit_fixings = 0;
     incumbents = [];
     depth_hist = [||];
@@ -144,7 +122,6 @@ let phases t =
   [
     ("presolve", t.presolve_s);
     ("prepare", t.prepare_s);
-    ("cuts", t.cuts_s);
     ("build", t.build_s);
     ("root", t.root_s);
     ("search", t.search_s);
@@ -166,7 +143,6 @@ let merge a b =
   {
     presolve_s = a.presolve_s +. b.presolve_s;
     prepare_s = a.prepare_s +. b.prepare_s;
-    cuts_s = a.cuts_s +. b.cuts_s;
     build_s = a.build_s +. b.build_s;
     root_s = a.root_s +. b.root_s;
     search_s = a.search_s +. b.search_s;
@@ -174,9 +150,6 @@ let merge a b =
     probe_s = a.probe_s +. b.probe_s;
     sym_refine_passes = a.sym_refine_passes + b.sym_refine_passes;
     sym_transpositions = a.sym_transpositions + b.sym_transpositions;
-    cut_rounds = a.cut_rounds + b.cut_rounds;
-    cuts_generated = a.cuts_generated + b.cuts_generated;
-    cuts_kept = a.cuts_kept + b.cuts_kept;
     prop_fixpoints = a.prop_fixpoints + b.prop_fixpoints;
     prop_ticks = a.prop_ticks + b.prop_ticks;
     prop_scans = a.prop_scans + b.prop_scans;
@@ -192,14 +165,7 @@ let merge a b =
     probe_hits = a.probe_hits + b.probe_hits;
     probe_backoffs = a.probe_backoffs + b.probe_backoffs;
     lp_resolves = a.lp_resolves + b.lp_resolves;
-    lp_warm = a.lp_warm + b.lp_warm;
-    lp_fallbacks = a.lp_fallbacks + b.lp_fallbacks;
-    lp_infeasible = a.lp_infeasible + b.lp_infeasible;
-    lp_cold = a.lp_cold + b.lp_cold;
     lp_pivots = a.lp_pivots + b.lp_pivots;
-    lp_iters = a.lp_iters + b.lp_iters;
-    lp_refactors = a.lp_refactors + b.lp_refactors;
-    rc_fixings = a.rc_fixings + b.rc_fixings;
     orbit_fixings = a.orbit_fixings + b.orbit_fixings;
     incumbents = List.sort (fun x y -> compare y x) (a.incumbents @ b.incumbents);
     depth_hist = hist;
@@ -229,9 +195,7 @@ let pp ?time_s ppf t =
   (match time_s with
   | Some w when w > 0.0 -> fprintf ppf "  %5.1f  of %.4fs wall" (pct total) w
   | Some _ | None -> ());
-  fprintf ppf "@,  %-12s %9.4f  %-12s %9.4f" "lp" t.lp_s "probe" t.probe_s;
-  fprintf ppf "@,cuts: %d kept / %d generated in %d rounds" t.cuts_kept
-    t.cuts_generated t.cut_rounds;
+  fprintf ppf "@,  %-12s %9.4f" "probe" t.probe_s;
   fprintf ppf "@,propagation: %d fixpoints, %d ticks, %d scans, %d conflicts"
     t.prop_fixpoints t.prop_ticks t.prop_scans t.prop_conflicts;
   (* Conflict engine on its own line: the counters are only comparable to
@@ -249,22 +213,7 @@ let pp ?time_s ppf t =
   fprintf ppf
     "@,probing: %d calls (%d hits, %d trials), %d skipped, %d backoffs"
     t.probe_calls t.probe_hits t.probe_trials t.probe_skips t.probe_backoffs;
-  fprintf ppf
-    "@,lp: %d resolves (%d warm-optimal, %d weak-duality, %d infeasible, %d \
-     cold), %d pivots"
-    t.lp_resolves t.lp_warm t.lp_fallbacks t.lp_infeasible t.lp_cold
-    t.lp_pivots;
-  (* Iterations only mean something relative to the resolve count:
-     iters/resolve is the warm-start quality. *)
-  let per_resolve =
-    if t.lp_resolves > 0 then
-      float_of_int t.lp_iters /. float_of_int t.lp_resolves
-    else 0.0
-  in
-  fprintf ppf "@,lp engine: %d iters (%.1f/resolve), %d refactors" t.lp_iters
-    per_resolve t.lp_refactors;
-  fprintf ppf "@,fixings: %d reduced-cost, %d orbital" t.rc_fixings
-    t.orbit_fixings;
+  fprintf ppf "@,fixings: %d orbital" t.orbit_fixings;
   fprintf ppf "@,nodes: %d (max depth %d)" (total_nodes t) (max_depth t);
   (match primal_progress t with
   | [] -> ()

@@ -5,35 +5,30 @@
     {!Solver.outcome.stats}.  Parallel solves give each worker its own
     record and {!merge} them at combine time, so the search hot path
     never touches an atomic and jobs-deterministic fields (node counts,
-    per-depth histogram, cut counts) stay identical for any worker
+    per-depth histogram) stay identical for any worker
     count.  With stats disabled every instrumented site costs a single
     branch and allocates nothing.
 
-    The six top-level phase timers ([presolve_s] .. [search_s]) are
+    The five top-level phase timers ([presolve_s] .. [search_s]) are
     disjoint wall-clock segments of the solve call measured on the
     calling domain: their sum accounts for the outcome's [time_s].
-    [lp_s] and [probe_s] are sub-timers summed across workers (CPU time
-    inside [root_s]/[search_s], not additional wall clock). *)
+    [probe_s] is a sub-timer summed across workers (CPU time inside
+    [search_s], not additional wall clock). *)
 
 type t = {
   mutable presolve_s : float;
       (** caller-side {!Presolve.strengthen} time, stamped by callers
           that presolve before handing the model to the solver *)
   mutable prepare_s : float;  (** symmetry detection + canonicalization *)
-  mutable cuts_s : float;  (** root cut loop, including its LP resolves *)
   mutable build_s : float;  (** search-state construction + warm start *)
   mutable root_s : float;  (** root propagation + shaving fixpoint *)
   mutable search_s : float;  (** tree search (all nodes, all workers) *)
-  mutable lp_s : float;  (** root LP bounding (summed across workers) *)
   mutable probe_s : float;  (** in-tree probing (summed across workers) *)
   mutable sym_refine_passes : int;
       (** colour-refinement passes run by {!Symmetry.detect} *)
   mutable sym_transpositions : int;
       (** transposition checks ({!Symmetry.transposition_ok} calls) run by
           {!Symmetry.detect} *)
-  mutable cut_rounds : int;
-  mutable cuts_generated : int;
-  mutable cuts_kept : int;
   mutable prop_fixpoints : int;
   mutable prop_ticks : int;  (** row propagations + orbit passes *)
   mutable prop_scans : int;
@@ -61,19 +56,13 @@ type t = {
   mutable probe_trials : int;  (** tentative endpoint propagations *)
   mutable probe_hits : int;
   mutable probe_backoffs : int;
-  mutable lp_resolves : int;
-  mutable lp_warm : int;  (** warm re-solves reaching optimality *)
-  mutable lp_fallbacks : int;  (** capped re-solves kept by weak duality *)
-  mutable lp_infeasible : int;
-  mutable lp_cold : int;  (** cold two-phase solves *)
-  mutable lp_pivots : int;  (** cumulative dual pivots *)
-  mutable lp_iters : int;
-      (** cumulative dual-simplex iterations (pivots plus degenerate and
-          repair iterations) of the warm engine *)
-  mutable lp_refactors : int;
-      (** basis refactorizations (periodic refreshes, drift audits,
-          restores) of the warm engine *)
-  mutable rc_fixings : int;  (** variables fixed by reduced cost *)
+  mutable lp_s : float;
+      (** always 0, like [lp_resolves] and [lp_pivots]: the solver has no
+          LP relaxation.  The three fields remain because the benchmark
+          harness reports them as its [simplex.*] per-layer metrics; {!pp}
+          does not print them. *)
+  mutable lp_resolves : int;  (** always 0; see [lp_s] *)
+  mutable lp_pivots : int;  (** always 0; see [lp_s] *)
   mutable orbit_fixings : int;  (** bound changes by orbital fixing *)
   mutable incumbents : (float * int * int) list;
       (** primal-progress curve: (seconds, nodes, objective) per
@@ -109,7 +98,7 @@ val primal_progress : t -> (float * int * int) list
 (** The incumbent curve sorted oldest first. *)
 
 val phases : t -> (string * float) list
-(** The six disjoint top-level phase timers, in pipeline order. *)
+(** The five disjoint top-level phase timers, in pipeline order. *)
 
 val accounted_s : t -> float
 (** Sum of {!phases} — the share of the wall clock the telemetry

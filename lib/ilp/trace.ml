@@ -5,17 +5,15 @@
    workers can share one sink (JSONL lines stay whole, the ring stays
    consistent). *)
 
-type prune_reason = Cutoff | Probed | Lp_infeasible | Lp_bound
+type prune_reason = Cutoff | Probed
 
 type event =
   | Node of { depth : int; nodes : int; var : int; value : int; bound : int }
   | Prune of { depth : int; reason : prune_reason; bound : int; nodes : int }
   | Bound of { bound : int; nodes : int }
   | Incumbent of { objective : int; nodes : int }
-  | Cut_round of { round : int; cuts : int }
   | Subtree of { id : int; depth : int }
   | Steal of { thief : int; victim : int }
-  | Lp of { pivots : int; iters : int; refactors : int }
   | Conflict of { depth : int; level : int; lbd : int; size : int; nodes : int }
   | Restart of { conflicts : int; learned : int; nodes : int }
   | Message of string
@@ -36,8 +34,6 @@ let ring cap = make (Ring { cap = max 1 cap; q = Queue.create () })
 let reason_name = function
   | Cutoff -> "cutoff"
   | Probed -> "probed"
-  | Lp_infeasible -> "lp_infeasible"
-  | Lp_bound -> "lp_bound"
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 2) in
@@ -76,19 +72,12 @@ let jsonl_line ~time_s ev =
       Printf.sprintf
         "{\"t\":%.6f,\"ev\":\"incumbent\",\"objective\":%d,\"nodes\":%d}"
         time_s objective nodes
-  | Cut_round { round; cuts } ->
-      Printf.sprintf "{\"t\":%.6f,\"ev\":\"cut_round\",\"round\":%d,\"cuts\":%d}"
-        time_s round cuts
   | Subtree { id; depth } ->
       Printf.sprintf "{\"t\":%.6f,\"ev\":\"subtree\",\"id\":%d,\"depth\":%d}"
         time_s id depth
   | Steal { thief; victim } ->
       Printf.sprintf "{\"t\":%.6f,\"ev\":\"steal\",\"thief\":%d,\"victim\":%d}"
         time_s thief victim
-  | Lp { pivots; iters; refactors } ->
-      Printf.sprintf
-        "{\"t\":%.6f,\"ev\":\"lp\",\"pivots\":%d,\"iters\":%d,\"refactors\":%d}"
-        time_s pivots iters refactors
   | Conflict { depth; level; lbd; size; nodes } ->
       Printf.sprintf
         "{\"t\":%.6f,\"ev\":\"conflict\",\"depth\":%d,\"level\":%d,\"lbd\":%d,\"size\":%d,\"nodes\":%d}"
@@ -114,8 +103,8 @@ let write_human oc time_s ev =
       Printf.fprintf oc "[ilp] incumbent %d after %d nodes (%.2fs)\n%!"
         objective nodes time_s
   | Message m -> Printf.fprintf oc "[ilp] %s\n%!" m
-  | Node _ | Prune _ | Bound _ | Cut_round _ | Subtree _ | Steal _ | Lp _
-  | Conflict _ | Restart _ ->
+  | Node _ | Prune _ | Bound _ | Subtree _ | Steal _ | Conflict _
+  | Restart _ ->
       ()
 
 let emit sink ~time_s ev =

@@ -15,8 +15,6 @@
 type prune_reason =
   | Cutoff  (** objective min-activity reached the incumbent cutoff *)
   | Probed  (** probing refuted the node against the cutoff *)
-  | Lp_infeasible  (** the node LP was infeasible *)
-  | Lp_bound  (** the node LP bound reached the cutoff *)
 
 type event =
   | Node of { depth : int; nodes : int; var : int; value : int; bound : int }
@@ -28,22 +26,15 @@ type event =
   | Prune of { depth : int; reason : prune_reason; bound : int; nodes : int }
       (** the node was cut off: [bound] is the dual bound that fired
           ([max_int] when the node was proven empty rather than
-          dominated: {!Probed} and {!Lp_infeasible}), [nodes] the node
-          count at emission *)
+          dominated: {!Probed}), [nodes] the node count at emission *)
   | Bound of { bound : int; nodes : int }
-      (** the global dual bound improved to [bound] (root propagation,
-          root cut loop, or a depth-0 LP re-solve) — together with
+      (** the global dual bound: the root-propagated objective
+          min-activity, emitted once per solve — together with
           {!Incumbent} this gives replay both gap-closure curves *)
   | Incumbent of { objective : int; nodes : int }
-  | Cut_round of { round : int; cuts : int }
-      (** one root cut-loop round that separated [cuts] cuts *)
   | Subtree of { id : int; depth : int }
       (** a frontier subtree was spawned ([depth] = path length) *)
   | Steal of { thief : int; victim : int }
-  | Lp of { pivots : int; iters : int; refactors : int }
-      (** end-of-search totals of the warm LP engine (per worker in
-          parallel solves): cumulative dual pivots, dual-simplex
-          iterations and basis refactorizations *)
   | Conflict of { depth : int; level : int; lbd : int; size : int; nodes : int }
       (** a 1-UIP nogood was learned: the conflict fired at [depth], its
           asserting level is [level] ([-1] when the nogood is not
@@ -88,9 +79,9 @@ val jsonl_line : time_s:float -> event -> string
     inverse. *)
 
 val reason_name : prune_reason -> string
-(** Stable lower-case wire name ([cutoff], [probed], [lp_infeasible],
-    [lp_bound]) — the [reason] field of a JSONL prune line and the key
-    of {!Replay}'s per-reason attribution. *)
+(** Stable lower-case wire name ([cutoff], [probed]) — the [reason]
+    field of a JSONL prune line and the key of {!Replay}'s per-reason
+    attribution. *)
 
 val json_escape : string -> string
 (** JSON string-body escaping used by the JSONL renderer (quotes,

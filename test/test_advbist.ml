@@ -55,6 +55,20 @@ let test_synthesize_rejects_k_below_1 () =
   let p = get (Dfg.Problem.make empty []) in
   rejects "no operations: k = 0 is an error" p ~k:(Dfg.Problem.n_modules p)
 
+(* An operation-free DFG has a zero-area reference; its overhead is the
+   plan's area over a one-transistor floor, not 0 / 0. *)
+let test_empty_dfg_overhead_finite () =
+  let p = get (Dfg.Problem.make (get (Dfg.Parse.of_string "(dfg (name a))")) []) in
+  let o = get (Advbist.Synth.synthesize ~time_limit:1.0 p ~k:1) in
+  let r = get (Advbist.Synth.reference ~time_limit:1.0 p) in
+  check_int "reference area" 0 r.Advbist.Synth.ref_area;
+  let pct =
+    Bist.Plan.overhead_pct o.Advbist.Synth.plan ~reference:r.Advbist.Synth.ref_area
+  in
+  check_bool (Printf.sprintf "overhead %f is finite" pct) true
+    (Float.is_finite pct);
+  Alcotest.(check (float 0.0)) "zero area over zero reference" 0.0 pct
+
 let test_encoding_symmetry_fixes_clique () =
   let e = Advbist.Encoding.build fig1 ~n_regs:3 ~k:1 in
   (* the maximum clique {2,3,4} is pre-assigned: those x variables are
@@ -488,8 +502,7 @@ let test_solve_parallel_determinism () =
   let options =
     {
       Ilp.Solver.default with
-      Ilp.Solver.cuts = false;
-      branch_order = Some (Advbist.Encoding.branch_order e);
+      Ilp.Solver.branch_order = Some (Advbist.Encoding.branch_order e);
       orbits = Advbist.Encoding.orbits e;
     }
   in
@@ -523,8 +536,7 @@ let test_encoding_orbits_free_registers () =
     let options =
       {
         Ilp.Solver.default with
-        Ilp.Solver.cuts = false;
-        sym = orbits <> [];
+        Ilp.Solver.sym = orbits <> [];
         orbits;
         branch_order = Some (Advbist.Encoding.branch_order e);
       }
@@ -1019,6 +1031,8 @@ let () =
           Alcotest.test_case "bad inputs" `Quick test_encoding_rejects_bad_inputs;
           Alcotest.test_case "synthesize rejects k < 1" `Quick
             test_synthesize_rejects_k_below_1;
+          Alcotest.test_case "empty DFG overhead is finite" `Quick
+            test_empty_dfg_overhead_finite;
           Alcotest.test_case "symmetry fixing" `Quick
             test_encoding_symmetry_fixes_clique;
           Alcotest.test_case "lp export" `Quick test_lp_export_of_encoding;

@@ -1,6 +1,6 @@
-(* Tests for the ILP substrate: expressions, model audit, simplex on known
-   LPs, branch & bound on known ILPs, brute-force cross-checks on random
-   small models, LP-format output. *)
+(* Tests for the ILP substrate: expressions, model audit, branch & bound
+   on known ILPs, brute-force cross-checks on random small models,
+   LP-format output and parsing, telemetry, traces and replay. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -61,83 +61,6 @@ let test_model_check () =
   check_bool "out of bounds" true
     (Result.is_error (Ilp.Model.check m [| 2; 0; 0 |]));
   check_int "objective" (-17) (Ilp.Model.objective_value m [| 1; 0; 1 |])
-
-(* -- Simplex ------------------------------------------------------------- *)
-
-let close what expected actual =
-  Alcotest.(check (float 1e-5)) what expected actual
-
-let test_simplex_basic () =
-  (* min -x - 2y st x + y <= 4, x <= 3, y <= 2, x,y >= 0: opt at (2,2) = -6 *)
-  let p =
-    {
-      Ilp.Simplex.n_vars = 2;
-      lower = [| 0.0; 0.0 |];
-      upper = [| 3.0; 2.0 |];
-      objective = [| -1.0; -2.0 |];
-      rows = [ (Ilp.Model.Le, [ (0, 1.0); (1, 1.0) ], 4.0) ];
-    }
-  in
-  match Ilp.Simplex.solve p with
-  | Ilp.Simplex.Optimal { objective; primal } ->
-      close "objective" (-6.0) objective;
-      close "x" 2.0 primal.(0);
-      close "y" 2.0 primal.(1)
-  | _ -> Alcotest.fail "expected optimal"
-
-let test_simplex_phase1 () =
-  (* min x + y st x + y >= 3, x - y = 1, 0 <= x,y <= 10: opt (2,1) = 3 *)
-  let p =
-    {
-      Ilp.Simplex.n_vars = 2;
-      lower = [| 0.0; 0.0 |];
-      upper = [| 10.0; 10.0 |];
-      objective = [| 1.0; 1.0 |];
-      rows =
-        [
-          (Ilp.Model.Ge, [ (0, 1.0); (1, 1.0) ], 3.0);
-          (Ilp.Model.Eq, [ (0, 1.0); (1, -1.0) ], 1.0);
-        ];
-    }
-  in
-  match Ilp.Simplex.solve p with
-  | Ilp.Simplex.Optimal { objective; primal } ->
-      close "objective" 3.0 objective;
-      close "x" 2.0 primal.(0);
-      close "y" 1.0 primal.(1)
-  | _ -> Alcotest.fail "expected optimal"
-
-let test_simplex_infeasible () =
-  let p =
-    {
-      Ilp.Simplex.n_vars = 1;
-      lower = [| 0.0 |];
-      upper = [| 1.0 |];
-      objective = [| 1.0 |];
-      rows = [ (Ilp.Model.Ge, [ (0, 1.0) ], 2.0) ];
-    }
-  in
-  check_bool "infeasible" true (Ilp.Simplex.solve p = Ilp.Simplex.Infeasible)
-
-let test_simplex_unbounded () =
-  let p =
-    {
-      Ilp.Simplex.n_vars = 2;
-      lower = [| 0.0; 0.0 |];
-      upper = [| infinity; infinity |];
-      objective = [| -1.0; 0.0 |];
-      rows = [ (Ilp.Model.Le, [ (0, 1.0); (1, -1.0) ], 1.0) ];
-    }
-  in
-  check_bool "unbounded" true (Ilp.Simplex.solve p = Ilp.Simplex.Unbounded)
-
-let test_simplex_relax_knapsack () =
-  let m, _, _, _ = knapsack () in
-  match Ilp.Simplex.relax m with
-  | Ilp.Simplex.Optimal { objective; _ } ->
-      (* LP optimum: c=1, a=1, b=1/4 (ratios 3.5, 3.33, 3.25): -20.25 *)
-      close "lp bound" (-20.25) objective
-  | _ -> Alcotest.fail "expected optimal"
 
 (* -- Branch & bound ------------------------------------------------------ *)
 
@@ -278,42 +201,6 @@ let test_bb_negative_bounds () =
   check_int "objective tight" (-8)
     (Option.get (Ilp.Solver.solve m).Ilp.Solver.objective)
 
-let test_simplex_equalities_only () =
-  (* x + y = 3, x - y = 1 -> (2,1); minimize x *)
-  let q =
-    {
-      Ilp.Simplex.n_vars = 2;
-      lower = [| 0.0; 0.0 |];
-      upper = [| 10.0; 10.0 |];
-      objective = [| 1.0; 0.0 |];
-      rows =
-        [
-          (Ilp.Model.Eq, [ (0, 1.0); (1, 1.0) ], 3.0);
-          (Ilp.Model.Eq, [ (0, 1.0); (1, -1.0) ], 1.0);
-        ];
-    }
-  in
-  match Ilp.Simplex.solve q with
-  | Ilp.Simplex.Optimal { objective; primal } ->
-      close "x" 2.0 primal.(0);
-      close "y" 1.0 primal.(1);
-      close "obj" 2.0 objective
-  | _ -> Alcotest.fail "expected optimal"
-
-let test_simplex_no_rows () =
-  let q =
-    {
-      Ilp.Simplex.n_vars = 2;
-      lower = [| 1.0; 0.0 |];
-      upper = [| 4.0; 2.0 |];
-      objective = [| 1.0; -1.0 |];
-      rows = [];
-    }
-  in
-  match Ilp.Simplex.solve q with
-  | Ilp.Simplex.Optimal { objective; _ } -> close "bounds only" (-1.0) objective
-  | _ -> Alcotest.fail "expected optimal"
-
 (* -- Brute-force cross-check on random models ---------------------------- *)
 
 let gen_small_model =
@@ -361,24 +248,10 @@ let brute_force m =
   !best
 
 let prop_bb_matches_brute_force =
-  QCheck2.Test.make ~name:"B&B = brute force on random 0-1 models" ~count:300
+  QCheck2.Test.make ~name:"B&B = brute force on random 0-1 models" ~count:500
     gen_small_model (fun spec ->
       let m = build_model spec in
       let r = Ilp.Solver.solve m in
-      match (brute_force m, r.Ilp.Solver.status) with
-      | None, Ilp.Solver.Infeasible -> true
-      | None, _ -> false
-      | Some _, Ilp.Solver.Infeasible -> false
-      | Some expect, Ilp.Solver.Optimal ->
-          Option.get r.Ilp.Solver.objective = expect
-      | Some _, (Ilp.Solver.Feasible | Ilp.Solver.Unknown) -> false)
-
-let prop_bb_without_lp_matches =
-  QCheck2.Test.make ~name:"B&B without LP matches brute force" ~count:200
-    gen_small_model (fun spec ->
-      let m = build_model spec in
-      let opts = { Ilp.Solver.default with Ilp.Solver.lp = Ilp.Solver.Lp_never } in
-      let r = Ilp.Solver.solve ~options:opts m in
       match (brute_force m, r.Ilp.Solver.status) with
       | None, Ilp.Solver.Infeasible -> true
       | None, _ -> false
@@ -408,16 +281,21 @@ let prop_learning_matches_brute_force =
         [ true; false ])
 
 (* Soundness of the 1-UIP derivation itself: every nogood alive at the end
-   of the search must hold at every 0-1 point that satisfies the model and
-   beats the cutoff the nogood was derived under.  A violation here is a
-   learned clause that cuts off a feasible improving solution — the one
-   bug class that silently corrupts optima. *)
+   of the search must hold at every 0-1 point that satisfies the searched
+   model and beats the cutoff the nogood was derived under.  A violation
+   here is a learned clause that cuts off a feasible improving solution —
+   the one bug class that silently corrupts optima.  The searched model is
+   the model plus the lex rows of its detected orbits (a cold solve with
+   symmetry breaking on): a nogood may cut off a non-canonical point, such
+   as x1 = 0, x3 = 1 when x1 and x3 are interchangeable, because its
+   canonical image survives. *)
 let prop_learned_nogoods_implied =
   QCheck2.Test.make
     ~name:"every learned nogood is implied by model + cutoff" ~count:200
     gen_small_model (fun spec ->
       let m = build_model spec in
       let _, learned = Ilp.Solver.solve_with_learned m in
+      let searched = fst (Ilp.Symmetry.add_lex_rows m (Ilp.Symmetry.detect m)) in
       let n = Ilp.Model.n_vars m in
       List.for_all
         (fun (coefs, vars, rhs, cutoff_rhs) ->
@@ -425,7 +303,7 @@ let prop_learned_nogoods_implied =
           for mask = 0 to (1 lsl n) - 1 do
             let x = Array.init n (fun i -> (mask lsr i) land 1) in
             if
-              Ilp.Model.check m x = Ok ()
+              Ilp.Model.check searched x = Ok ()
               && Ilp.Model.objective_value m x <= cutoff_rhs
             then begin
               let lhs = ref 0 in
@@ -455,179 +333,6 @@ let prop_learned_rows_are_clauses =
              = Array.fold_left (fun n c -> if c = 1 then n + 1 else n) 0 coefs
                - 1)
         learned)
-
-let prop_lp_is_lower_bound =
-  QCheck2.Test.make ~name:"LP relaxation lower-bounds the ILP optimum"
-    ~count:200 gen_small_model (fun spec ->
-      let m = build_model spec in
-      match (brute_force m, Ilp.Simplex.relax m) with
-      | Some opt, Ilp.Simplex.Optimal { objective; _ } ->
-          objective <= float_of_int opt +. 1e-6
-      | None, _ -> true (* nothing to compare *)
-      | Some _, Ilp.Simplex.Infeasible -> false
-      | Some _, (Ilp.Simplex.Unbounded | Ilp.Simplex.Iteration_limit) -> true)
-
-(* The node LP bound must never exceed the true 0-1 optimum of the
-   subproblem: re-solve the warm instance under random bound fixings (as
-   branch-and-bound does) and cross-check the LP objective — and the
-   weak-duality fallback bound — against brute force restricted to the
-   same fixings. *)
-let prop_node_lp_bound_sound =
-  QCheck2.Test.make ~name:"node LP bound lower-bounds the fixed subproblem"
-    ~count:100
-    QCheck2.Gen.(pair gen_small_model (int_range 0 1_000_000))
-    (fun (spec, seed) ->
-      let m = build_model spec in
-      let n = Ilp.Model.n_vars m in
-      let rng = Random.State.make [| seed |] in
-      let lower = Array.make n 0 and upper = Array.make n 1 in
-      for v = 0 to n - 1 do
-        match Random.State.int rng 3 with
-        | 0 ->
-            lower.(v) <- 0;
-            upper.(v) <- 0
-        | 1 ->
-            lower.(v) <- 1;
-            upper.(v) <- 1
-        | _ -> ()
-      done;
-      let restricted_opt =
-        let best = ref None in
-        for mask = 0 to (1 lsl n) - 1 do
-          let x = Array.init n (fun i -> (mask lsr i) land 1) in
-          let in_box = ref true in
-          for i = 0 to n - 1 do
-            if x.(i) < lower.(i) || x.(i) > upper.(i) then in_box := false
-          done;
-          let in_box = !in_box in
-          if in_box && Ilp.Model.check m x = Ok () then begin
-            let obj = Ilp.Model.objective_value m x in
-            match !best with
-            | Some b when b <= obj -> ()
-            | Some _ | None -> best := Some obj
-          end
-        done;
-        !best
-      in
-      match Ilp.Simplex.instance_of_model ~lower ~upper m with
-      | None -> true
-      | Some inst -> (
-          let sound_dual =
-            match (Ilp.Simplex.dual_bound inst, restricted_opt) with
-            | Some d, Some opt -> d <= float_of_int opt +. 1e-6
-            | _, _ -> true
-          in
-          sound_dual
-          &&
-          match (Ilp.Simplex.resolve inst, restricted_opt) with
-          | Ilp.Simplex.Optimal { objective; _ }, Some opt ->
-              objective <= float_of_int opt +. 1e-6
-          | Ilp.Simplex.Optimal _, None ->
-              (* LP feasible over an integer-infeasible box is fine *) true
-          | Ilp.Simplex.Infeasible, Some _ -> false
-          | Ilp.Simplex.Infeasible, None -> true
-          | (Ilp.Simplex.Unbounded | Ilp.Simplex.Iteration_limit), _ -> true))
-
-(* Reduced-cost fixing is a pruning heuristic driven by the incumbent
-   cutoff: the root LP runs it as soon as an incumbent exists.  Warm
-   starting from the worst feasible point gives the root a weak cutoff,
-   so the fixings run on nearly every model, sequentially and at each
-   parallel subtree's root, and the solver must still return the
-   brute-force optimum. *)
-let prop_rc_fixing_preserves_optimum =
-  QCheck2.Test.make
-    ~name:"root LP + reduced-cost fixing keep the optimum" ~count:150
-    gen_small_model (fun spec ->
-      let m = build_model spec in
-      let n = Ilp.Model.n_vars m in
-      let worst = ref None in
-      for mask = 0 to (1 lsl n) - 1 do
-        let x = Array.init n (fun i -> (mask lsr i) land 1) in
-        if Ilp.Model.check m x = Ok () then
-          let obj = Ilp.Model.objective_value m x in
-          match !worst with
-          | Some (o, _) when o >= obj -> ()
-          | Some _ | None -> worst := Some (obj, x)
-      done;
-      let warm_start = Option.map snd !worst in
-      let options = { Ilp.Solver.default with Ilp.Solver.warm_start } in
-      let optimal (r : Ilp.Solver.outcome) =
-        match (brute_force m, r.Ilp.Solver.status) with
-        | None, Ilp.Solver.Infeasible -> true
-        | Some expect, Ilp.Solver.Optimal ->
-            Option.get r.Ilp.Solver.objective = expect
-            && r.Ilp.Solver.bound = expect
-        | _ -> false
-      in
-      optimal (Ilp.Solver.solve ~options m)
-      && optimal (Ilp.Solver.solve_parallel ~options ~jobs:2 m))
-
-(* Cover and clique cuts are derived from the constraint rows alone, so
-   they must not cut off any integer-feasible point (not merely the
-   optimum). *)
-let prop_root_cuts_preserve_feasible_set =
-  QCheck2.Test.make ~name:"root cuts preserve the 0-1 feasible set"
-    ~count:150 gen_small_model (fun spec ->
-      let m = build_model spec in
-      let m' = Ilp.Solver.with_root_cuts m in
-      let n = Ilp.Model.n_vars m in
-      let ok = ref true in
-      for mask = 0 to (1 lsl n) - 1 do
-        let x = Array.init n (fun i -> (mask lsr i) land 1) in
-        if Ilp.Model.check m x = Ok () && Ilp.Model.check m' x <> Ok () then
-          ok := false
-      done;
-      !ok)
-
-(* -- Warm-started dual simplex ------------------------------------------- *)
-
-(* Basis reuse across >= 1000 bound changes on one persistent instance per
-   model: every warm dual-simplex re-solve must agree with a cold two-phase
-   solve at the same bounds (status and objective). *)
-let test_warm_matches_cold () =
-  let rng = Random.State.make [| 42 |] in
-  let resolves = ref 0 in
-  let models = ref 0 in
-  while !resolves < 1000 do
-    incr models;
-    let m = build_model (QCheck2.Gen.generate1 ~rand:rng gen_small_model) in
-    match Ilp.Simplex.instance_of_model m with
-    | None -> Alcotest.fail "bounded model must yield an instance"
-    | Some inst ->
-        let n = Ilp.Model.n_vars m in
-        let lower = Array.make n 0 and upper = Array.make n 1 in
-        for _ = 1 to 45 do
-          let v = Random.State.int rng n in
-          (match Random.State.int rng 3 with
-          | 0 ->
-              lower.(v) <- 0;
-              upper.(v) <- 0
-          | 1 ->
-              lower.(v) <- 1;
-              upper.(v) <- 1
-          | _ ->
-              lower.(v) <- 0;
-              upper.(v) <- 1);
-          Ilp.Simplex.set_bounds inst v ~lo:(float_of_int lower.(v))
-            ~up:(float_of_int upper.(v));
-          incr resolves;
-          let warm = Ilp.Simplex.resolve inst in
-          let cold = Ilp.Simplex.relax ~lower ~upper m in
-          match (warm, cold) with
-          | Ilp.Simplex.Optimal a, Ilp.Simplex.Optimal b ->
-              Alcotest.(check (float 1e-4))
-                (Printf.sprintf "objective (model %d, resolve %d)" !models
-                   !resolves)
-                b.objective a.objective
-          | Ilp.Simplex.Infeasible, Ilp.Simplex.Infeasible -> ()
-          | Ilp.Simplex.Iteration_limit, _ | _, Ilp.Simplex.Iteration_limit ->
-              () (* inconclusive; instance stays usable *)
-          | _ ->
-              Alcotest.failf "warm/cold status mismatch (model %d, resolve %d)"
-                !models !resolves
-        done
-  done;
-  check_bool "exercised >= 1000 warm resolves" true (!resolves >= 1000)
 
 (* -- Presolve ------------------------------------------------------------- *)
 
@@ -1718,10 +1423,6 @@ let test_stats_parallel_jobs_invariant () =
       (List.init len (fun d -> d)));
   check_int "orbit fixings identical" s1.Ilp.Stats.orbit_fixings
     s4.Ilp.Stats.orbit_fixings;
-  check_int "cuts generated identical" s1.Ilp.Stats.cuts_generated
-    s4.Ilp.Stats.cuts_generated;
-  check_int "cuts kept identical" s1.Ilp.Stats.cuts_kept
-    s4.Ilp.Stats.cuts_kept;
   check_int "subtree count identical" s1.Ilp.Stats.subtrees
     s4.Ilp.Stats.subtrees;
   check_int "refinement passes identical" s1.Ilp.Stats.sym_refine_passes
@@ -1781,19 +1482,19 @@ let mk_stats ints =
   in
   let st = Ilp.Stats.create () in
   st.Ilp.Stats.presolve_s <- float_of_int (get 0);
-  st.Ilp.Stats.cuts_s <- float_of_int (get 1);
+  st.Ilp.Stats.build_s <- float_of_int (get 1);
   st.Ilp.Stats.search_s <- float_of_int (get 2);
   st.Ilp.Stats.lp_s <- float_of_int (get 3);
   st.Ilp.Stats.probe_s <- float_of_int (get 4);
-  st.Ilp.Stats.cut_rounds <- get 5;
-  st.Ilp.Stats.cuts_kept <- get 6;
+  st.Ilp.Stats.prop_conflicts <- get 5;
+  st.Ilp.Stats.probe_calls <- get 6;
   st.Ilp.Stats.prop_fixpoints <- get 7;
   st.Ilp.Stats.prop_ticks <- get 8;
   st.Ilp.Stats.probe_trials <- get 9;
   st.Ilp.Stats.probe_hits <- get 10;
   st.Ilp.Stats.lp_resolves <- get 11;
-  st.Ilp.Stats.lp_warm <- get 12;
-  st.Ilp.Stats.rc_fixings <- get 13;
+  st.Ilp.Stats.probe_skips <- get 12;
+  st.Ilp.Stats.probe_backoffs <- get 13;
   st.Ilp.Stats.orbit_fixings <- get 14;
   st.Ilp.Stats.subtrees <- get 15;
   st.Ilp.Stats.steals <- get 16;
@@ -1941,15 +1642,7 @@ let gen_trace_event =
   let open QCheck2.Gen in
   let nat = int_range 0 5_000_000 in
   let bound = oneof [ int_range (-10_000) 10_000; return max_int ] in
-  let reason =
-    oneofl
-      [
-        Ilp.Trace.Cutoff;
-        Ilp.Trace.Probed;
-        Ilp.Trace.Lp_infeasible;
-        Ilp.Trace.Lp_bound;
-      ]
-  in
+  let reason = oneofl [ Ilp.Trace.Cutoff; Ilp.Trace.Probed ] in
   let message =
     string_size (int_range 0 30)
       ~gen:
@@ -1974,18 +1667,11 @@ let gen_trace_event =
         (fun (objective, nodes) -> Ilp.Trace.Incumbent { objective; nodes })
         (pair (int_range (-10_000) 10_000) nat);
       map
-        (fun (round, cuts) -> Ilp.Trace.Cut_round { round; cuts })
-        (pair (int_range 0 50) (int_range 0 500));
-      map
         (fun (id, depth) -> Ilp.Trace.Subtree { id; depth })
         (pair nat (int_range 0 500));
       map
         (fun (thief, victim) -> Ilp.Trace.Steal { thief; victim })
         (pair (int_range 0 63) (int_range 0 63));
-      map
-        (fun (pivots, (iters, refactors)) ->
-          Ilp.Trace.Lp { pivots; iters; refactors })
-        (pair nat (pair nat nat));
       map
         (fun ((depth, level), (lbd, size), nodes) ->
           Ilp.Trace.Conflict { depth; level; lbd; size; nodes })
@@ -2013,6 +1699,36 @@ let prop_trace_jsonl_roundtrip =
       | Error msg -> QCheck2.Test.fail_reportf "parse failed on %s: %s" line msg
       | Ok (t, ev') ->
           ev' = ev && Ilp.Trace.jsonl_line ~time_s:t ev' = line)
+
+(* Traces written before the solver lost its LP carry prune reasons and
+   events that no longer exist.  Each such line must fail the parse with
+   an [Error] naming the line and the offending value, never raise. *)
+let replay_rejects line needle () =
+  let node =
+    {|{"t":0.000100,"ev":"node","depth":0,"nodes":1,"var":-1,"value":0,"bound":5}|}
+  in
+  match Ilp.Replay.of_string (node ^ "\n" ^ line ^ "\n") with
+  | Ok _ -> Alcotest.failf "parsed: %s" line
+  | Error msg ->
+      check_bool
+        (Printf.sprintf "%S names line 2 and %s" msg needle)
+        true
+        (contains msg "line 2" && contains msg needle)
+  | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+
+let test_replay_rejects_lp_bound =
+  replay_rejects
+    {|{"t":0.000200,"ev":"prune","depth":0,"reason":"lp_bound","bound":7,"nodes":1}|}
+    {|prune reason "lp_bound"|}
+
+let test_replay_rejects_cut_round =
+  replay_rejects {|{"t":0.000200,"ev":"cut_round","round":1,"cuts":12}|}
+    {|event kind "cut_round"|}
+
+let test_replay_rejects_lp_event =
+  replay_rejects
+    {|{"t":0.000200,"ev":"lp","pivots":40,"iters":52,"refactors":1}|}
+    {|event kind "lp"|}
 
 (* End-to-end: solve with a JSONL sink, parse the trace back, and check
    the post-mortem's books balance against the solver's own outcome. *)
@@ -2068,17 +1784,6 @@ let () =
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_linexpr_of_list_matches_fold ] );
       ("model", [ Alcotest.test_case "check" `Quick test_model_check ]);
-      ( "simplex",
-        [
-          Alcotest.test_case "basic" `Quick test_simplex_basic;
-          Alcotest.test_case "phase1" `Quick test_simplex_phase1;
-          Alcotest.test_case "infeasible" `Quick test_simplex_infeasible;
-          Alcotest.test_case "unbounded" `Quick test_simplex_unbounded;
-          Alcotest.test_case "relax knapsack" `Quick test_simplex_relax_knapsack;
-          Alcotest.test_case "equalities only" `Quick test_simplex_equalities_only;
-          Alcotest.test_case "no rows" `Quick test_simplex_no_rows;
-          Alcotest.test_case "warm = cold" `Quick test_warm_matches_cold;
-        ] );
       ( "branch_bound",
         [
           Alcotest.test_case "knapsack" `Quick test_bb_knapsack;
@@ -2093,14 +1798,7 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [
-            prop_bb_matches_brute_force;
-            prop_bb_without_lp_matches;
-            prop_lp_is_lower_bound;
-            prop_node_lp_bound_sound;
-            prop_rc_fixing_preserves_optimum;
-            prop_root_cuts_preserve_feasible_set;
-          ] );
+          [ prop_bb_matches_brute_force ] );
       ( "lp_format",
         [
           Alcotest.test_case "render" `Quick test_lp_format;
@@ -2187,6 +1885,12 @@ let () =
         [
           Alcotest.test_case "analyze balances the books" `Quick
             test_replay_analyze_matches_solve;
+          Alcotest.test_case "rejects lp_bound prunes" `Quick
+            test_replay_rejects_lp_bound;
+          Alcotest.test_case "rejects cut_round events" `Quick
+            test_replay_rejects_cut_round;
+          Alcotest.test_case "rejects lp events" `Quick
+            test_replay_rejects_lp_event;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_trace_jsonl_roundtrip ] );
     ]
