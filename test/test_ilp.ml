@@ -248,10 +248,29 @@ let brute_force m =
   !best
 
 let prop_bb_matches_brute_force =
-  QCheck2.Test.make ~name:"B&B = brute force on random 0-1 models" ~count:500
+  QCheck2.Test.make ~name:"B&B = brute force on random 0-1 models" ~count:300
     gen_small_model (fun spec ->
       let m = build_model spec in
       let r = Ilp.Solver.solve m in
+      match (brute_force m, r.Ilp.Solver.status) with
+      | None, Ilp.Solver.Infeasible -> true
+      | None, _ -> false
+      | Some _, Ilp.Solver.Infeasible -> false
+      | Some expect, Ilp.Solver.Optimal ->
+          Option.get r.Ilp.Solver.objective = expect
+      | Some _, (Ilp.Solver.Feasible | Ilp.Solver.Unknown) -> false)
+
+(* The bare bound-and-propagate search, with symmetry breaking and
+   conflict learning off: the solver has no LP relaxation, so its only
+   pruning is the propagation fixpoint and the incumbent cutoff. *)
+let prop_bb_without_lp_matches =
+  QCheck2.Test.make ~name:"B&B without LP matches brute force" ~count:200
+    gen_small_model (fun spec ->
+      let m = build_model spec in
+      let opts =
+        { Ilp.Solver.default with Ilp.Solver.sym = false; learn = false }
+      in
+      let r = Ilp.Solver.solve ~options:opts m in
       match (brute_force m, r.Ilp.Solver.status) with
       | None, Ilp.Solver.Infeasible -> true
       | None, _ -> false
@@ -1798,7 +1817,7 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_bb_matches_brute_force ] );
+          [ prop_bb_matches_brute_force; prop_bb_without_lp_matches ] );
       ( "lp_format",
         [
           Alcotest.test_case "render" `Quick test_lp_format;
