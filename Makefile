@@ -73,8 +73,8 @@ ilp-smoke:
 	grep -q '^objective: 1104$$' $(CURDIR)/_build/ilp_smoke.txt
 
 # Kernel micro-benchmark: propagation fixpoint sweeps/s on a fixed
-# instance (tseng k=1) and symmetry detect calls/s (wavelet6 k=2).
-# Non-gating — rates are machine-dependent — but the report is kept in
+# instance (tseng k=1).
+# Non-gating — the rate is machine-dependent — but the report is kept in
 # _build/perf_micro.txt so CI can upload it next to bench_diff.txt for
 # trend eyeballing.
 perf:
@@ -103,7 +103,7 @@ perfbench-smoke:
 # (circuit, k) row's design area regressed vs the committed
 # BENCH_solver.json, and the diff report classifies every other drift
 # (a few minutes: it re-runs every committed sweep under the node budget).  The perf
-# micro-rates ride along non-gating (`|| true` lives in the CI step, not
+# micro-rate rides along non-gating (`|| true` lives in the CI step, not
 # here, so interactive `make perf` still reports failures).  The
 # benchmark smoke checks that the explore workload still runs and every
 # design it returns passes the audit, and that every prove proof still

@@ -7,7 +7,7 @@
      dune exec bench/main.exe -- json         -- solver perf -> BENCH_solver.json
      dune exec bench/main.exe -- smoke        -- CI gate vs the committed snapshot
      dune exec bench/main.exe -- diff A B     -- regression diff of two snapshots
-     dune exec bench/main.exe -- perf         -- kernel micro-rates (non-gating)
+     dune exec bench/main.exe -- perf         -- kernel micro-rate (non-gating)
 
    The ILP budget per instance defaults to 10 s (the paper allowed 24 CPU
    hours per instance on CPLEX 6.0); override with ADVBIST_BENCH_BUDGET
@@ -672,16 +672,11 @@ let smoke () =
 (* ------------------------------------------------- kernel micro-benchmark *)
 
 (* `perf` arm: the propagation kernel's rate on a fixed instance (tseng
-   k=1), for the CI artifact next to bench_diff.txt, plus the symmetry
-   detection rate on wavelet6 k=2.  Two numbers:
+   k=1), for the CI artifact next to bench_diff.txt: full worklist
+   fixpoints over the presolved model's rows via
+   Ilp.Solver.propagation_rate, in sweeps/s.
 
-   - propagation sweeps/s: full worklist fixpoints over the presolved
-     model's rows via Ilp.Solver.propagation_rate;
-   - symmetry detect calls/s: Ilp.Symmetry.detect on the presolved
-     wavelet6 k=2 model, the set-up every synthesis solve pays before its
-     search.
-
-   Non-gating by design: rates are machine-dependent, so the artifact is
+   Non-gating by design: the rate is machine-dependent, so the artifact is
    for eyeballing trends across CI runs, not a pass/fail check. *)
 let perf () =
   let p =
@@ -694,33 +689,9 @@ let perf () =
   let e = Advbist.Encoding.build p ~n_regs:(Dfg.Problem.min_registers p) ~k:1 in
   let model, _ = Ilp.Presolve.strengthen e.Advbist.Encoding.model in
   Printf.printf "perf: %s\n" (Ilp.Model.stats model);
-  (* propagation: full fixpoint sweeps on the same model *)
   let sweeps = 2_000 in
   let rate = Ilp.Solver.propagation_rate model ~sweeps in
-  Printf.printf "perf: propagation %d sweeps = %.0f sweeps/s\n" sweeps rate;
-  (* symmetry detection: whole Symmetry.detect calls (colour refinement
-     plus transposition checks) on the presolved wavelet6 k=2 model *)
-  match Circuits.Suite.find "wavelet6" with
-  | None -> prerr_endline "perf: wavelet6 circuit missing"
-  | Some p ->
-      let e =
-        Advbist.Encoding.build p ~n_regs:(Dfg.Problem.min_registers p) ~k:2
-      in
-      let model, _ = Ilp.Presolve.strengthen e.Advbist.Encoding.model in
-      let calls = 50 in
-      let st = Ilp.Stats.create () in
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to calls do
-        ignore (Ilp.Symmetry.detect ~stats:st model)
-      done;
-      let dt = Unix.gettimeofday () -. t0 in
-      Printf.printf
-        "perf: symmetry detect %d calls on wavelet6 k=2 (%d vars) = %.1f \
-         calls/s, %d passes and %d transpositions per call\n"
-        calls (Ilp.Model.n_vars model)
-        (float_of_int calls /. dt)
-        (st.Ilp.Stats.sym_refine_passes / calls)
-        (st.Ilp.Stats.sym_transpositions / calls)
+  Printf.printf "perf: propagation %d sweeps = %.0f sweeps/s\n" sweeps rate
 
 (* Snapshot regression diff: FAIL on area/optimality/coverage losses,
    warn on node-count, gap, time and phase-share drift. *)

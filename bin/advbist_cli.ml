@@ -78,15 +78,6 @@ let jobs_arg =
           "Worker domains for the work-stealing parallel tree search \
            (default: $(b,ADVBIST_JOBS) from the environment, else 1).")
 
-let sym_arg =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "sym" ] ~docv:"on|off"
-        ~doc:
-          "Orbit-based symmetry breaking in the solver (lexicographic \
-           ordering rows + orbital fixing).  Default: on.")
-
 let steal_arg =
   Arg.(
     value
@@ -170,7 +161,7 @@ let explain_arg =
           "Capture the solve's search trace and print a post-mortem to \
            stderr: prune-reason attribution, wasted work against the \
            final incumbent, primal/dual gap closure, per-depth and \
-           per-orbit branching profiles.  Composes with --trace (the \
+           per-variable branching profiles.  Composes with --trace (the \
            sink still receives every event).")
 
 let format_arg =
@@ -243,8 +234,8 @@ let ref_cmd =
 (* -- synth --------------------------------------------------------------- *)
 
 let synth_cmd =
-  let run circuit file time_limit k meth verilog lp jobs sym steal stats
-      trace_file explain learn =
+  let run circuit file time_limit k meth verilog lp jobs steal stats trace_file
+      explain learn =
     let p = or_die (load ~circuit ~file) in
     let k = Option.value k ~default:(Dfg.Problem.n_modules p) in
     Option.iter
@@ -260,7 +251,7 @@ let synth_cmd =
       | `Advbist ->
           let o =
             or_die
-              (Advbist.Synth.synthesize ~time_limit ~jobs ~sym ~steal ~stats
+              (Advbist.Synth.synthesize ~time_limit ~jobs ~steal ~stats
                  ?trace ~explain ~learn p ~k)
           in
           (match o.Advbist.Synth.stats with
@@ -276,10 +267,8 @@ let synth_cmd =
           ( o.Advbist.Synth.plan,
             if o.Advbist.Synth.optimal then "optimal"
             else
-              Printf.sprintf
-                "time limit *; gap %.1f%%, %d orbits, %d stolen subtrees"
-                o.Advbist.Synth.gap_pct o.Advbist.Synth.orbits
-                o.Advbist.Synth.stolen )
+              Printf.sprintf "time limit *; gap %.1f%%, %d stolen subtrees"
+                o.Advbist.Synth.gap_pct o.Advbist.Synth.stolen )
       | `Advan -> (or_die (Baselines.Advan.synthesize p ~k), "heuristic")
       | `Ralloc -> (or_die (Baselines.Ralloc.synthesize p ~k), "heuristic")
       | `Bits -> (or_die (Baselines.Bits.synthesize p ~k), "heuristic")
@@ -301,20 +290,20 @@ let synth_cmd =
   Cmd.v (Cmd.info "synth" ~doc:"Synthesize a built-in self-testable data path.")
     Term.(
       const run $ circuit_arg $ file_arg $ time_limit_arg $ k_arg $ method_arg
-      $ verilog_arg $ lp_arg $ jobs_arg $ sym_arg $ steal_arg $ stats_arg
-      $ trace_arg $ explain_arg $ learn_arg)
+      $ verilog_arg $ lp_arg $ jobs_arg $ steal_arg $ stats_arg $ trace_arg
+      $ explain_arg $ learn_arg)
 
 (* -- sweep --------------------------------------------------------------- *)
 
 let sweep_cmd =
-  let run circuit file time_limit fmt jobs sym steal stats trace_file explain
-      learn =
+  let run circuit file time_limit fmt jobs steal stats trace_file explain learn
+      =
     let p = or_die (load ~circuit ~file) in
     let trace = Option.map Ilp.Trace.file trace_file in
     let reference, rows =
       or_die
-        (Advbist.Synth.sweep ~time_limit ~jobs ~sym ~steal ~stats ?trace
-           ~explain ~learn p)
+        (Advbist.Synth.sweep ~time_limit ~jobs ~steal ~stats ?trace ~explain
+           ~learn p)
     in
     Option.iter Ilp.Trace.close trace;
     Format.printf "reference area %d%s@." reference.Advbist.Synth.ref_area
@@ -322,10 +311,8 @@ let sweep_cmd =
     List.iter
       (fun { Advbist.Synth.k; outcome = o; _ } ->
         if not o.Advbist.Synth.optimal then
-          Format.printf
-            "k=%d: limit hit; gap %.1f%%, %d orbits, %d stolen subtrees@." k
-            o.Advbist.Synth.gap_pct o.Advbist.Synth.orbits
-            o.Advbist.Synth.stolen)
+          Format.printf "k=%d: limit hit; gap %.1f%%, %d stolen subtrees@." k
+            o.Advbist.Synth.gap_pct o.Advbist.Synth.stolen)
       rows;
     (* the aggregate over every solve of the sweep, reference included *)
     (match Advbist.Synth.sweep_stats ~reference rows with
@@ -346,8 +333,8 @@ let sweep_cmd =
        ~doc:"Synthesize one ADVBIST design per k-test session (Table 2).")
     Term.(
       const run $ circuit_arg $ file_arg $ time_limit_arg $ format_arg
-      $ jobs_arg $ sym_arg $ steal_arg $ stats_arg $ trace_arg
-      $ explain_arg $ learn_arg)
+      $ jobs_arg $ steal_arg $ stats_arg $ trace_arg $ explain_arg
+      $ learn_arg)
 
 (* -- compare ------------------------------------------------------------- *)
 

@@ -33,16 +33,6 @@ let learn_arg =
            1-UIP nogood, append it to a bounded learned-clause database \
            and backjump non-chronologically.  Default: on.")
 
-let sym_arg =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "sym" ] ~docv:"on|off"
-        ~doc:
-          "Symmetry breaking: detect interchangeable-variable orbits, add \
-           lexicographic ordering rows at the root and fix orbits during \
-           search.  Default: on.")
-
 let steal_arg =
   Arg.(
     value
@@ -86,7 +76,7 @@ let load path =
       exit 1
 
 let solve_cmd =
-  let run path time_limit verbose learn sym steal jobs stats trace_file =
+  let run path time_limit verbose learn steal jobs stats trace_file =
     let { Ilp.Lp_parse.model; negated } = load path in
     Printf.printf "%s\n" (Ilp.Model.stats model);
     let trace = Option.map Ilp.Trace.file trace_file in
@@ -96,7 +86,6 @@ let solve_cmd =
         Ilp.Solver.time_limit;
         verbose;
         learn;
-        sym;
         stats;
         trace;
       }
@@ -115,9 +104,8 @@ let solve_cmd =
     | None -> ());
     let sign v = if negated then -v else v in
     let limit_detail () =
-      (* On a limit hit, report how much structure the search exploited. *)
-      Printf.printf "orbits: %d\nstolen: %d\n" r.Ilp.Solver.orbits
-        r.Ilp.Solver.stolen
+      (* On a limit hit, report how the parallel search spread the work. *)
+      Printf.printf "stolen: %d\n" r.Ilp.Solver.stolen
     in
     (match r.Ilp.Solver.status with
     | Ilp.Solver.Optimal ->
@@ -154,7 +142,7 @@ let solve_cmd =
   Cmd.v (Cmd.info "solve" ~doc:"Solve an integer program to optimality.")
     Term.(
       const run $ file_arg $ time_limit_arg $ verbose_arg $ learn_arg
-      $ sym_arg $ steal_arg $ jobs_arg $ stats_flag_arg $ trace_arg)
+      $ steal_arg $ jobs_arg $ stats_flag_arg $ trace_arg)
 
 let stats_cmd =
   let run path =

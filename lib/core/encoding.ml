@@ -622,133 +622,6 @@ let branch_order e =
     e.t_rmlp;
   List.rev !order
 
-(* --- symmetry orbits ----------------------------------------------------
-
-   Structural interchangeability candidates, each proven exact by
-   {!Ilp.Symmetry.filter_verified} before use:
-
-   - registers not pinned by the clique pre-assignment (every variable
-     family is register-saturated, so unpinned register indices are pure
-     labels);
-   - identical-kind module groups that [module_symmetry_fixing] could not
-     pin (no saturated step existed).  At k >= 2 the session
-     canonicalization rows couple module indices and the verifier rejects
-     these — the win is the reference and k = 1 models;
-   - sub-test sessions when k >= 2 (only survive verification when the
-     encoding was built with [~symmetry:false], since the Section 3.5
-     canonicalization rows break this symmetry already).
-
-   Columns are collected by index token in the variable names ("_r<i>",
-   "_m<i>", "_p<i>"), which covers every register/module/session-indexed
-   family including the auxiliary support and mux-threshold variables; a
-   mis-grouped column cannot produce a wrong orbit, only a rejected one. *)
-
-let token_index ~prefix name =
-  let n = String.length name and pl = String.length prefix in
-  let is_digit c = c >= '0' && c <= '9' in
-  let rec find i =
-    if i + pl >= n then None
-    else if String.sub name i pl = prefix && is_digit name.[i + pl] then begin
-      let j = ref (i + pl) in
-      while !j < n && is_digit name.[!j] do
-        incr j
-      done;
-      let idx = int_of_string (String.sub name (i + pl) (!j - i - pl)) in
-      let masked =
-        String.sub name 0 (i + pl) ^ "#" ^ String.sub name !j (n - !j)
-      in
-      Some (idx, masked)
-    end
-    else find (i + 1)
-  in
-  find 0
-
-(* One Blocks candidate from the variables carrying [prefix]-indexed names,
-   restricted to [members]; columns are aligned by masked name and must
-   align exactly or the candidate is discarded. *)
-let block_candidate model ~prefix members =
-  if List.length members < 2 then []
-  else begin
-    let tbl = Hashtbl.create 97 in
-    let n = Ilp.Model.n_vars model in
-    for v = 0 to n - 1 do
-      match token_index ~prefix (Ilp.Model.var_name model v) with
-      | Some (idx, masked) when List.mem idx members ->
-          Hashtbl.replace tbl idx
-            ((masked, v)
-            ::
-            (match Hashtbl.find_opt tbl idx with Some l -> l | None -> []))
-      | Some _ | None -> ()
-    done;
-    let cols =
-      List.map
-        (fun idx ->
-          List.sort compare
-            (match Hashtbl.find_opt tbl idx with Some l -> l | None -> []))
-        members
-    in
-    match cols with
-    | first :: rest when first <> [] ->
-        let keys c = List.map fst c in
-        let k0 = keys first in
-        if List.for_all (fun c -> keys c = k0) rest then
-          [
-            Ilp.Symmetry.Blocks
-              (Array.of_list
-                 (List.map
-                    (fun c -> Array.of_list (List.map snd c))
-                    cols));
-          ]
-        else []
-    | _ -> []
-  end
-
-let orbits e =
-  let m = e.model in
-  let pinned_to_one v =
-    let lb, _ = Ilp.Model.bounds m v in
-    lb >= 1
-  in
-  (* registers not pinned by the clique pre-assignment *)
-  let free_regs =
-    List.filter
-      (fun r -> not (Array.exists (fun row -> pinned_to_one row.(r)) e.x_vr))
-      (List.init e.n_regs Fun.id)
-  in
-  let reg_cands = block_candidate m ~prefix:"_r" free_regs in
-  (* identical-kind module groups not pinned by module_symmetry_fixing *)
-  let groups = Hashtbl.create 7 in
-  Array.iteri
-    (fun md fu ->
-      let key = fu.Dfg.Fu_kind.fu_name in
-      Hashtbl.replace groups key
-        (match Hashtbl.find_opt groups key with
-        | Some ms -> ms @ [ md ]
-        | None -> [ md ]))
-    e.problem.Dfg.Problem.modules;
-  let mod_cands =
-    Hashtbl.fold
-      (fun _ ms acc ->
-        let free =
-          List.filter
-            (fun md ->
-              not
-                (Array.exists
-                   (fun row -> row.(md) >= 0 && pinned_to_one row.(md))
-                   e.x_om))
-            ms
-        in
-        block_candidate m ~prefix:"_m" free @ acc)
-      groups []
-  in
-  (* sub-test sessions (rejected by the verifier unless symmetry rows
-     were disabled at build time) *)
-  let ses_cands =
-    if e.k >= 2 then block_candidate m ~prefix:"_p" (List.init e.k Fun.id)
-    else []
-  in
-  Ilp.Symmetry.filter_verified m (reg_cands @ mod_cands @ ses_cands)
-
 (* --- structural dual bound -----------------------------------------------
 
    A combinatorial lower bound on the ILP objective, independent of the

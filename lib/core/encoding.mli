@@ -70,16 +70,6 @@ val branch_order : t -> int list
 (** Decision variables in a good branching order: register assignment,
     module binding, swaps, then session structure. *)
 
-val orbits : t -> Ilp.Symmetry.orbit list
-(** Exactly-verified variable-interchangeability orbits of the model, for
-    {!Ilp.Solver.options.orbits}: registers left unpinned by the clique
-    pre-assignment, identical-kind module groups the saturated-step fixing
-    could not pin, and (when the Section 3.5 canonicalization rows were
-    disabled) interchangeable sub-test sessions.  Every candidate passes
-    {!Ilp.Symmetry.filter_verified}, so the list is safe to hand to the
-    solver as-is; it is empty whenever the existing in-model symmetry
-    reductions already pinned everything. *)
-
 val objective_lower_bound : t -> int
 (** A structural (combinatorial) lower bound on the model objective, on the
     same scale as {!Ilp.Model.objective_value} (add {!base_area} for the

@@ -5,7 +5,6 @@ type outcome = {
   solve_time : float;
   nodes : int;
   gap_pct : float;
-  orbits : int;
   stolen : int;
   stats : Ilp.Stats.t option;
   explain : Ilp.Replay.report option;
@@ -72,8 +71,7 @@ let align_to_clique (p : Dfg.Problem.t) (d : Datapath.Netlist.t) =
     ~module_of_op:d.Datapath.Netlist.module_of_op
 
 let solver_options ?time_limit ?node_limit ?(stats = false) ?trace
-    ?(learn = Ilp.Solver.default.Ilp.Solver.learn) ~sym ~orbits encoding
-    warm =
+    ?(learn = Ilp.Solver.default.Ilp.Solver.learn) encoding warm =
   {
     Ilp.Solver.default with
     Ilp.Solver.time_limit;
@@ -84,12 +82,6 @@ let solver_options ?time_limit ?node_limit ?(stats = false) ?trace
     branch_order = Some (Encoding.branch_order encoding);
     warm_start = warm;
     prefer_high = false;
-    sym;
-    (* structural orbits the in-model reductions left unbroken
-       ({!Encoding.orbits}), verified exactly, so the solver takes them
-       as-is; they are usually empty, and then the solver runs its own
-       {!Ilp.Symmetry.detect} on the presolved model *)
-    orbits = (if sym then orbits else []);
   }
 
 (* One ILP solve: a work-stealing parallel subtree search, or the plain
@@ -101,10 +93,10 @@ let run_solver ~jobs ~steal options model =
 
 (* Post-mortem capture: when [explain] is set the solve's trace is
    routed to a private temp JSONL file, parsed back with {!Ilp.Replay}
-   and analyzed against the encoding's orbits.  A caller-supplied sink
+   and analyzed.  A caller-supplied sink
    still sees every event — the captured stream is replayed into it
    after the solve (content-identical, just not live). *)
-let with_explain ~explain ?trace ~orbits run =
+let with_explain ~explain ?trace run =
   if not explain then (run trace, None)
   else begin
     let path = Filename.temp_file "advbist_trace" ".jsonl" in
@@ -125,7 +117,7 @@ let with_explain ~explain ?trace ~orbits run =
           | Some s ->
               List.iter (fun (t, ev) -> Ilp.Trace.emit s ~time_s:t ev) events
           | None -> ());
-          Some (Ilp.Replay.analyze ~orbits events)
+          Some (Ilp.Replay.analyze events)
       | Error _ -> None
     in
     (try Sys.remove path with Sys_error _ -> ());
@@ -140,17 +132,15 @@ let stamp_presolve (r : Ilp.Solver.outcome) presolve_s =
   | Some st -> st.Ilp.Stats.presolve_s <- st.Ilp.Stats.presolve_s +. presolve_s
   | None -> ()
 
-let reference ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
-    ?(steal = true) ?stats ?trace ?learn (p : Dfg.Problem.t) =
+let reference ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(steal = true)
+    ?stats ?trace ?learn (p : Dfg.Problem.t) =
   let n_regs = Dfg.Problem.min_registers p in
   let e = Encoding.build_reference ?symmetry p ~n_regs in
   let* d0 = Heuristic.netlist p in
   let* d0 = align_to_clique p d0 in
   let warm = Result.to_option (Encoding.vector_of_netlist e d0) in
   let options =
-    solver_options ?time_limit ?node_limit ?stats ?trace ?learn ~sym
-      ~orbits:(if sym then Encoding.orbits e else [])
-      e warm
+    solver_options ?time_limit ?node_limit ?stats ?trace ?learn e warm
   in
   (* presolve keeps variable indices, so decoding solutions still works *)
   let t_pre = Unix.gettimeofday () in
@@ -171,9 +161,8 @@ let reference ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
           ref_stats = r.Ilp.Solver.stats;
         }
 
-let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
-    ?(steal = true) ?stats ?trace ?(explain = false) ?learn ?seed
-    (p : Dfg.Problem.t) ~k =
+let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(steal = true)
+    ?stats ?trace ?(explain = false) ?learn ?seed (p : Dfg.Problem.t) ~k =
   let* () =
     if k >= 1 then Ok ()
     else Error (Printf.sprintf "k must be >= 1 (got %d)" k)
@@ -215,19 +204,14 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
     | Some h, s -> (Some h, s)
     | None, s -> (s, None)
   in
-  (* computed once: the solver takes them under [sym], the post-mortem
-     analysis under [explain] *)
-  let orbits = if sym || explain then Encoding.orbits e else [] in
-  let options =
-    solver_options ?time_limit ?node_limit ?stats ?learn ~sym ~orbits e warm
-  in
+  let options = solver_options ?time_limit ?node_limit ?stats ?learn e warm in
   let options = { options with Ilp.Solver.incumbent_start = incumbent } in
   (* presolve keeps variable indices, so decoding solutions still works *)
   let t_pre = Unix.gettimeofday () in
   let model, _pstats = Ilp.Presolve.strengthen e.Encoding.model in
   let presolve_s = Unix.gettimeofday () -. t_pre in
   let r, report =
-    with_explain ~explain ?trace ~orbits (fun tr ->
+    with_explain ~explain ?trace (fun tr ->
         let options = { options with Ilp.Solver.trace = tr } in
         let r = run_solver ~jobs ~steal options model in
         stamp_presolve r presolve_s;
@@ -272,7 +256,6 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
                 gap_pct
                   ~lower_bound:(Encoding.objective_lower_bound e)
                   ~base_area:e.Encoding.base_area ~area r;
-              orbits = r.Ilp.Solver.orbits;
               stolen = r.Ilp.Solver.stolen;
               stats = r.Ilp.Solver.stats;
               explain = report;
@@ -280,11 +263,11 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
 
 type sweep_row = { k : int; outcome : outcome; overhead_pct : float }
 
-let sweep ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
-    ?(steal = true) ?stats ?trace ?explain ?learn p =
+let sweep ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(steal = true)
+    ?stats ?trace ?explain ?learn p =
   let* reference =
-    reference ?time_limit ?node_limit ?symmetry ~jobs ~sym ~steal ?stats
-      ?trace ?learn p
+    reference ?time_limit ?node_limit ?symmetry ~jobs ~steal ?stats ?trace
+      ?learn p
   in
   let n = Dfg.Problem.n_modules p in
   (* The sweep is sequential in k so each instance can be seeded with the
@@ -296,8 +279,8 @@ let sweep ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(sym = true)
     if k > n then Ok (List.rev acc)
     else
       let* outcome =
-        synthesize ?time_limit ?node_limit ?symmetry ~jobs ~sym ~steal
-          ?stats ?trace ?explain ?learn ~seed p ~k
+        synthesize ?time_limit ?node_limit ?symmetry ~jobs ~steal ?stats
+          ?trace ?explain ?learn ~seed p ~k
       in
       let overhead_pct =
         Bist.Plan.overhead_pct outcome.plan ~reference:reference.ref_area

@@ -22,7 +22,6 @@ type outcome = {
           better of the solver's search bound and the structural bound
           {!Encoding.objective_lower_bound}, lifted to the area scale by
           {!Encoding.base_area} *)
-  orbits : int;  (** symmetry orbits the solver broke (orbital fixing) *)
   stolen : int;  (** subtrees stolen across domains ([jobs >= 2] only) *)
   stats : Ilp.Stats.t option;
       (** solver telemetry, present iff the solve ran with [stats];
@@ -30,8 +29,8 @@ type outcome = {
           before handing the model to the solver *)
   explain : Ilp.Replay.report option;
       (** search post-mortem, present iff the solve ran with [explain]:
-          the solve's trace replayed through {!Ilp.Replay.analyze}
-          against the encoding's orbits — prune attribution, wasted
+          the solve's trace replayed through {!Ilp.Replay.analyze} —
+          prune attribution, per-variable branching efficacy, wasted
           work, gap-closure curves *)
 }
 
@@ -45,20 +44,19 @@ type reference = {
 
 val reference :
   ?time_limit:float -> ?node_limit:int -> ?symmetry:bool ->
-  ?jobs:int -> ?sym:bool -> ?steal:bool ->
+  ?jobs:int -> ?steal:bool ->
   ?stats:bool -> ?trace:Ilp.Trace.sink -> ?learn:bool ->
   Dfg.Problem.t ->
   (reference, string) result
 (** Area-optimal non-BIST data path (registers all plain + minimal mux
-    area), warm-started from left-edge + greedy binding.  [sym] (default
-    true) passes the encoding's verified orbits to the solver for lex
-    rows and orbital fixing.  [jobs >= 2] with [steal] (default true)
+    area), warm-started from left-edge + greedy binding.  [jobs >= 2]
+    with [steal] (default true)
     runs the work-stealing parallel tree search
     ({!Ilp.Solver.solve_parallel}). *)
 
 val synthesize :
   ?time_limit:float -> ?node_limit:int -> ?symmetry:bool ->
-  ?jobs:int -> ?sym:bool -> ?steal:bool ->
+  ?jobs:int -> ?steal:bool ->
   ?stats:bool -> ?trace:Ilp.Trace.sink -> ?explain:bool -> ?learn:bool ->
   ?seed:Datapath.Netlist.t -> Dfg.Problem.t -> k:int ->
   (outcome, string) result
@@ -71,7 +69,7 @@ val synthesize :
     [outcome.explain] — a caller-supplied [trace] sink still receives
     every event, replayed after the solve rather than live.
 
-    [sym], [jobs] and [steal] as in {!reference}.  [seed] is an
+    [jobs] and [steal] as in {!reference}.  [seed] is an
     already-synthesized data path (typically the previous k's design, or
     the reference circuit) whose session assignment is repaired for this
     [k] by {!Session_opt}.  The constructive heuristic's design remains
@@ -91,7 +89,7 @@ type sweep_row = {
 
 val sweep :
   ?time_limit:float -> ?node_limit:int -> ?symmetry:bool -> ?jobs:int ->
-  ?sym:bool -> ?steal:bool -> ?stats:bool -> ?trace:Ilp.Trace.sink ->
+  ?steal:bool -> ?stats:bool -> ?trace:Ilp.Trace.sink ->
   ?explain:bool -> ?learn:bool -> Dfg.Problem.t ->
   (reference * sweep_row list, string) result
 (** One design per k-test session, k = 1 .. N (N = number of modules) —

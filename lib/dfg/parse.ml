@@ -109,6 +109,15 @@ let of_string s =
   let n_steps =
     1 + List.fold_left (fun acc (op : Graph.operation) -> max acc op.step) 0 ops
   in
+  let n_ops = List.length ops in
+  let* () =
+    if n_steps <= max 1 n_ops then Ok ()
+    else
+      Error
+        (Printf.sprintf
+           "op at step %d leaves a control step idle (%d steps for %d ops)"
+           (n_steps - 1) n_steps n_ops)
+  in
   let variables = Array.of_list (List.rev ctx.vars) in
   match Graph.v ~inputs_at_start ~name ~n_steps variables (Array.of_list ops) with
   | Ok g -> Ok g

@@ -13,9 +13,13 @@
     v}
 
     Constants are written [#<int>], e.g. [(in v0 #3)].  The step count is
-    inferred as 1 + the maximum operation step. *)
+    inferred as 1 + the maximum operation step; {!of_string} rejects a
+    step count above [max 1 n_ops], because such a schedule leaves some
+    control step without an operation. *)
 
 val of_string : string -> (Graph.t, string) result
+(** Never raises: malformed text yields [Error] with a message. *)
+
 val to_string : Graph.t -> string
 
 val of_file : string -> (Graph.t, string) result

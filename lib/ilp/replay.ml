@@ -6,8 +6,8 @@
    pruned-empty node's [bound = max_int] round-trips bit-exactly.  On
    top of the parsed stream, [analyze] replays the tree shape (a
    bound-per-depth stack) and computes the attribution the raw trace
-   only implies: nodes and wall time per prune reason, per-variable and
-   per-orbit branching efficacy, wasted work against the final
+   only implies: nodes and wall time per prune reason, per-variable
+   branching efficacy, wasted work against the final
    incumbent, gap-closure curves and per-depth profiles. *)
 
 (* --- line parser -------------------------------------------------------- *)
@@ -212,9 +212,6 @@ type report = {
   primal : (float * int) list;
   dual : (float * int) list;
   vars : var_row list;  (** descending [branched] *)
-  orbit_rows : var_row list option;
-      (** [vars] aggregated over the supplied orbits; [var] is the orbit
-          index, variables outside every orbit are dropped *)
   depths : depth_row list;
   subtrees : int;
   steals : int;
@@ -233,7 +230,7 @@ let grow a n default =
     a := b
   end
 
-let analyze ?orbits events =
+let analyze events =
   let n_events = List.length events in
   let duration_s =
     List.fold_left (fun acc (t, _) -> max acc t) 0.0 events
@@ -342,36 +339,6 @@ let analyze ?orbits events =
   in
   let by_branched a b = compare (b.branched, a.var) (a.branched, b.var) in
   let vars = List.sort by_branched (rows_of branched immediate) in
-  let orbit_rows =
-    match orbits with
-    | None -> None
-    | Some orbits ->
-        let of_var = Hashtbl.create 64 in
-        List.iteri
-          (fun i orb ->
-            let vs =
-              match orb with
-              | Symmetry.Scalar vs -> vs
-              | Symmetry.Blocks cols ->
-                  Array.concat (Array.to_list cols)
-            in
-            Array.iter (fun v -> Hashtbl.replace of_var v i) vs)
-          orbits;
-        let b = Hashtbl.create 16 and im = Hashtbl.create 16 in
-        let add dst tbl =
-          Hashtbl.iter
-            (fun v n ->
-              match Hashtbl.find_opt of_var v with
-              | Some o ->
-                  Hashtbl.replace dst o
-                    (n + Option.value ~default:0 (Hashtbl.find_opt dst o))
-              | None -> ())
-            tbl
-        in
-        add b branched;
-        add im immediate;
-        Some (List.sort by_branched (rows_of b im))
-  in
   let depths =
     let n = max (Array.length !opened_at) (Array.length !cut_at) in
     let get a d = if d < Array.length !a then !a.(d) else 0 in
@@ -396,7 +363,6 @@ let analyze ?orbits events =
     primal = List.rev !primal;
     dual = List.rev !dual;
     vars;
-    orbit_rows;
     depths;
     subtrees = !subtrees;
     steals = !steals;
@@ -478,9 +444,6 @@ let render_report ppf r =
     end
   in
   show_rows "branching efficacy, top variables" r.vars;
-  (match r.orbit_rows with
-  | Some rows -> show_rows "branching efficacy, per orbit" rows
-  | None -> ());
   if r.subtrees > 0 || r.steals > 0 then
     fprintf ppf "  parallel       %d subtrees spawned, %d steals@." r.subtrees
       r.steals;

@@ -5,9 +5,9 @@
     integers — a pruned-empty node's [bound = max_int] round-trips
     bit-exactly), and {!analyze} turns the event stream into
     attribution: which pruning machinery closed the tree and what it
-    cost, which branching variables (and symmetry orbits) earned their
-    keep, how much of the search an oracle incumbent would have skipped,
-    and how the primal/dual gap closed over time.
+    cost, which branching variables earned their keep, how much of the
+    search an oracle incumbent would have skipped, and how the
+    primal/dual gap closed over time.
 
     The wasted-work metric: a node is {e wasted} when the entry bound of
     its parent was already at or above the {e final} incumbent
@@ -39,7 +39,7 @@ type prune_row = {
 }
 
 type var_row = {
-  var : int;  (** variable index — or orbit index in [orbit_rows] *)
+  var : int;  (** variable index *)
   branched : int;  (** children created by branching on it *)
   immediate : int;
       (** of those, closed childless at the very next event — high
@@ -62,9 +62,6 @@ type report = {
   primal : (float * int) list;  (** incumbent objective over time *)
   dual : (float * int) list;  (** dual bound over time *)
   vars : var_row list;  (** descending [branched] *)
-  orbit_rows : var_row list option;
-      (** [vars] aggregated over the supplied orbits ([var] = orbit
-          index); [None] when {!analyze} was given no orbits *)
   depths : depth_row list;  (** per-depth expansion/prune profile *)
   subtrees : int;
   steals : int;
@@ -76,12 +73,8 @@ type report = {
           0 when none *)
 }
 
-val analyze :
-  ?orbits:Symmetry.orbit list -> (float * Trace.event) list -> report
-(** Replay the event stream and compute the attribution above.
-    [orbits] (e.g. {!Encoding}'s verified orbits) additionally
-    aggregates branching efficacy per orbit; variables outside every
-    orbit are dropped from that view. *)
+val analyze : (float * Trace.event) list -> report
+(** Replay the event stream and compute the attribution above. *)
 
 val prune_shares : report -> (string * float) list
 (** [(reason wire name, percent of all pruned nodes)] per non-zero

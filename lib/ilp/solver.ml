@@ -7,7 +7,6 @@ type outcome = {
   bound : int;
   nodes : int;
   time_s : float;
-  orbits : int;
   stolen : int;
   stats : Stats.t option;
 }
@@ -20,8 +19,6 @@ type options = {
   warm_start : int array option;
   incumbent_start : int array option;
   verbose : bool;
-  sym : bool;
-  orbits : Symmetry.orbit list;
   stats : bool;
   trace : Trace.sink option;
   learn : bool;
@@ -36,8 +33,6 @@ let default =
     warm_start = None;
     incumbent_start = None;
     verbose = false;
-    sym = true;
-    orbits = [];
     stats = false;
     trace = None;
     learn = true;
@@ -109,21 +104,12 @@ type search = {
          means a rescan cannot deduce anything new, so [obj_pass] skips
          the O(obj nnz) row walk on the (common) nodes that never touch
          an objective variable's minact side *)
-  orbits_arr : Symmetry.orbit array;  (* [opts.orbits], array-indexed *)
-  var_orbit_start : int array;  (* n + 1: CSR var -> orbits containing it *)
-  var_orbit_idx : int array;
-  orbit_dirty : bool array;  (* orbit is in the dirty stack *)
-  orbit_stack : int array;
-  mutable orbit_top : int;
-      (* orbit enforcement is worklist-driven like rows: a bound change
-         on an orbit member pushes its orbit; clean orbits stay at their
-         canonical fixpoint and are never rescanned *)
   mutable trail_entry : int array;  (* (var lsl 1) lor is_lb *)
   mutable trail_old : int array;  (* previous bound value *)
   mutable trail_reason : int array;
       (* row index that propagated the entry; [-1] for decisions and for
          bound changes the conflict analysis must treat as opaque
-         antecedents (orbit enforcement and probing fixings) *)
+         antecedents (probing fixings) *)
   mutable trail_level : int array;  (* decision level at push time *)
   mutable trail_prev : int array;
       (* previous trail position of the same (var, side), [-1] when the
@@ -292,35 +278,12 @@ let apply_ub_delta s v delta =
     s.obj_dirty <- true
   end
 
-(* Mark every orbit containing [v] dirty.  Only the forward path ([set_lb]
-   / [set_ub]) marks: the trail undo restores a state whose orbits were
-   already at fixpoint, so it applies the deltas directly and skips
-   this. *)
-let enqueue_orbits s v =
-  for i = s.var_orbit_start.(v) to s.var_orbit_start.(v + 1) - 1 do
-    let oi = Array.unsafe_get s.var_orbit_idx i in
-    if not (Array.unsafe_get s.orbit_dirty oi) then begin
-      Array.unsafe_set s.orbit_dirty oi true;
-      s.orbit_stack.(s.orbit_top) <- oi;
-      s.orbit_top <- s.orbit_top + 1
-    end
-  done
-
-let enqueue_all_orbits s =
-  s.orbit_top <- 0;
-  for oi = 0 to Array.length s.orbits_arr - 1 do
-    s.orbit_dirty.(oi) <- true;
-    s.orbit_stack.(oi) <- oi;
-    s.orbit_top <- oi + 1
-  done
-
 let set_lb_r s v value reason =
   if value > s.lb.(v) then begin
     trail_push s v s.lb.(v) true reason;
     let delta = value - s.lb.(v) in
     s.lb.(v) <- value;
-    apply_lb_delta s v delta;
-    enqueue_orbits s v
+    apply_lb_delta s v delta
   end
 
 let set_ub_r s v value reason =
@@ -328,12 +291,11 @@ let set_ub_r s v value reason =
     trail_push s v s.ub.(v) false reason;
     let delta = value - s.ub.(v) in
     s.ub.(v) <- value;
-    apply_ub_delta s v delta;
-    enqueue_orbits s v
+    apply_ub_delta s v delta
   end
 
 (* Reason-less tightening: decisions and the fixings conflict analysis
-   keeps as opaque antecedent literals (orbits, probing). *)
+   keeps as opaque antecedent literals (probing). *)
 let set_lb s v value = set_lb_r s v value (-1)
 let set_ub s v value = set_ub_r s v value (-1)
 
@@ -528,84 +490,6 @@ let propagate_row s ri =
     true
   end
 
-(* --- orbital fixing ------------------------------------------------------
-
-   Enforce the canonical sorted-decreasing representative of every orbit in
-   [s.opts.orbits] on the current domains (see {!Symmetry}).  Scalar chains
-   propagate upper bounds forward and lower bounds backward; block orbits
-   run a bounded lex propagator on adjacent column pairs, advancing past
-   components the domains already force equal.  Sound because each orbit is
-   a true symmetry: restricting the search to canonical representatives
-   keeps at least one optimal solution, and the lex rows added at the root
-   commit the search to that representative anyway.  Returns [false] on a
-   canonical-order conflict. *)
-let count_orbit_fixing s =
-  match s.stats with
-  | Some st -> st.Stats.orbit_fixings <- st.Stats.orbit_fixings + 1
-  | None -> ()
-
-(* Enforce value(a) >= value(b); [false] on conflict.  After the ub clamp
-   lb(b) <= ub(a) always holds, so the lb raise below can never cross. *)
-let orbit_ge s a b =
-  if s.ub.(b) > s.ub.(a) && s.ub.(a) < s.lb.(b) then false
-  else begin
-    if s.ub.(b) > s.ub.(a) then begin
-      set_ub s b s.ub.(a);
-      count_orbit_fixing s;
-      touch s b
-    end;
-    if s.lb.(a) < s.lb.(b) then begin
-      set_lb s a s.lb.(b);
-      count_orbit_fixing s;
-      touch s a
-    end;
-    true
-  end
-
-let orbit_pass s =
-  let ok = ref true in
-  (* Drain the dirty stack; a tightening made while an orbit is processed
-     re-pushes the owning orbit, so the loop runs to its own fixpoint. *)
-  while !ok && s.orbit_top > 0 do
-    s.orbit_top <- s.orbit_top - 1;
-    let oi = s.orbit_stack.(s.orbit_top) in
-    s.orbit_dirty.(oi) <- false;
-    match s.orbits_arr.(oi) with
-    | Symmetry.Scalar vs ->
-        let m = Array.length vs in
-        s.ticks <- s.ticks + 1;
-        for i = 0 to m - 2 do
-          if !ok then ok := orbit_ge s vs.(i) vs.(i + 1)
-        done;
-        for i = m - 2 downto 0 do
-          if !ok then ok := orbit_ge s vs.(i) vs.(i + 1)
-        done
-    | Symmetry.Blocks cols ->
-        let nc = Array.length cols in
-        let len = if nc = 0 then 0 else Array.length cols.(0) in
-        for j = 0 to nc - 2 do
-          if !ok then begin
-            s.ticks <- s.ticks + 1;
-            let a = cols.(j) and b = cols.(j + 1) in
-            let i = ref 0 and go = ref true in
-            while !ok && !go && !i < len do
-              let u = a.(!i) and v = b.(!i) in
-              ok := orbit_ge s u v;
-              (* the component ordering is only implied while every
-                 earlier component pair is forced equal *)
-              if
-                !ok
-                && s.lb.(u) = s.ub.(u)
-                && s.lb.(v) = s.ub.(v)
-                && s.lb.(u) = s.lb.(v)
-              then incr i
-              else go := false
-            done
-          end
-        done
-  done;
-  !ok
-
 (* Reset the worklist for a fresh fixpoint: a new generation invalidates
    all membership stamps in O(1) and the ring rewinds. *)
 let prop_enter s =
@@ -674,10 +558,6 @@ let prop_run ?(budget = max_int) s =
     again := false;
     if !ok && !left > 0 then
       if not (obj_pass s) then ok := false
-      else if s.orbit_top > 0 && not (orbit_pass s) then ok := false
-        (* orbit enforcement may move an objective variable's minact side
-           without enqueueing any ordinary row, so pending obj work keeps
-           the fixpoint going too *)
       else again := s.q_head <> s.q_tail || s.obj_dirty
   done;
   (match s.stats with
@@ -699,8 +579,7 @@ let propagate ?budget s seeds =
         let r = s.n_rows + 1 + j in
         if s.row_minact.(r) >= s.row_rhs.(r) then enqueue_row s r
       done;
-      s.obj_dirty <- true;
-      enqueue_all_orbits s
+      s.obj_dirty <- true
   | Some vars -> List.iter (fun v -> touch s v) vars);
   prop_run ?budget s
 
@@ -725,11 +604,10 @@ let propagate1 ?budget s v =
      tighten (across re-dives too), so they stay facts.  In
      [solve_parallel] the subtree path is applied at level 0, which makes
      every clause subtree-local — [reset_for_subtree] clears the database.
-   - Bound changes without a reason row (decisions, orbit enforcement,
-     probing fixings) are kept in the clause as opaque
-     antecedent literals instead of being expanded.  Fixings derived
-     against the objective cutoff stay valid because the cutoff only
-     tightens; orbit enforcement holds everywhere this search runs.
+   - Bound changes without a reason row (decisions, probing fixings) are
+     kept in the clause as opaque antecedent literals instead of being
+     expanded.  Fixings derived against the objective cutoff stay valid
+     because the cutoff only tightens.
    - Clauses derived through the cutoff row are implied by the model plus
      [obj <= rhs-at-derivation]; the rhs only drops afterwards, so they
      remain valid for the remainder of the solve ([learn_cut] records the
@@ -1079,6 +957,11 @@ let learn_from_conflict s =
          database. *)
       let store = s.cl_len <= clause_size_cap s.n in
       let asserting = !n_cur <= 1 && store in
+      (match s.stats with
+      | Some st ->
+          st.Stats.nogood_lits <- st.Stats.nogood_lits + s.cl_len;
+          if not store then st.Stats.oversize <- st.Stats.oversize + 1
+      | None -> ());
       if store then begin
         append_learned s ~lbd:!lbd;
         match s.stats with
@@ -1521,16 +1404,6 @@ let search_drive s root_mark =
       end
   done
 
-(* Decide the orbit list and canonical warm start for a solve.  Caller
-   orbits are trusted (they must already be verified, e.g. through
-   [Symmetry.filter_verified]); with none supplied, [Symmetry.detect]
-   runs, which on the synthesis encodings is nearly every solve (their
-   structural orbits are usually empty), and adds its work counters to
-   [stats].  The warm start is mapped to its canonical symmetric image so
-   it satisfies the lex rows; if the canonical image fails the model audit
-   (a caller orbit that is not a true symmetry), the orbits are dropped
-   rather than the warm start.  Returns the (possibly lex-augmented) model
-   and patched options. *)
 (* The historical [verbose] flag is now a convenience alias for a
    human-readable stderr trace: with no explicit sink installed it
    reroutes through {!Trace.stderr_human}, so an explicit [--trace FILE]
@@ -1541,60 +1414,8 @@ let reroute_verbose (options : options) =
     { options with trace = Some (Trace.stderr_human ()) }
   else options
 
-let prepare ?stats ~(options : options) model =
-  let options = reroute_verbose options in
-  let orbits =
-    if not options.sym then []
-    else if options.orbits <> [] then options.orbits
-    else Symmetry.detect ?stats model
-  in
-  (* Overlapping orbits (e.g. register and module columns sharing wire
-     variables): sorting one can disturb the other, so canonicalize to a
-     fixpoint — the alternating sort converges for commuting column
-     groups; a capped non-convergence just fails the check below and
-     drops the orbits. *)
-  let rec canon_fix orbits x fuel =
-    if fuel = 0 then x
-    else
-      let x' = Symmetry.canonicalize orbits x in
-      if x' = x then x else canon_fix orbits x' (fuel - 1)
-  in
-  let orbits, warm =
-    match options.warm_start with
-    | None -> (orbits, None)
-    | Some x when orbits = [] -> ([], Some x)
-    | Some x ->
-        if Array.length x <> Model.n_vars model then (orbits, Some x)
-        else
-          let cx = canon_fix orbits x 50 in
-          if Model.check model cx = Ok () then (orbits, Some cx)
-          else if Model.check model x = Ok () then ([], Some x)
-          else (orbits, Some x)
-  in
-  (* Lex ordering rows only on cold solves: with a (canonicalized) warm
-     start the orbital-fixing propagator already enforces the canonical
-     representative during search, and the extra rows only feed the
-     conflict-activity branching heuristic noise — measured on tseng k=1,
-     lex rows on a warm solve double the node count (49788 vs 25505). *)
-  let model =
-    if orbits = [] || warm <> None then model
-    else fst (Symmetry.add_lex_rows model orbits)
-  in
-  (* The bound-only incumbent is canonicalized the same way (it must pass
-     the audit against the possibly lex-augmented model), but dropped
-     rather than costing us the orbits: it is an optional extra bound. *)
-  let incumbent_start =
-    match options.incumbent_start with
-    | None -> None
-    | Some x when orbits = [] -> Some x
-    | Some x when Array.length x <> Model.n_vars model -> None
-    | Some x -> Some (canon_fix orbits x 50)
-  in
-  (model, { options with warm_start = warm; incumbent_start; orbits })
-
 (* Build the full search state for [model]: normalized rows, occurrence
-   lists, incremental activities and the warm-start incumbent.  [model]
-   must already carry its lex rows. *)
+   lists, incremental activities and the warm-start incumbent. *)
 let build_search ?stats ~(options : options) ~started model =
   let n = Model.n_vars model in
   let lb = Model.lower_bounds model and ub = Model.upper_bounds model in
@@ -1696,33 +1517,6 @@ let build_search ?stats ~(options : options) ~started model =
   in
   let objc = Array.make (max n 1) 0 in
   Array.iter (fun (a, v) -> objc.(v) <- a) obj_terms;
-  (* Orbits flattened for worklist enforcement: an array of descriptors
-     plus a CSR var -> orbit-indices map driving dirty marking. *)
-  let orbits_arr = Array.of_list options.orbits in
-  let n_orb = Array.length orbits_arr in
-  let iter_orbit_vars oi f =
-    match orbits_arr.(oi) with
-    | Symmetry.Scalar vs -> Array.iter f vs
-    | Symmetry.Blocks cols -> Array.iter (fun col -> Array.iter f col) cols
-  in
-  let var_orbit_start = Array.make (n + 1) 0 in
-  for oi = 0 to n_orb - 1 do
-    iter_orbit_vars oi (fun v ->
-        if v >= 0 && v < n then
-          var_orbit_start.(v + 1) <- var_orbit_start.(v + 1) + 1)
-  done;
-  for v = 0 to n - 1 do
-    var_orbit_start.(v + 1) <- var_orbit_start.(v + 1) + var_orbit_start.(v)
-  done;
-  let var_orbit_idx = Array.make (max 1 var_orbit_start.(n)) 0 in
-  let fill = Array.copy var_orbit_start in
-  for oi = 0 to n_orb - 1 do
-    iter_orbit_vars oi (fun v ->
-        if v >= 0 && v < n then begin
-          var_orbit_idx.(fill.(v)) <- oi;
-          fill.(v) <- fill.(v) + 1
-        end)
-  done;
   (* Initial min-activities from the root bounds; every later bound change
      updates them through the trail.  The spans are fixed here for good:
      the search only ever narrows these bounds.  The loop covers the
@@ -1796,12 +1590,6 @@ let build_search ?stats ~(options : options) ~started model =
       obj_terms;
       objc;
       obj_dirty = true;
-      orbits_arr;
-      var_orbit_start;
-      var_orbit_idx;
-      orbit_dirty = Array.make (max 1 n_orb) true;
-      orbit_stack = Array.init (max 1 n_orb) (fun i -> i);
-      orbit_top = n_orb;
       trail_entry = Array.make 256 0;
       trail_old = Array.make 256 0;
       trail_reason = Array.make 256 0;
@@ -1879,8 +1667,8 @@ let build_search ?stats ~(options : options) ~started model =
     end
   in
   Option.iter install warm;
-  (* The bound-only incumbent: audited against the final (possibly
-     lex-augmented) model like the warm start, but installed without
+  (* The bound-only incumbent: audited against the model like the warm
+     start, but installed without
      touching [value_hint] — it tightens the cutoff, never the
      trajectory. *)
   (match options.incumbent_start with
@@ -1914,8 +1702,7 @@ let solve_internal ~(options : options) model =
   let started = now () in
   let stats = if options.stats then Some (Stats.create ()) else None in
   let last = ref started in
-  let model, options = prepare ?stats ~options model in
-  tick stats last (fun st d -> st.Stats.prepare_s <- d);
+  let options = reroute_verbose options in
   let s = build_search ?stats ~options ~started model in
   tick stats last (fun st d -> st.Stats.build_s <- d);
   let root_mark = ref 0 in
@@ -1948,7 +1735,6 @@ let solve_internal ~(options : options) model =
   undo_to s !root_mark;
   let time_s = now () -. s.started in
   let trivial_bound = objective_min_activity s in
-  let orbits = List.length options.orbits in
   let outcome =
     match (s.incumbent, complete) with
     | Some x, true ->
@@ -1959,7 +1745,6 @@ let solve_internal ~(options : options) model =
         bound = s.incumbent_obj;
         nodes = s.nodes;
         time_s;
-        orbits;
         stolen = 0;
         stats;
       }
@@ -1971,7 +1756,6 @@ let solve_internal ~(options : options) model =
         bound = trivial_bound;
         nodes = s.nodes;
         time_s;
-        orbits;
         stolen = 0;
         stats;
       }
@@ -1983,7 +1767,6 @@ let solve_internal ~(options : options) model =
         bound = max_int;
         nodes = s.nodes;
         time_s;
-        orbits;
         stolen = 0;
         stats;
       }
@@ -1995,7 +1778,6 @@ let solve_internal ~(options : options) model =
         bound = trivial_bound;
         nodes = s.nodes;
         time_s;
-        orbits;
         stolen = 0;
         stats;
       }
@@ -2055,8 +1837,7 @@ let reset_for_subtree s ~seed =
   s.decision_level <- 0;
   s.conflicts_total <- 0;
   s.learn_closed <- false;
-  s.max_learnts <- max_learnts_init s.n;
-  enqueue_all_orbits s
+  s.max_learnts <- max_learnts_init s.n
 
 (* Child decisions of branching on [v], in exactly the order [branch]
    would explore them (warm-start hint first, then the preferred end). *)
@@ -2119,7 +1900,7 @@ let solve_parallel ?(options = default) ~jobs model =
   let started = now () in
   let stats = if options.stats then Some (Stats.create ()) else None in
   let last = ref started in
-  let model, options = prepare ?stats ~options model in
+  let options = reroute_verbose options in
   (* Strip a warm start that fails the audit here, once, so the per-subtree
      reset can trust it unconditionally. *)
   let options =
@@ -2131,10 +1912,8 @@ let solve_parallel ?(options = default) ~jobs model =
     | Some _ -> { options with warm_start = None }
     | None -> options
   in
-  tick stats last (fun st d -> st.Stats.prepare_s <- d);
   (* Force the model's lazy caches before it crosses domains. *)
   if Model.n_vars model > 0 then ignore (Model.bounds model 0);
-  let orbit_count = List.length options.orbits in
   let finish ~complete ~stolen ~nodes ~bound ~stats best =
     let time_s = now () -. started in
     match (best, complete) with
@@ -2146,7 +1925,6 @@ let solve_parallel ?(options = default) ~jobs model =
           bound = obj;
           nodes;
           time_s;
-          orbits = orbit_count;
           stolen;
           stats;
         }
@@ -2158,7 +1936,6 @@ let solve_parallel ?(options = default) ~jobs model =
           bound = min bound obj;
           nodes;
           time_s;
-          orbits = orbit_count;
           stolen;
           stats;
         }
@@ -2170,7 +1947,6 @@ let solve_parallel ?(options = default) ~jobs model =
           bound = max_int;
           nodes;
           time_s;
-          orbits = orbit_count;
           stolen;
           stats;
         }
@@ -2182,7 +1958,6 @@ let solve_parallel ?(options = default) ~jobs model =
           bound;
           nodes;
           time_s;
-          orbits = orbit_count;
           stolen;
           stats;
         }
@@ -2395,14 +2170,11 @@ let solve_parallel ?(options = default) ~jobs model =
 
 (* --- test + micro-benchmark hooks --------------------------------------- *)
 
-(* A bare search state: no symmetry — just the normalized rows and the
-   incremental propagation machinery. *)
-let bare_options = { default with sym = false }
-
-(* A bare search over [model] with its bounds tightened to [lower] /
-   [upper] through the incremental update path. *)
+(* A bare search state over [model] — just the normalized rows and the
+   incremental propagation machinery — with its bounds tightened to
+   [lower] / [upper] through the incremental update path. *)
 let bare_search ?lower ?upper model =
-  let s = build_search ~options:bare_options ~started:(now ()) model in
+  let s = build_search ~options:default ~started:(now ()) model in
   (match lower with
   | Some lbs -> Array.iteri (fun v b -> if b > s.lb.(v) then set_lb s v b) lbs
   | None -> ());
@@ -2441,7 +2213,7 @@ let solve_with_learned ?(options = default) model =
   (outcome, !rows)
 
 let propagation_rate model ~sweeps =
-  let s = build_search ~options:bare_options ~started:(now ()) model in
+  let s = build_search ~options:default ~started:(now ()) model in
   let t0 = now () in
   for _ = 1 to max 1 sweeps do
     let m = mark s in

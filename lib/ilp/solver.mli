@@ -26,11 +26,9 @@ type outcome = {
   time_s : float;
       (** wall-clock seconds of the whole call, measured from entry to
           return of {!solve} / {!solve_parallel} — it covers presolve
-          done by the entry point, symmetry detection,
-          search-state construction and the search itself, so it is the
-          number a caller's own stopwatch around the call would read. *)
-  orbits : int;
-      (** symmetry orbits broken during this solve (supplied or detected) *)
+          done by the entry point, search-state construction and the
+          search itself, so it is the number a caller's own stopwatch
+          around the call would read. *)
   stolen : int;
       (** subtrees executed by a worker other than their home worker;
           always 0 for the sequential {!solve} *)
@@ -39,8 +37,7 @@ type outcome = {
           [options.stats] was set.  For {!solve_parallel} this is the
           merge of the main domain's record with every worker's (see
           {!Stats.merge}); deterministic counters (nodes, depth
-          histogram, orbit fixings) are identical for any
-          [jobs]. *)
+          histogram) are identical for any [jobs]. *)
 }
 
 type options = {
@@ -74,18 +71,6 @@ type options = {
           as a {!Trace.stderr_human} sink installed when [trace] is
           [None]; an explicit [trace] sink takes precedence and receives
           the same events (plus the full node/prune stream). *)
-  sym : bool;
-      (** master switch for symmetry breaking (default true): when off,
-          [orbits] is ignored and no detection runs *)
-  orbits : Symmetry.orbit list;
-      (** variable-interchangeability orbits to break.  Every orbit MUST
-          be a true model symmetry (use {!Symmetry.filter_verified} on
-          structural candidates); lex ordering rows are added at the root
-          and orbital fixing joins the propagation fixpoint during search.
-          When empty (and [sym] is on), {!Symmetry.detect} runs — it bails
-          out immediately on large models.  A warm start is replaced by
-          its canonical symmetric image; if that image fails the model
-          audit the orbits are dropped, never the warm start. *)
   stats : bool;
       (** collect {!Stats} for this solve (default false).  The
           instrumentation is allocation-free and branch-only when off;
@@ -110,9 +95,8 @@ type options = {
 }
 
 val default : options
-(** No limits, no order, prefer 1, no warm start, quiet, symmetry
-    breaking on with auto-detected orbits, no stats, no trace, conflict
-    learning on.  Every solve is LP-free: nodes are bounded by the
+(** No limits, no order, prefer 1, no warm start, quiet, no stats, no
+    trace, conflict learning on.  Every solve is LP-free: nodes are bounded by the
     objective cutoff row alone. *)
 
 val solve : ?options:options -> Model.t -> outcome
@@ -145,9 +129,9 @@ val solve_parallel : ?options:options -> jobs:int -> Model.t -> outcome
 (** {2 Test and micro-benchmark hooks}
 
     Thin windows into the propagation kernel, for property tests and the
-    [bench perf] micro-benchmark.  Each builds a bare search state (no
-    symmetry) over the model's normalized Le rows: Ge rows
-    negated, Eq rows split into a Le pair in model order. *)
+    [bench perf] micro-benchmark.  Each builds a bare search state over
+    the model's normalized Le rows: Ge rows negated, Eq rows split into a
+    Le pair in model order. *)
 
 val row_min_activities :
   ?lower:int array -> ?upper:int array -> Model.t -> int array
@@ -165,7 +149,7 @@ val propagate_bounds :
 (** The bounds (lower, upper) after the worklist propagation fixpoint
     over every normalized row, starting from the model bounds tightened
     by [lower]/[upper]; [None] when propagation runs into a conflict.
-    No objective cutoff, learning or orbits take part. *)
+    No objective cutoff or learning takes part. *)
 
 val propagation_rate : Model.t -> sweeps:int -> float
 (** Full propagation-fixpoint sweeps per second over [sweeps] repeats
@@ -177,7 +161,6 @@ val solve_with_learned :
 (** {!solve}, additionally returning the learned nogoods alive at the end
     of the search, each as [(coefs, vars, rhs, cutoff_rhs)]: the clause
     row [sum coefs.(i) * x.(vars.(i)) <= rhs] is claimed to be implied by
-    the searched model (with symmetry breaking on, the model plus its
-    orbits' lex rows) conjoined with [objective <= cutoff_rhs] (the cutoff
-    row's right-hand side when the clause was derived).  The differential
+    the model conjoined with [objective <= cutoff_rhs] (the cutoff row's
+    right-hand side when the clause was derived).  The differential
     tests audit exactly this implication by enumeration. *)

@@ -11,25 +11,23 @@ type t = {
      segments of the solve call measured on the calling domain, so their
      sum accounts for (almost all of) [outcome.time_s]. *)
   mutable presolve_s : float;  (* caller-side Presolve.strengthen, if any *)
-  mutable prepare_s : float;  (* symmetry detection + canonicalization *)
   mutable build_s : float;  (* search-state construction + warm start *)
   mutable root_s : float;  (* root propagation + shaving fixpoint *)
   mutable search_s : float;  (* tree search (all nodes, all workers) *)
   (* Sub-timers: CPU time summed across workers, attributed inside
      [search_s]; not part of the disjoint phase account. *)
   mutable probe_s : float;  (* in-tree probing *)
-  (* Symmetry detection inside [prepare_s]. *)
-  mutable sym_refine_passes : int;  (* colour-refinement passes run *)
-  mutable sym_transpositions : int;  (* transposition checks by detection *)
   (* Propagation. *)
   mutable prop_fixpoints : int;  (* worklist fixpoints run *)
-  mutable prop_ticks : int;  (* row propagations + orbit passes *)
+  mutable prop_ticks : int;  (* row propagations *)
   mutable prop_scans : int;  (* row propagations that scanned the entries *)
   mutable prop_conflicts : int;  (* fixpoints ending in a conflict *)
   (* Conflict engine (1-UIP nogood learning). *)
   mutable conflicts : int;  (* conflicts analyzed at depth > 0 *)
   mutable learned : int;  (* nogoods appended to the clause database *)
   mutable deleted : int;  (* learned rows dropped by database reduction *)
+  mutable oversize : int;  (* analyzed nogoods over the clause size cap *)
+  mutable nogood_lits : int;  (* literals summed over analyzed nogoods *)
   mutable backjumps : int;  (* root-asserting conflicts that aborted the dive *)
   mutable backjump_depth : int;  (* sum of (conflict level - asserting level) *)
   (* Probing (in-tree shaving + root shaving trials). *)
@@ -38,12 +36,14 @@ type t = {
   mutable probe_trials : int;  (* tentative endpoint propagations *)
   mutable probe_hits : int;  (* probing steps that landed a fixing *)
   mutable probe_backoffs : int;  (* times the skip gap widened *)
-  (* Always 0: the solver has no LP relaxation.  Kept because the
-     benchmark harness reports them as its simplex.* metrics. *)
+  (* Always 0: the solver has neither an LP relaxation nor a symmetry
+     phase.  Kept because the benchmark harness reports them as its
+     simplex.* and solver.prepare_s / orbit_fixings metrics. *)
   mutable lp_s : float;
   mutable lp_resolves : int;
   mutable lp_pivots : int;
-  mutable orbit_fixings : int;  (* bound changes by the orbital propagator *)
+  mutable prepare_s : float;
+  mutable orbit_fixings : int;
   (* Primal progress: every incumbent improvement as
      (seconds since solve start, nodes so far, objective), newest first. *)
   mutable incumbents : (float * int * int) list;
@@ -66,8 +66,6 @@ let create () =
     search_s = 0.0;
     lp_s = 0.0;
     probe_s = 0.0;
-    sym_refine_passes = 0;
-    sym_transpositions = 0;
     prop_fixpoints = 0;
     prop_ticks = 0;
     prop_scans = 0;
@@ -75,6 +73,8 @@ let create () =
     conflicts = 0;
     learned = 0;
     deleted = 0;
+    oversize = 0;
+    nogood_lits = 0;
     backjumps = 0;
     backjump_depth = 0;
     probe_calls = 0;
@@ -121,7 +121,6 @@ let primal_progress t =
 let phases t =
   [
     ("presolve", t.presolve_s);
-    ("prepare", t.prepare_s);
     ("build", t.build_s);
     ("root", t.root_s);
     ("search", t.search_s);
@@ -148,8 +147,6 @@ let merge a b =
     search_s = a.search_s +. b.search_s;
     lp_s = a.lp_s +. b.lp_s;
     probe_s = a.probe_s +. b.probe_s;
-    sym_refine_passes = a.sym_refine_passes + b.sym_refine_passes;
-    sym_transpositions = a.sym_transpositions + b.sym_transpositions;
     prop_fixpoints = a.prop_fixpoints + b.prop_fixpoints;
     prop_ticks = a.prop_ticks + b.prop_ticks;
     prop_scans = a.prop_scans + b.prop_scans;
@@ -157,6 +154,8 @@ let merge a b =
     conflicts = a.conflicts + b.conflicts;
     learned = a.learned + b.learned;
     deleted = a.deleted + b.deleted;
+    oversize = a.oversize + b.oversize;
+    nogood_lits = a.nogood_lits + b.nogood_lits;
     backjumps = a.backjumps + b.backjumps;
     backjump_depth = a.backjump_depth + b.backjump_depth;
     probe_calls = a.probe_calls + b.probe_calls;
@@ -186,10 +185,7 @@ let pp ?time_s ppf t =
   List.iter
     (fun (name, s) ->
       fprintf ppf "@,  %-12s %9.4f" name s;
-      if denom > 0.0 then fprintf ppf "  %5.1f" (pct s);
-      if name = "prepare" then
-        fprintf ppf "  (%d refine passes, %d transpositions)"
-          t.sym_refine_passes t.sym_transpositions)
+      if denom > 0.0 then fprintf ppf "  %5.1f" (pct s))
     (phases t);
   fprintf ppf "@,  %-12s %9.4f" "accounted" total;
   (match time_s with
@@ -199,21 +195,21 @@ let pp ?time_s ppf t =
   fprintf ppf "@,propagation: %d fixpoints, %d ticks, %d scans, %d conflicts"
     t.prop_fixpoints t.prop_ticks t.prop_scans t.prop_conflicts;
   (* Conflict engine on its own line: the counters are only comparable to
-     each other (learned <= conflicts, deleted <= learned), and the mean
-     jump distance is the quality of the 1-UIP nogoods. *)
-  let avg_backjump =
-    if t.conflicts > 0 then
-      float_of_int t.backjump_depth /. float_of_int t.conflicts
-    else 0.0
+     each other (learned + oversize <= conflicts, deleted <= learned), and
+     the mean nogood size and jump distance are the quality of the 1-UIP
+     nogoods. *)
+  let mean num den =
+    if den > 0 then float_of_int num /. float_of_int den else 0.0
   in
   fprintf ppf
-    "@,conflict engine: %d conflicts, %d learned, %d deleted, avg backjump \
-     %.1f"
-    t.conflicts t.learned t.deleted avg_backjump;
+    "@,conflict engine: %d conflicts, %d learned, %d deleted, %d oversize, \
+     mean size %.1f, avg backjump %.1f"
+    t.conflicts t.learned t.deleted t.oversize
+    (mean t.nogood_lits (t.learned + t.oversize))
+    (mean t.backjump_depth t.conflicts);
   fprintf ppf
     "@,probing: %d calls (%d hits, %d trials), %d skipped, %d backoffs"
     t.probe_calls t.probe_hits t.probe_trials t.probe_skips t.probe_backoffs;
-  fprintf ppf "@,fixings: %d orbital" t.orbit_fixings;
   fprintf ppf "@,nodes: %d (max depth %d)" (total_nodes t) (max_depth t);
   (match primal_progress t with
   | [] -> ()

@@ -9,7 +9,7 @@
     count.  With stats disabled every instrumented site costs a single
     branch and allocates nothing.
 
-    The five top-level phase timers ([presolve_s] .. [search_s]) are
+    The four top-level phase timers ([presolve_s] .. [search_s]) are
     disjoint wall-clock segments of the solve call measured on the
     calling domain: their sum accounts for the outcome's [time_s].
     [probe_s] is a sub-timer summed across workers (CPU time inside
@@ -19,25 +19,18 @@ type t = {
   mutable presolve_s : float;
       (** caller-side {!Presolve.strengthen} time, stamped by callers
           that presolve before handing the model to the solver *)
-  mutable prepare_s : float;  (** symmetry detection + canonicalization *)
   mutable build_s : float;  (** search-state construction + warm start *)
   mutable root_s : float;  (** root propagation + shaving fixpoint *)
   mutable search_s : float;  (** tree search (all nodes, all workers) *)
   mutable probe_s : float;  (** in-tree probing (summed across workers) *)
-  mutable sym_refine_passes : int;
-      (** colour-refinement passes run by {!Symmetry.detect} *)
-  mutable sym_transpositions : int;
-      (** transposition checks ({!Symmetry.transposition_ok} calls) run by
-          {!Symmetry.detect} *)
   mutable prop_fixpoints : int;
-  mutable prop_ticks : int;  (** row propagations + orbit passes *)
+  mutable prop_ticks : int;  (** row propagations *)
   mutable prop_scans : int;
       (** row propagations that scanned the row's entries (the objective
           cutoff row's included, which ticks do not count).  The other
           ticks returned in O(1) — a conflict, or a row whose slack
-          reaches its span — or were orbit passes, so
-          [prop_ticks - prop_scans] is a deterministic count of the
-          scans the span test saved *)
+          reaches its span — so [prop_ticks - prop_scans] is a
+          deterministic count of the scans the span test saved *)
   mutable prop_conflicts : int;
   mutable conflicts : int;
       (** propagation conflicts analyzed by the conflict engine (depth > 0
@@ -45,6 +38,12 @@ type t = {
   mutable learned : int;  (** 1-UIP nogoods appended to the clause database *)
   mutable deleted : int;
       (** learned rows dropped by activity/LBD database reduction *)
+  mutable oversize : int;
+      (** analyzed nogoods not stored because they exceed the clause
+          size cap; [learned + oversize] nogoods completed analysis *)
+  mutable nogood_lits : int;
+      (** literals summed over the [learned + oversize] analyzed nogoods;
+          {!pp} prints it as their mean size *)
   mutable backjumps : int;
       (** root-asserting conflicts that aborted the current dive *)
   mutable backjump_depth : int;
@@ -63,7 +62,13 @@ type t = {
           does not print them. *)
   mutable lp_resolves : int;  (** always 0; see [lp_s] *)
   mutable lp_pivots : int;  (** always 0; see [lp_s] *)
-  mutable orbit_fixings : int;  (** bound changes by orbital fixing *)
+  mutable prepare_s : float;
+      (** always 0, like [orbit_fixings]: the solver has no symmetry
+          phase.  Both remain because the benchmark harness reports them
+          as its [solver.prepare_s] and [solver.orbit_fixings] per-layer
+          metrics; {!pp} does not print them and {!phases} omits
+          [prepare_s]. *)
+  mutable orbit_fixings : int;  (** always 0; see [prepare_s] *)
   mutable incumbents : (float * int * int) list;
       (** primal-progress curve: (seconds, nodes, objective) per
           incumbent improvement, newest first *)
@@ -98,7 +103,7 @@ val primal_progress : t -> (float * int * int) list
 (** The incumbent curve sorted oldest first. *)
 
 val phases : t -> (string * float) list
-(** The five disjoint top-level phase timers, in pipeline order. *)
+(** The four disjoint top-level phase timers, in pipeline order. *)
 
 val accounted_s : t -> float
 (** Sum of {!phases} — the share of the wall clock the telemetry

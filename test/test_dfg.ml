@@ -190,7 +190,11 @@ let test_parse_roundtrip () =
 
 let test_parse_errors () =
   let bad = [ "(dfg)"; "(dfg (name x) (op add (step 0) (in a b) (out c)))";
-              "(dfg (name x) (inputs a a))"; "(nope)"; "((" ] in
+              "(dfg (name x) (inputs a a))"; "(nope)"; "((";
+              (* one op cannot fill 100000001 control steps: every step
+                 but the last would be idle *)
+              "(dfg (name x) (inputs a b) \
+               (op add (step 100000000) (in a b) (out c)))" ] in
   List.iter
     (fun s ->
       check_bool (Printf.sprintf "reject %S" s) true
@@ -327,6 +331,42 @@ let prop_parse_roundtrip =
           && Dfg.Graph.e_o g = Dfg.Graph.e_o g'
           && g.Dfg.Graph.n_steps = g'.Dfg.Graph.n_steps)
 
+(* Byte-level mutations of the shipped circuits' texts: overwrite, insert
+   or delete a byte, the new bytes drawn from the format's own alphabet so
+   most mutants stay close to parseable.  The parser must answer every
+   mutant with [Ok] or [Error], and what it accepts keeps the step-count
+   rule: no more control steps than operations. *)
+let shipped_texts =
+  Array.of_list
+    (List.map
+       (fun (_, p) -> Dfg.Parse.to_string p.Dfg.Problem.dfg)
+       (Circuits.Suite.all @ Circuits.Suite.extras))
+
+let gen_mutant =
+  QCheck2.Gen.(
+    let* text = oneofa shipped_texts in
+    let byte = oneofa (Array.of_seq (String.to_seq "()#-0123456789 \n;abinoptuxz")) in
+    let edit = triple (int_range 0 2) nat byte in
+    let* edits = list_size (int_range 1 8) edit in
+    return
+      (List.fold_left
+         (fun s (kind, pos, c) ->
+           let n = String.length s in
+           let i = if n = 0 then 0 else pos mod n in
+           match kind with
+           | 0 when n > 0 -> String.mapi (fun j x -> if j = i then c else x) s
+           | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+           | _ when n > 0 -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+           | _ -> s)
+         text edits))
+
+let prop_parse_never_raises =
+  QCheck2.Test.make ~name:"Parse.of_string never raises" ~count:1000
+    ~print:Fun.id gen_mutant (fun text ->
+      match Dfg.Parse.of_string text with
+      | Error _ -> true
+      | Ok g -> g.Dfg.Graph.n_steps <= max 1 (Dfg.Graph.n_ops g))
+
 let prop_builder_validates =
   QCheck2.Test.make ~name:"builder output passes validation" ~count:200
     gen_dfg (fun spec ->
@@ -383,6 +423,7 @@ let () =
             prop_compatible_symmetric;
             prop_compatible_matches_intervals;
             prop_parse_roundtrip;
+            prop_parse_never_raises;
             prop_builder_validates;
           ] );
     ]

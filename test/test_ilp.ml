@@ -260,16 +260,14 @@ let prop_bb_matches_brute_force =
           Option.get r.Ilp.Solver.objective = expect
       | Some _, (Ilp.Solver.Feasible | Ilp.Solver.Unknown) -> false)
 
-(* The bare bound-and-propagate search, with symmetry breaking and
-   conflict learning off: the solver has no LP relaxation, so its only
-   pruning is the propagation fixpoint and the incumbent cutoff. *)
+(* The bare bound-and-propagate search, with conflict learning off: the
+   solver has no LP relaxation, so its only pruning is the propagation
+   fixpoint, probing and the incumbent cutoff. *)
 let prop_bb_without_lp_matches =
   QCheck2.Test.make ~name:"B&B without LP matches brute force" ~count:200
     gen_small_model (fun spec ->
       let m = build_model spec in
-      let opts =
-        { Ilp.Solver.default with Ilp.Solver.sym = false; learn = false }
-      in
+      let opts = { Ilp.Solver.default with Ilp.Solver.learn = false } in
       let r = Ilp.Solver.solve ~options:opts m in
       match (brute_force m, r.Ilp.Solver.status) with
       | None, Ilp.Solver.Infeasible -> true
@@ -300,21 +298,16 @@ let prop_learning_matches_brute_force =
         [ true; false ])
 
 (* Soundness of the 1-UIP derivation itself: every nogood alive at the end
-   of the search must hold at every 0-1 point that satisfies the searched
-   model and beats the cutoff the nogood was derived under.  A violation
-   here is a learned clause that cuts off a feasible improving solution —
-   the one bug class that silently corrupts optima.  The searched model is
-   the model plus the lex rows of its detected orbits (a cold solve with
-   symmetry breaking on): a nogood may cut off a non-canonical point, such
-   as x1 = 0, x3 = 1 when x1 and x3 are interchangeable, because its
-   canonical image survives. *)
+   of the search must hold at every 0-1 point that satisfies the model and
+   beats the cutoff the nogood was derived under.  A violation here is a
+   learned clause that cuts off a feasible improving solution — the one
+   bug class that silently corrupts optima. *)
 let prop_learned_nogoods_implied =
   QCheck2.Test.make
     ~name:"every learned nogood is implied by model + cutoff" ~count:200
     gen_small_model (fun spec ->
       let m = build_model spec in
       let _, learned = Ilp.Solver.solve_with_learned m in
-      let searched = fst (Ilp.Symmetry.add_lex_rows m (Ilp.Symmetry.detect m)) in
       let n = Ilp.Model.n_vars m in
       List.for_all
         (fun (coefs, vars, rhs, cutoff_rhs) ->
@@ -322,7 +315,7 @@ let prop_learned_nogoods_implied =
           for mask = 0 to (1 lsl n) - 1 do
             let x = Array.init n (fun i -> (mask lsr i) land 1) in
             if
-              Ilp.Model.check searched x = Ok ()
+              Ilp.Model.check m x = Ok ()
               && Ilp.Model.objective_value m x <= cutoff_rhs
             then begin
               let lhs = ref 0 in
@@ -689,436 +682,6 @@ let test_lp_format_sanitize () =
   check_bool "sanitized name used" true (contains s "x_1_2_");
   check_bool "general section" true (contains s "General")
 
-(* -- Symmetry ------------------------------------------------------------- *)
-
-(* A random model with a planted symmetric column group: [g] extra boolean
-   variables that carry the same coefficient in every row and in the
-   objective, so any permutation of them is a model automorphism. *)
-let gen_planted_symmetric =
-  QCheck2.Gen.(pair gen_small_model (int_range 2 3))
-
-let build_planted_model ((n, obj, rows), g) =
-  let m = Ilp.Model.create ~name:"planted" () in
-  let xs =
-    Array.init n (fun i -> Ilp.Model.bool_var m (Printf.sprintf "x%d" i))
-  in
-  let ys =
-    Array.init g (fun i -> Ilp.Model.bool_var m (Printf.sprintf "y%d" i))
-  in
-  List.iter
-    (fun (terms, sense, rhs) ->
-      let shared = match terms with c :: _ -> c | [] -> 1 in
-      let e =
-        Ilp.Linexpr.of_list
-          (List.mapi (fun i c -> (c, xs.(i))) terms
-          @ List.map (fun y -> (shared, y)) (Array.to_list ys))
-      in
-      Ilp.Model.add m e sense rhs)
-    rows;
-  let shared_obj = match obj with c :: _ -> c | [] -> 1 in
-  Ilp.Model.set_objective m
-    (Ilp.Linexpr.of_list
-       (List.mapi (fun i c -> (c, xs.(i))) obj
-       @ List.map (fun y -> (shared_obj, y)) (Array.to_list ys)));
-  (m, ys)
-
-let prop_symmetry_preserves_optimum =
-  QCheck2.Test.make
-    ~name:"lex rows + orbital fixing preserve the optimum (planted orbits)"
-    ~count:200 gen_planted_symmetric (fun spec ->
-      let m, _ = build_planted_model spec in
-      let r = Ilp.Solver.solve m in
-      let plain =
-        Ilp.Solver.solve
-          ~options:{ Ilp.Solver.default with Ilp.Solver.sym = false }
-          m
-      in
-      r.Ilp.Solver.orbits >= 1
-      && r.Ilp.Solver.status = plain.Ilp.Solver.status
-      &&
-      match (brute_force m, r.Ilp.Solver.status) with
-      | None, Ilp.Solver.Infeasible -> true
-      | Some expect, Ilp.Solver.Optimal ->
-          Option.get r.Ilp.Solver.objective = expect
-      | _ -> false)
-
-let prop_trusted_orbits_preserve_optimum =
-  QCheck2.Test.make
-    ~name:"solver-trusted verified orbits preserve the optimum" ~count:200
-    gen_planted_symmetric (fun spec ->
-      let m, ys = build_planted_model spec in
-      let orbits =
-        Ilp.Symmetry.filter_verified m [ Ilp.Symmetry.Scalar ys ]
-      in
-      (* the planted group is symmetric by construction *)
-      List.length orbits = 1
-      &&
-      let r =
-        Ilp.Solver.solve
-          ~options:{ Ilp.Solver.default with Ilp.Solver.orbits } m
-      in
-      match (brute_force m, r.Ilp.Solver.status) with
-      | None, Ilp.Solver.Infeasible -> true
-      | Some expect, Ilp.Solver.Optimal ->
-          Option.get r.Ilp.Solver.objective = expect
-      | _ -> false)
-
-let test_symmetry_detects_planted () =
-  let m, ys = build_planted_model ((3, [ 2; -1; 3 ], [ ([ 1; 2; -1 ], Ilp.Model.Le, 3) ]), 3) in
-  let orbits = Ilp.Symmetry.detect m in
-  (* some detected orbit must contain the whole planted group *)
-  let covers o =
-    let vars = Ilp.Symmetry.vars o in
-    Array.for_all (fun y -> List.mem y vars) ys
-  in
-  check_bool "planted group detected" true (List.exists covers orbits)
-
-(* Test-only oracle: the string-keyed colour refinement and row-key
-   verifier that [Symmetry.detect] used before its integer rewrite, kept
-   verbatim (it always runs all 8 refinement passes).  The integer version
-   must return exactly the same orbit list. *)
-module Oracle = struct
-  open Ilp
-
-  type orbit = Symmetry.orbit =
-    | Scalar of int array
-    | Blocks of int array array
-
-  let vars = function
-    | Scalar vs -> Array.to_list vs
-    | Blocks cols ->
-        Array.fold_left (fun acc col -> acc @ Array.to_list col) [] cols
-
-  (* Preprocessed view: every constraint as (sense, rhs, terms sorted by
-     variable), an occurrence list per variable, and a canonical string key
-     per row so row multisets compare as sorted key lists. *)
-  type ctx = {
-    n : int;
-    objc : int array;
-    lbs : int array;
-    ubs : int array;
-    rows : (int * int * (int * int) array) array;  (* sense, rhs, (var, coef) *)
-    occ : int list array;  (* var -> row indices, ascending *)
-  }
-
-  let sense_code = function Model.Le -> 0 | Model.Ge -> 1 | Model.Eq -> 2
-
-  (* Sort terms by variable and merge duplicates (a Linexpr may in principle
-     carry a variable twice; the canonical form must not). *)
-  let canon_terms terms =
-    let a = Array.of_list terms in
-    Array.sort (fun (v1, _) (v2, _) -> compare v1 v2) a;
-    let out = ref [] in
-    Array.iter
-      (fun (v, c) ->
-        match !out with
-        | (v', c') :: rest when v' = v -> out := (v, c + c') :: rest
-        | _ -> out := (v, c) :: !out)
-      a;
-    Array.of_list (List.rev (List.filter (fun (_, c) -> c <> 0) !out))
-
-  let make_ctx model =
-    let n = Model.n_vars model in
-    let objc = Array.make (max n 1) 0 in
-    List.iter (fun (a, v) -> objc.(v) <- a) (Linexpr.terms (Model.objective model));
-    let lbs = Array.make (max n 1) 0 and ubs = Array.make (max n 1) 0 in
-    for v = 0 to n - 1 do
-      let l, u = Model.bounds model v in
-      lbs.(v) <- l;
-      ubs.(v) <- u
-    done;
-    let rows =
-      Array.map
-        (fun (c : Model.constr) ->
-          ( sense_code c.Model.sense,
-            c.Model.rhs,
-            canon_terms
-              (List.map (fun (a, v) -> (v, a)) (Linexpr.terms c.Model.expr)) ))
-        (Model.constraints model)
-    in
-    let occ = Array.make (max n 1) [] in
-    Array.iteri
-      (fun i (_, _, terms) ->
-        Array.iter (fun (v, _) -> occ.(v) <- i :: occ.(v)) terms)
-      rows;
-    Array.iteri (fun v l -> occ.(v) <- List.rev l) occ;
-    { n; objc; lbs; ubs; rows; occ }
-
-  let row_key (sense, rhs, terms) =
-    let b = Buffer.create (16 + (Array.length terms * 8)) in
-    Buffer.add_string b (string_of_int sense);
-    Buffer.add_char b '|';
-    Buffer.add_string b (string_of_int rhs);
-    Array.iter
-      (fun (v, c) ->
-        Buffer.add_char b ';';
-        Buffer.add_string b (string_of_int v);
-        Buffer.add_char b ':';
-        Buffer.add_string b (string_of_int c))
-      terms;
-    Buffer.contents b
-
-  let transposition_ok ctx pairs =
-    let pairs = List.filter (fun (u, v) -> u <> v) pairs in
-    let valid =
-      List.for_all
-        (fun (u, v) ->
-          u >= 0 && v >= 0 && u < ctx.n && v < ctx.n
-          && ctx.objc.(u) = ctx.objc.(v)
-          && ctx.lbs.(u) = ctx.lbs.(v)
-          && ctx.ubs.(u) = ctx.ubs.(v))
-        pairs
-    in
-    if not valid then false
-    else begin
-      let map = Hashtbl.create (2 * List.length pairs) in
-      (* The swaps must form an involution on distinct variables. *)
-      let clash = ref false in
-      List.iter
-        (fun (u, v) ->
-          if Hashtbl.mem map u || Hashtbl.mem map v then clash := true
-          else begin
-            Hashtbl.replace map u v;
-            Hashtbl.replace map v u
-          end)
-        pairs;
-      if !clash then false
-      else begin
-        let image v = match Hashtbl.find_opt map v with Some w -> w | None -> v in
-        let affected =
-          List.sort_uniq compare
-            (Hashtbl.fold (fun v _ acc -> ctx.occ.(v) @ acc) map [])
-        in
-        (* The permutation fixes every unaffected row, so invariance of the
-           whole constraint multiset reduces to: the multiset of affected-row
-           keys equals the multiset of their images. *)
-        let originals =
-          List.map (fun i -> row_key ctx.rows.(i)) affected
-        in
-        let images =
-          List.map
-            (fun i ->
-              let sense, rhs, terms = ctx.rows.(i) in
-              let terms' =
-                Array.map (fun (v, c) -> (image v, c)) terms
-              in
-              Array.sort (fun (v1, _) (v2, _) -> compare v1 v2) terms';
-              row_key (sense, rhs, terms'))
-            affected
-        in
-        List.sort compare originals = List.sort compare images
-      end
-    end
-
-  (* Interning: map structural signatures to small integer colours. *)
-  let intern table next key =
-    match Hashtbl.find_opt table key with
-    | Some c -> c
-    | None ->
-        let c = !next in
-        incr next;
-        Hashtbl.replace table key c;
-        c
-
-  let detect ?(max_vars = 4000) ?(max_nnz = 100_000) model =
-    let n = Model.n_vars model in
-    if n < 2 || n > max_vars then []
-    else begin
-      let ctx = make_ctx model in
-      let nnz =
-        Array.fold_left (fun acc (_, _, t) -> acc + Array.length t) 0 ctx.rows
-      in
-      if nnz > max_nnz then []
-      else begin
-        (* Iterative colour refinement: a variable's colour is refined by the
-           multiset of (coefficient, row colour) over its occurrences; a
-           row's colour by its sense/rhs and the multiset of (coefficient,
-           variable colour).  This only ever proposes candidates — exactness
-           comes from the transposition verification below. *)
-        let table = Hashtbl.create 97 and next = ref 0 in
-        let vcolor =
-          Array.init n (fun v ->
-              intern table next
-                (Printf.sprintf "v%d,%d,%d" ctx.lbs.(v) ctx.ubs.(v) ctx.objc.(v)))
-        in
-        let rcolor = Array.make (Array.length ctx.rows) 0 in
-        let stable = ref false and passes = ref 0 in
-        while (not !stable) && !passes < 8 do
-          incr passes;
-          Array.iteri
-            (fun i (sense, rhs, terms) ->
-              let sig_ =
-                List.sort compare
-                  (Array.to_list
-                     (Array.map (fun (v, c) -> (c, vcolor.(v))) terms))
-              in
-              rcolor.(i) <-
-                intern table next
-                  (Printf.sprintf "r%d,%d,%s" sense rhs
-                     (String.concat ";"
-                        (List.map (fun (c, k) -> Printf.sprintf "%d:%d" c k) sig_))))
-            ctx.rows;
-          stable := true;
-          Array.iteri
-            (fun v old ->
-              let sig_ =
-                List.sort compare
-                  (List.concat_map
-                     (fun i ->
-                       let _, _, terms = ctx.rows.(i) in
-                       List.filter_map
-                         (fun (v', c) ->
-                           if v' = v then Some (c, rcolor.(i)) else None)
-                         (Array.to_list terms))
-                     ctx.occ.(v))
-              in
-              let c =
-                intern table next
-                  (Printf.sprintf "w%d,%s" old
-                     (String.concat ";"
-                        (List.map (fun (c, k) -> Printf.sprintf "%d:%d" c k) sig_)))
-              in
-              if c <> vcolor.(v) then begin
-                vcolor.(v) <- c;
-                stable := false
-              end)
-            vcolor
-        done;
-        (* Group by final colour, then split each class into maximal runs of
-           verified adjacent transpositions (adjacent transpositions generate
-           the full symmetric group on the run). *)
-        let classes = Hashtbl.create 17 in
-        for v = n - 1 downto 0 do
-          Hashtbl.replace classes vcolor.(v)
-            (v
-            ::
-            (match Hashtbl.find_opt classes vcolor.(v) with
-            | Some l -> l
-            | None -> []))
-        done;
-        let orbits = ref [] in
-        Hashtbl.iter
-          (fun _ members ->
-            match members with
-            | [] | [ _ ] -> ()
-            | first :: rest ->
-                let flush run =
-                  if List.length run >= 2 then
-                    orbits := Scalar (Array.of_list (List.rev run)) :: !orbits
-                in
-                let run = ref [ first ] in
-                List.iter
-                  (fun v ->
-                    match !run with
-                    | last :: _ when transposition_ok ctx [ (last, v) ] ->
-                        run := v :: !run
-                    | _ ->
-                        flush !run;
-                        run := [ v ])
-                  rest;
-                flush !run)
-          classes;
-        (* Deterministic output order: by smallest member. *)
-        List.sort
-          (fun a b ->
-            compare (List.hd (vars a)) (List.hd (vars b)))
-          !orbits
-      end
-    end
-end
-
-(* [Symmetry.detect] returns exactly the oracle's orbits, each of which
-   passes the exact verifier. *)
-let detect_matches_oracle m =
-  let got = Ilp.Symmetry.detect m in
-  let ctx = Ilp.Symmetry.make_ctx m in
-  got = Oracle.detect m && List.for_all (Ilp.Symmetry.verify ctx) got
-
-(* Random models dense in repeated columns: 0/1/2 coefficients over up to
-   [max_vars] variables.  At 40, colour classes are large, refinement
-   takes several passes, rows can exceed the insertion-sort width, and
-   the verifier rejects some candidates; at 4, random swaps are often
-   symmetries or miss one only narrowly. *)
-let gen_repetitive_model ~max_vars =
-  QCheck2.Gen.(
-    let coef = frequency [ (5, return 0); (4, return 1); (1, return 2) ] in
-    let* n = int_range 2 max_vars in
-    let* n_rows = int_range 1 6 in
-    let* obj = list_size (return n) coef in
-    let* rows =
-      list_size (return n_rows)
-        (let* terms = list_size (return n) coef in
-         let* sense = oneofl [ Ilp.Model.Le; Ilp.Model.Ge; Ilp.Model.Eq ] in
-         let* rhs = int_range 0 4 in
-         return (terms, sense, rhs))
-    in
-    return (n, obj, rows))
-
-let prop_detect_matches_oracle =
-  QCheck2.Test.make ~name:"Symmetry.detect = string-keyed oracle" ~count:300
-    QCheck2.Gen.(
-      oneof
-        [
-          map (fun s -> build_model s) gen_small_model;
-          map (fun s -> build_model s) (gen_repetitive_model ~max_vars:40);
-          map (fun s -> fst (build_planted_model s)) gen_planted_symmetric;
-        ])
-    detect_matches_oracle
-
-(* The integer verifier agrees with the oracle's row-key verifier on
-   random involutions: a first swap (a, b), which half the time is made
-   an automorphism by adding every row's (a, b)-swapped image, plus up to
-   two random swaps (clashing and out-of-range pairs included). *)
-let prop_transposition_matches_oracle =
-  QCheck2.Test.make ~name:"Symmetry.transposition_ok = string-keyed oracle"
-    ~count:500
-    QCheck2.Gen.(
-      let* n, obj, rows = gen_repetitive_model ~max_vars:4 in
-      let* a = int_range 0 (n - 1) in
-      let* b = int_range 0 (n - 1) in
-      let* symmetrize = bool in
-      let* extra =
-        list_size (int_range 0 2) (pair (int_range 0 n) (int_range 0 n))
-      in
-      let swap l =
-        List.mapi
-          (fun i _ -> List.nth l (if i = a then b else if i = b then a else i))
-          l
-      in
-      let spec =
-        if not symmetrize then (n, obj, rows)
-        else
-          ( n,
-            List.mapi (fun i c -> if i = b then List.nth obj a else c) obj,
-            rows
-            @ List.map (fun (terms, sense, rhs) -> (swap terms, sense, rhs)) rows
-          )
-      in
-      return (build_model spec, (a, b) :: extra))
-    (fun (m, pairs) ->
-      Ilp.Symmetry.transposition_ok (Ilp.Symmetry.make_ctx m) pairs
-      = Oracle.transposition_ok (Oracle.make_ctx m) pairs)
-
-(* The same on the presolved synthesis encodings, reference and every k. *)
-let test_detect_matches_oracle_on_encodings () =
-  List.iter
-    (fun name ->
-      let p = Option.get (Circuits.Suite.find name) in
-      let n_regs = Dfg.Problem.min_registers p in
-      let encodings =
-        (0, Advbist.Encoding.build_reference p ~n_regs)
-        :: List.init (Dfg.Problem.n_modules p) (fun i ->
-               (i + 1, Advbist.Encoding.build p ~n_regs ~k:(i + 1)))
-      in
-      List.iter
-        (fun (k, e) ->
-          let m, _ = Ilp.Presolve.strengthen e.Advbist.Encoding.model in
-          check_bool
-            (Printf.sprintf "%s k=%d: detect = oracle" name k)
-            true (detect_matches_oracle m))
-        encodings)
-    [ "tseng"; "paulin" ]
-
 (* -- Work-stealing parallel search ---------------------------------------- *)
 
 let test_deques () =
@@ -1402,9 +965,6 @@ let test_stats_sequential () =
         (List.for_all (fun (_, s) -> s >= 0.0) (Ilp.Stats.phases st));
       check_bool "accounted time within wall clock (plus timer noise)" true
         (Ilp.Stats.accounted_s st <= r.Ilp.Solver.time_s +. 0.05);
-      check_bool "detection ran at most 8 refinement passes" true
-        (st.Ilp.Stats.sym_refine_passes >= 1
-        && st.Ilp.Stats.sym_refine_passes <= 8);
       check_bool "incumbent curve ends at the optimum" true
         (match Ilp.Stats.primal_progress st with
         | [] -> false
@@ -1440,23 +1000,24 @@ let test_stats_parallel_jobs_invariant () =
     List.for_all
       (fun d -> get h1 d = get h4 d)
       (List.init len (fun d -> d)));
-  check_int "orbit fixings identical" s1.Ilp.Stats.orbit_fixings
-    s4.Ilp.Stats.orbit_fixings;
   check_int "subtree count identical" s1.Ilp.Stats.subtrees
     s4.Ilp.Stats.subtrees;
-  check_int "refinement passes identical" s1.Ilp.Stats.sym_refine_passes
-    s4.Ilp.Stats.sym_refine_passes;
-  check_int "transposition checks identical" s1.Ilp.Stats.sym_transpositions
-    s4.Ilp.Stats.sym_transpositions;
-  check_bool "detection ran and checked transpositions" true
-    (s4.Ilp.Stats.sym_refine_passes > 0 && s4.Ilp.Stats.sym_transpositions > 0);
+  check_int "conflicts identical" s1.Ilp.Stats.conflicts
+    s4.Ilp.Stats.conflicts;
+  check_int "oversize nogoods identical" s1.Ilp.Stats.oversize
+    s4.Ilp.Stats.oversize;
+  check_int "nogood literals identical" s1.Ilp.Stats.nogood_lits
+    s4.Ilp.Stats.nogood_lits;
+  check_bool "analysis completed nogoods" true
+    (s4.Ilp.Stats.nogood_lits > 0);
   check_bool "the frontier actually spawned subtrees" true
     (s4.Ilp.Stats.subtrees > 0);
   check_int "workers recorded" 4 s4.Ilp.Stats.workers
 
 (* The report is what lands in CI artifacts, so pin the conflict-engine
-   line down to the numbers: counters verbatim, mean backjump =
-   backjump_depth / conflicts, and 0.0 when nothing conflicted. *)
+   line down to the numbers: counters verbatim, mean nogood size =
+   nogood_lits / (learned + oversize), mean backjump = backjump_depth /
+   conflicts, and 0.0 when nothing conflicted. *)
 let test_stats_pp_conflict_line () =
   let contains ~needle hay =
     let nl = String.length needle and hl = String.length hay in
@@ -1467,30 +1028,22 @@ let test_stats_pp_conflict_line () =
   st.Ilp.Stats.conflicts <- 40;
   st.Ilp.Stats.learned <- 31;
   st.Ilp.Stats.deleted <- 7;
+  st.Ilp.Stats.oversize <- 9;
+  st.Ilp.Stats.nogood_lits <- 420;
   st.Ilp.Stats.backjumps <- 5;
   st.Ilp.Stats.backjump_depth <- 100;
   let out = Format.asprintf "%a" (Ilp.Stats.pp ?time_s:None) st in
   check_bool "conflict-engine line renders the counters" true
     (contains out
        ~needle:
-         "conflict engine: 40 conflicts, 31 learned, 7 deleted, avg backjump \
-          2.5");
+         "conflict engine: 40 conflicts, 31 learned, 7 deleted, 9 oversize, \
+          mean size 10.5, avg backjump 2.5");
   let quiet = Format.asprintf "%a" (Ilp.Stats.pp ?time_s:None) (Ilp.Stats.create ()) in
-  check_bool "zero conflicts renders avg backjump 0.0" true
+  check_bool "zero conflicts renders the means as 0.0" true
     (contains quiet
        ~needle:
-         "conflict engine: 0 conflicts, 0 learned, 0 deleted, avg backjump \
-          0.0")
-
-let test_stats_pp_prepare_line () =
-  let st = Ilp.Stats.create () in
-  st.Ilp.Stats.prepare_s <- 0.25;
-  st.Ilp.Stats.sym_refine_passes <- 6;
-  st.Ilp.Stats.sym_transpositions <- 173;
-  let out = Format.asprintf "%a" (Ilp.Stats.pp ?time_s:None) st in
-  check_bool "prepare line renders the symmetry counters" true
-    (List.mem "  prepare         0.2500  (6 refine passes, 173 transpositions)"
-       (String.split_on_char '\n' out))
+         "conflict engine: 0 conflicts, 0 learned, 0 deleted, 0 oversize, \
+          mean size 0.0, avg backjump 0.0")
 
 (* Synthetic stats records with integer-valued floats, so float addition
    is exact and merge associativity can be checked with (=). *)
@@ -1522,8 +1075,8 @@ let mk_stats ints =
   st.Ilp.Stats.deleted <- get 23;
   st.Ilp.Stats.backjumps <- get 25;
   st.Ilp.Stats.backjump_depth <- get 26;
-  st.Ilp.Stats.sym_refine_passes <- get 27;
-  st.Ilp.Stats.sym_transpositions <- get 28;
+  st.Ilp.Stats.oversize <- get 27;
+  st.Ilp.Stats.nogood_lits <- get 28;
   st.Ilp.Stats.prop_scans <- get 29;
   for d = 0 to get 17 mod 8 do
     Ilp.Stats.node st ~depth:d
@@ -1847,20 +1400,6 @@ let () =
             ] );
       ( "pool",
         [ Alcotest.test_case "submit/await" `Quick test_pool_submit_await ] );
-      ( "symmetry",
-        [
-          Alcotest.test_case "planted group detected" `Quick
-            test_symmetry_detects_planted;
-          Alcotest.test_case "detect = oracle on encodings" `Quick
-            test_detect_matches_oracle_on_encodings;
-        ]
-        @ List.map QCheck_alcotest.to_alcotest
-            [
-              prop_symmetry_preserves_optimum;
-              prop_trusted_orbits_preserve_optimum;
-              prop_detect_matches_oracle;
-              prop_transposition_matches_oracle;
-            ] );
       ( "parallel",
         [ Alcotest.test_case "deques" `Quick test_deques ]
         @ List.map QCheck_alcotest.to_alcotest
@@ -1881,8 +1420,6 @@ let () =
             test_stats_merge_unequal_hist;
           Alcotest.test_case "pp conflict-engine line" `Quick
             test_stats_pp_conflict_line;
-          Alcotest.test_case "pp prepare line" `Quick
-            test_stats_pp_prepare_line;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_stats_merge_commutative; prop_stats_merge_associative ] );
