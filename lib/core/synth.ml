@@ -93,9 +93,9 @@ let run_solver ~jobs ~steal options model =
 
 (* Post-mortem capture: when [explain] is set the solve's trace is
    routed to a private temp JSONL file, parsed back with {!Ilp.Replay}
-   and analyzed.  A caller-supplied sink
-   still sees every event — the captured stream is replayed into it
-   after the solve (content-identical, just not live). *)
+   and analyzed.  A caller-supplied sink still sees every event — the
+   captured stream is replayed into it after the solve
+   (content-identical, just not live). *)
 let with_explain ~explain ?trace run =
   if not explain then (run trace, None)
   else begin
