@@ -507,9 +507,6 @@ let run_snapshot ~tag () =
     budget_s = budget;
     node_limit = Some snapshot_node_limit;
     jobs;
-    (* what Synth.solver_options actually runs the sweep with *)
-    config =
-      { Advbist.Bench_snapshot.cuts = false; lp = "never" };
     circuits;
     total_wall_s = Unix.gettimeofday () -. started;
   }

@@ -75,28 +75,9 @@ let jobs_arg =
     & opt int (Ilp.Pool.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the work-stealing parallel tree search \
-           (default: $(b,ADVBIST_JOBS) from the environment, else 1).")
-
-let steal_arg =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "steal" ] ~docv:"on|off"
-        ~doc:
-          "With -j >= 2, split each solve into open subtrees on a \
-           work-stealing domain pool (deterministic across -j).  \
-           Default: on.")
-
-let learn_arg =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "learn" ] ~docv:"on|off"
-        ~doc:
-          "Conflict learning in the solver: 1-UIP nogoods from every \
-           propagation dead end, bounded learned-clause database, \
-           non-chronological backjumping.  Default: on.")
+          "Worker domains: with $(docv) >= 2, split each solve into open \
+           subtrees on a work-stealing domain pool (deterministic across \
+           -j).  Default: $(b,ADVBIST_JOBS) from the environment, else 1.")
 
 let k_arg =
   Arg.(
@@ -234,8 +215,8 @@ let ref_cmd =
 (* -- synth --------------------------------------------------------------- *)
 
 let synth_cmd =
-  let run circuit file time_limit k meth verilog lp jobs steal stats trace_file
-      explain learn =
+  let run circuit file time_limit k meth verilog lp jobs stats trace_file
+      explain =
     let p = or_die (load ~circuit ~file) in
     let k = Option.value k ~default:(Dfg.Problem.n_modules p) in
     Option.iter
@@ -251,8 +232,8 @@ let synth_cmd =
       | `Advbist ->
           let o =
             or_die
-              (Advbist.Synth.synthesize ~time_limit ~jobs ~steal ~stats
-                 ?trace ~explain ~learn p ~k)
+              (Advbist.Synth.synthesize ~time_limit ~jobs ~stats ?trace
+                 ~explain p ~k)
           in
           (match o.Advbist.Synth.stats with
           | Some st ->
@@ -290,20 +271,18 @@ let synth_cmd =
   Cmd.v (Cmd.info "synth" ~doc:"Synthesize a built-in self-testable data path.")
     Term.(
       const run $ circuit_arg $ file_arg $ time_limit_arg $ k_arg $ method_arg
-      $ verilog_arg $ lp_arg $ jobs_arg $ steal_arg $ stats_arg $ trace_arg
-      $ explain_arg $ learn_arg)
+      $ verilog_arg $ lp_arg $ jobs_arg $ stats_arg $ trace_arg
+      $ explain_arg)
 
 (* -- sweep --------------------------------------------------------------- *)
 
 let sweep_cmd =
-  let run circuit file time_limit fmt jobs steal stats trace_file explain learn
-      =
+  let run circuit file time_limit fmt jobs stats trace_file explain =
     let p = or_die (load ~circuit ~file) in
     let trace = Option.map Ilp.Trace.file trace_file in
     let reference, rows =
       or_die
-        (Advbist.Synth.sweep ~time_limit ~jobs ~steal ~stats ?trace ~explain
-           ~learn p)
+        (Advbist.Synth.sweep ~time_limit ~jobs ~stats ?trace ~explain p)
     in
     Option.iter Ilp.Trace.close trace;
     Format.printf "reference area %d%s@." reference.Advbist.Synth.ref_area
@@ -333,8 +312,7 @@ let sweep_cmd =
        ~doc:"Synthesize one ADVBIST design per k-test session (Table 2).")
     Term.(
       const run $ circuit_arg $ file_arg $ time_limit_arg $ format_arg
-      $ jobs_arg $ steal_arg $ stats_arg $ trace_arg $ explain_arg
-      $ learn_arg)
+      $ jobs_arg $ stats_arg $ trace_arg $ explain_arg)
 
 (* -- compare ------------------------------------------------------------- *)
 

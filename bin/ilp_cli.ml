@@ -21,34 +21,21 @@ let time_limit_arg =
     & info [ "t"; "time-limit" ] ~docv:"SECONDS" ~doc:"Solver time limit.")
 
 let verbose_arg =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log incumbents.")
-
-let learn_arg =
   Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "learn" ] ~docv:"on|off"
-        ~doc:
-          "Conflict learning: analyze every propagation dead end to a \
-           1-UIP nogood, append it to a bounded learned-clause database \
-           and backjump non-chronologically.  Default: on.")
-
-let steal_arg =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "steal" ] ~docv:"on|off"
-        ~doc:
-          "With -j >= 2, split the tree into open subtrees and solve them \
-           on a work-stealing domain pool (deterministic: any -j returns \
-           the same objective and solution).  Default: on.")
+    value & flag
+    & info [ "v"; "verbose" ]
+        ~doc:"Log incumbents to stderr (ignored when --trace is given).")
 
 let jobs_arg =
   Arg.(
     value
     & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Worker domains for the parallel tree search (with --steal on).")
+        ~doc:
+          "Worker domains: with $(docv) >= 2, split the tree into open \
+           subtrees and solve them on a work-stealing domain pool \
+           (deterministic: any -j returns the same objective and \
+           solution).")
 
 let stats_flag_arg =
   Arg.(
@@ -76,22 +63,20 @@ let load path =
       exit 1
 
 let solve_cmd =
-  let run path time_limit verbose learn steal jobs stats trace_file =
+  let run path time_limit verbose jobs stats trace_file =
     let { Ilp.Lp_parse.model; negated } = load path in
     Printf.printf "%s\n" (Ilp.Model.stats model);
-    let trace = Option.map Ilp.Trace.file trace_file in
+    (* an explicit trace file takes precedence over -v *)
+    let trace =
+      match trace_file with
+      | Some path -> Some (Ilp.Trace.file path)
+      | None -> if verbose then Some (Ilp.Trace.stderr_human ()) else None
+    in
     let options =
-      {
-        Ilp.Solver.default with
-        Ilp.Solver.time_limit;
-        verbose;
-        learn;
-        stats;
-        trace;
-      }
+      { Ilp.Solver.default with Ilp.Solver.time_limit; stats; trace }
     in
     let r =
-      if jobs >= 2 && steal then
+      if jobs >= 2 then
         Ilp.Solver.solve_parallel ~options ~jobs model
       else Ilp.Solver.solve ~options model
     in
@@ -141,8 +126,8 @@ let solve_cmd =
   in
   Cmd.v (Cmd.info "solve" ~doc:"Solve an integer program to optimality.")
     Term.(
-      const run $ file_arg $ time_limit_arg $ verbose_arg $ learn_arg
-      $ steal_arg $ jobs_arg $ stats_flag_arg $ trace_arg)
+      const run $ file_arg $ time_limit_arg $ verbose_arg $ jobs_arg
+      $ stats_flag_arg $ trace_arg)
 
 let stats_cmd =
   let run path =

@@ -28,15 +28,12 @@ type circuit = {
   rows : row list;
 }
 
-type config = { cuts : bool; lp : string }
-
 type t = {
   version : int;
   commit : string;
   budget_s : float;
   node_limit : int option;
   jobs : int;
-  config : config;
   circuits : circuit list;
   total_wall_s : float;
 }
@@ -290,12 +287,6 @@ let circuit_of_json j =
     rows = List.map row_of_json (as_arr "rows" (field "rows" j));
   }
 
-let config_of_json j =
-  {
-    cuts = as_bool "cuts" (field "cuts" j);
-    lp = as_str "lp" (field "lp" j);
-  }
-
 let of_string s =
   try
     let j = parse_json s in
@@ -306,7 +297,6 @@ let of_string s =
         budget_s = as_num "budget_s" (field "budget_s" j);
         node_limit = Option.map (as_int "node_limit") (field_opt "node_limit" j);
         jobs = as_int "jobs" (field "jobs" j);
-        config = config_of_json (field "config" j);
         circuits = List.map circuit_of_json (as_arr "circuits" (field "circuits" j));
         total_wall_s = as_num "total_wall_s" (field "total_wall_s" j);
       }
@@ -332,8 +322,6 @@ let to_string t =
   bpf "  \"budget_s\": %g,\n" t.budget_s;
   Option.iter (bpf "  \"node_limit\": %d,\n") t.node_limit;
   bpf "  \"jobs\": %d,\n" t.jobs;
-  bpf "  \"config\": { \"cuts\": %b, \"lp\": %S },\n" t.config.cuts
-    t.config.lp;
   bpf "  \"circuits\": [\n";
   List.iteri
     (fun ci c ->

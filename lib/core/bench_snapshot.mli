@@ -50,8 +50,6 @@ type circuit = {
   rows : row list;
 }
 
-type config = { cuts : bool; lp : string }
-
 type t = {
   version : int;  (** schema version; always 6 *)
   commit : string;
@@ -61,7 +59,6 @@ type t = {
           when the sweeps ran under the wall budget [budget_s] alone
           (every snapshot before the field existed) *)
   jobs : int;
-  config : config;
   circuits : circuit list;
   total_wall_s : float;
 }

@@ -70,12 +70,11 @@ let align_to_clique (p : Dfg.Problem.t) (d : Datapath.Netlist.t) =
   Datapath.Netlist.make ~swapped:d.Datapath.Netlist.swapped p ~reg_of_var
     ~module_of_op:d.Datapath.Netlist.module_of_op
 
-let solver_options ?time_limit ?node_limit ?(stats = false) ?trace
-    ?(learn = Ilp.Solver.default.Ilp.Solver.learn) encoding warm =
+let solver_options ?time_limit ?node_limit ?(stats = false) ?trace encoding
+    warm =
   {
     Ilp.Solver.default with
     Ilp.Solver.time_limit;
-    learn;
     node_limit;
     stats;
     trace;
@@ -86,42 +85,25 @@ let solver_options ?time_limit ?node_limit ?(stats = false) ?trace
 
 (* One ILP solve: a work-stealing parallel subtree search, or the plain
    sequential branch-and-bound. *)
-let run_solver ~jobs ~steal options model =
-  if jobs >= 2 && steal then
+let run_solver ~jobs options model =
+  if jobs >= 2 then
     Ilp.Solver.solve_parallel ~options ~jobs model
   else Ilp.Solver.solve ~options model
 
 (* Post-mortem capture: when [explain] is set the solve's trace is
-   routed to a private temp JSONL file, parsed back with {!Ilp.Replay}
-   and analyzed.  A caller-supplied sink still sees every event — the
-   captured stream is replayed into it after the solve
-   (content-identical, just not live). *)
+   collected in memory and analyzed with {!Ilp.Replay}.  A caller-supplied
+   sink still sees every event — the captured stream is replayed into it
+   after the solve (content-identical, just not live). *)
 let with_explain ~explain ?trace run =
   if not explain then (run trace, None)
   else begin
-    let path = Filename.temp_file "advbist_trace" ".jsonl" in
-    let sink = Ilp.Trace.file path in
-    let r =
-      match run (Some sink) with
-      | r -> r
-      | exception e ->
-          Ilp.Trace.close sink;
-          (try Sys.remove path with Sys_error _ -> ());
-          raise e
-    in
-    Ilp.Trace.close sink;
-    let report =
-      match Ilp.Replay.of_file path with
-      | Ok events ->
-          (match trace with
-          | Some s ->
-              List.iter (fun (t, ev) -> Ilp.Trace.emit s ~time_s:t ev) events
-          | None -> ());
-          Some (Ilp.Replay.analyze events)
-      | Error _ -> None
-    in
-    (try Sys.remove path with Sys_error _ -> ());
-    (r, report)
+    let sink = Ilp.Trace.ring () in
+    let r = run (Some sink) in
+    let events = Ilp.Trace.events sink in
+    Option.iter
+      (fun s -> List.iter (fun (t, ev) -> Ilp.Trace.emit s ~time_s:t ev) events)
+      trace;
+    (r, Some (Ilp.Replay.analyze events))
   end
 
 (* Presolve runs here, outside the solver entry points, so its wall clock
@@ -132,21 +114,21 @@ let stamp_presolve (r : Ilp.Solver.outcome) presolve_s =
   | Some st -> st.Ilp.Stats.presolve_s <- st.Ilp.Stats.presolve_s +. presolve_s
   | None -> ()
 
-let reference ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(steal = true)
-    ?stats ?trace ?learn (p : Dfg.Problem.t) =
+let reference ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?stats ?trace
+    (p : Dfg.Problem.t) =
   let n_regs = Dfg.Problem.min_registers p in
   let e = Encoding.build_reference ?symmetry p ~n_regs in
   let* d0 = Heuristic.netlist p in
   let* d0 = align_to_clique p d0 in
   let warm = Result.to_option (Encoding.vector_of_netlist e d0) in
   let options =
-    solver_options ?time_limit ?node_limit ?stats ?trace ?learn e warm
+    solver_options ?time_limit ?node_limit ?stats ?trace e warm
   in
   (* presolve keeps variable indices, so decoding solutions still works *)
   let t_pre = Unix.gettimeofday () in
   let model, _pstats = Ilp.Presolve.strengthen e.Encoding.model in
   let presolve_s = Unix.gettimeofday () -. t_pre in
-  let r = run_solver ~jobs ~steal options model in
+  let r = run_solver ~jobs options model in
   stamp_presolve r presolve_s;
   match r.Ilp.Solver.solution with
   | None -> Error "reference synthesis found no data path"
@@ -161,8 +143,8 @@ let reference ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(steal = true)
           ref_stats = r.Ilp.Solver.stats;
         }
 
-let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(steal = true)
-    ?stats ?trace ?(explain = false) ?learn ?seed (p : Dfg.Problem.t) ~k =
+let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?stats ?trace
+    ?(explain = false) ?seed (p : Dfg.Problem.t) ~k =
   let* () =
     if k >= 1 then Ok ()
     else Error (Printf.sprintf "k must be >= 1 (got %d)" k)
@@ -204,7 +186,7 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(steal = true)
     | Some h, s -> (Some h, s)
     | None, s -> (s, None)
   in
-  let options = solver_options ?time_limit ?node_limit ?stats ?learn e warm in
+  let options = solver_options ?time_limit ?node_limit ?stats e warm in
   let options = { options with Ilp.Solver.incumbent_start = incumbent } in
   (* presolve keeps variable indices, so decoding solutions still works *)
   let t_pre = Unix.gettimeofday () in
@@ -213,7 +195,7 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(steal = true)
   let r, report =
     with_explain ~explain ?trace (fun tr ->
         let options = { options with Ilp.Solver.trace = tr } in
-        let r = run_solver ~jobs ~steal options model in
+        let r = run_solver ~jobs options model in
         stamp_presolve r presolve_s;
         r)
   in
@@ -263,11 +245,10 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(steal = true)
 
 type sweep_row = { k : int; outcome : outcome; overhead_pct : float }
 
-let sweep ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(steal = true)
-    ?stats ?trace ?explain ?learn p =
+let sweep ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?stats ?trace
+    ?explain p =
   let* reference =
-    reference ?time_limit ?node_limit ?symmetry ~jobs ~steal ?stats ?trace
-      ?learn p
+    reference ?time_limit ?node_limit ?symmetry ~jobs ?stats ?trace p
   in
   let n = Dfg.Problem.n_modules p in
   (* The sweep is sequential in k so each instance can be seeded with the
@@ -279,8 +260,8 @@ let sweep ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(steal = true)
     if k > n then Ok (List.rev acc)
     else
       let* outcome =
-        synthesize ?time_limit ?node_limit ?symmetry ~jobs ~steal ?stats
-          ?trace ?explain ?learn ~seed p ~k
+        synthesize ?time_limit ?node_limit ?symmetry ~jobs ?stats ?trace
+          ?explain ~seed p ~k
       in
       let overhead_pct =
         Bist.Plan.overhead_pct outcome.plan ~reference:reference.ref_area

@@ -43,21 +43,17 @@ type reference = {
 }
 
 val reference :
-  ?time_limit:float -> ?node_limit:int -> ?symmetry:bool ->
-  ?jobs:int -> ?steal:bool ->
-  ?stats:bool -> ?trace:Ilp.Trace.sink -> ?learn:bool ->
-  Dfg.Problem.t ->
+  ?time_limit:float -> ?node_limit:int -> ?symmetry:bool -> ?jobs:int ->
+  ?stats:bool -> ?trace:Ilp.Trace.sink -> Dfg.Problem.t ->
   (reference, string) result
 (** Area-optimal non-BIST data path (registers all plain + minimal mux
     area), warm-started from left-edge + greedy binding.  [jobs >= 2]
-    with [steal] (default true)
     runs the work-stealing parallel tree search
     ({!Ilp.Solver.solve_parallel}). *)
 
 val synthesize :
-  ?time_limit:float -> ?node_limit:int -> ?symmetry:bool ->
-  ?jobs:int -> ?steal:bool ->
-  ?stats:bool -> ?trace:Ilp.Trace.sink -> ?explain:bool -> ?learn:bool ->
+  ?time_limit:float -> ?node_limit:int -> ?symmetry:bool -> ?jobs:int ->
+  ?stats:bool -> ?trace:Ilp.Trace.sink -> ?explain:bool ->
   ?seed:Datapath.Netlist.t -> Dfg.Problem.t -> k:int ->
   (outcome, string) result
 (** [Error] when [k < 1]: a BIST design needs at least one test session.
@@ -65,11 +61,11 @@ val synthesize :
     [stats] (default false) collects solver telemetry into
     [outcome.stats]; [trace] installs a structured event sink
     ({!Ilp.Trace}) for the solve.  [explain] (default false) captures
-    the solve's trace internally and replays it into
+    the solve's trace in memory and replays it into
     [outcome.explain] — a caller-supplied [trace] sink still receives
     every event, replayed after the solve rather than live.
 
-    [jobs] and [steal] as in {!reference}.  [seed] is an
+    [jobs] as in {!reference}.  [seed] is an
     already-synthesized data path (typically the previous k's design, or
     the reference circuit) whose session assignment is repaired for this
     [k] by {!Session_opt}.  The constructive heuristic's design remains
@@ -89,8 +85,7 @@ type sweep_row = {
 
 val sweep :
   ?time_limit:float -> ?node_limit:int -> ?symmetry:bool -> ?jobs:int ->
-  ?steal:bool -> ?stats:bool -> ?trace:Ilp.Trace.sink ->
-  ?explain:bool -> ?learn:bool -> Dfg.Problem.t ->
+  ?stats:bool -> ?trace:Ilp.Trace.sink -> ?explain:bool -> Dfg.Problem.t ->
   (reference * sweep_row list, string) result
 (** One design per k-test session, k = 1 .. N (N = number of modules) —
     Table 2 of the paper.  [time_limit] and [node_limit] apply per k;

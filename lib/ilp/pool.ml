@@ -171,16 +171,10 @@ module Deques = struct
     scan 0
 end
 
-let env_jobs () =
-  match Sys.getenv_opt "ADVBIST_JOBS" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some (min n 64)
-      | Some _ | None -> None)
-  | None -> None
-
-let default_jobs () = match env_jobs () with Some n -> n | None -> 1
-
-let recommended_jobs () =
-  match env_jobs () with
-  | Some n -> n
-  | None -> max 1 (Domain.recommended_domain_count () - 1)
+let default_jobs () =
+  match
+    Option.bind (Sys.getenv_opt "ADVBIST_JOBS") (fun s ->
+        int_of_string_opt (String.trim s))
+  with
+  | Some n when n >= 1 -> min n 64
+  | Some _ | None -> 1

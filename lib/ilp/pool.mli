@@ -57,8 +57,3 @@ end
 val default_jobs : unit -> int
 (** Parallelism from the environment: [ADVBIST_JOBS] when set and positive,
     else 1 (sequential — the conservative default for reproducibility). *)
-
-val recommended_jobs : unit -> int
-(** [ADVBIST_JOBS] when set, else the runtime's recommended domain count
-    minus one (at least 1) — for benchmark harnesses that want the
-    hardware's parallelism without an explicit flag. *)

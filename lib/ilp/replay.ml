@@ -1,7 +1,7 @@
 (* Trace replay and search post-mortems.
 
    [event_of_line] is the exact inverse of [Trace.jsonl_line]: a scanner
-   over the one-object-per-line JSON the file/channel sinks write.  It
+   over the one-object-per-line JSON the file sink writes.  It
    parses integers with [int_of_string] — never through a float — so a
    pruned-empty node's [bound = max_int] round-trips bit-exactly.  On
    top of the parsed stream, [analyze] replays the tree shape (a
@@ -21,8 +21,8 @@ let index_of_sub s sub =
   if !found < 0 then None else Some (!found + m)
 
 (* Position just past ["key":] — keys never appear inside other values
-   (the only free-form string is [message.text], and its quotes are
-   escaped), so a plain substring search is exact on renderer output. *)
+   (no event carries a free-form string), so a plain substring search is
+   exact on renderer output. *)
 let value_pos line key = index_of_sub line ("\"" ^ key ^ "\":")
 
 let scan_number line p =
@@ -39,45 +39,14 @@ let scan_number line p =
   done;
   if !q = p then None else Some (String.sub line p (!q - p))
 
+(* String values are event kinds and prune reasons, plain lower-case
+   words: a value runs to the next quote, and no escapes occur. *)
 let scan_string line p =
-  let n = String.length line in
-  if p >= n || line.[p] <> '"' then None
-  else begin
-    let buf = Buffer.create 16 in
-    let q = ref (p + 1) in
-    let closed = ref false and bad = ref false in
-    while (not !closed) && (not !bad) && !q < n do
-      (match line.[!q] with
-      | '"' -> closed := true
-      | '\\' ->
-          if !q + 1 >= n then bad := true
-          else begin
-            (match line.[!q + 1] with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 'u' ->
-                if !q + 5 >= n then bad := true
-                else begin
-                  (match
-                     int_of_string_opt
-                       ("0x" ^ String.sub line (!q + 2) 4)
-                   with
-                  | Some c when c < 0x100 ->
-                      Buffer.add_char buf (Char.chr c)
-                  | Some _ | None -> bad := true);
-                  q := !q + 4
-                end
-            | _ -> bad := true);
-            incr q
-          end
-      | c -> Buffer.add_char buf c);
-      incr q
-    done;
-    if !bad || not !closed then None else Some (Buffer.contents buf)
-  end
+  if p >= String.length line || line.[p] <> '"' then None
+  else
+    Option.map
+      (fun q -> String.sub line (p + 1) (q - p - 1))
+      (String.index_from_opt line (p + 1) '"')
 
 let int_field line key =
   match value_pos line key with
@@ -108,6 +77,18 @@ let string_field line key =
       match scan_string line p with
       | None -> Error (Printf.sprintf "field %S is not a string" key)
       | Some s -> Ok s)
+
+let bool_field line key =
+  match value_pos line key with
+  | None -> Error (Printf.sprintf "missing field %S" key)
+  | Some p ->
+      let has w =
+        p + String.length w <= String.length line
+        && String.sub line p (String.length w) = w
+      in
+      if has "true" then Ok true
+      else if has "false" then Ok false
+      else Error (Printf.sprintf "field %S is not a boolean" key)
 
 let reason_of_name = function
   | "cutoff" -> Ok Trace.Cutoff
@@ -155,16 +136,14 @@ let event_of_line line =
         let* level = int_field line "level" in
         let* lbd = int_field line "lbd" in
         let* size = int_field line "size" in
+        let* stored = bool_field line "stored" in
         let* nodes = int_field line "nodes" in
-        Ok (Trace.Conflict { depth; level; lbd; size; nodes })
+        Ok (Trace.Conflict { depth; level; lbd; size; stored; nodes })
     | "restart" ->
         let* conflicts = int_field line "conflicts" in
         let* learned = int_field line "learned" in
         let* nodes = int_field line "nodes" in
         Ok (Trace.Restart { conflicts; learned; nodes })
-    | "message" ->
-        let* text = string_field line "text" in
-        Ok (Trace.Message text)
     | other -> Error (Printf.sprintf "unknown event kind %S" other)
   in
   Ok (t, event)
@@ -304,15 +283,14 @@ let analyze events =
       | Trace.Incumbent { objective; _ } -> primal := (t, objective) :: !primal
       | Trace.Subtree _ -> incr subtrees
       | Trace.Steal _ -> incr steals
-      | Trace.Conflict { depth; level; _ } ->
+      | Trace.Conflict { depth; level; stored; _ } ->
           incr conflicts;
-          incr learned;
+          if stored then incr learned;
           if level >= 0 then begin
             backjump_sum := !backjump_sum + (depth - level);
             incr backjump_n
           end
-      | Trace.Restart _ -> incr restarts
-      | Trace.Message _ -> ()))
+      | Trace.Restart _ -> incr restarts))
     events;
   let prunes =
     List.filter
@@ -455,6 +433,24 @@ let render_report ppf r =
 
 (* --- Chrome trace-event export ------------------------------------------ *)
 
+(* JSON string-body escaping for the caller-supplied phase names. *)
+let json_escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+
 (* The chrome://tracing / Perfetto JSON array format: "X" complete spans
    for the solve phases, instants for the discrete search events,
    counter tracks for the primal/dual bounds and the node count.  Times
@@ -478,7 +474,7 @@ let chrome_of_events ?(phases = []) events =
       if dur_s > 0.0 then begin
         obj
           "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":%.1f,\"dur\":%.1f}"
-          (Trace.json_escape name) (us !t0) (us dur_s);
+          (json_escape name) (us !t0) (us dur_s);
         t0 := !t0 +. dur_s
       end)
     phases;
@@ -522,11 +518,7 @@ let chrome_of_events ?(phases = []) events =
       | Trace.Restart { conflicts; learned; _ } ->
           obj
             "{\"name\":\"restart\",\"ph\":\"i\",\"s\":\"p\",\"pid\":1,\"tid\":0,\"ts\":%.1f,\"args\":{\"conflicts\":%d,\"learned\":%d}}"
-            (us t) conflicts learned
-      | Trace.Message m ->
-          obj
-            "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"ts\":%.1f}"
-            (Trace.json_escape m) (us t))
+            (us t) conflicts learned)
     events;
   Buffer.add_string buf "]\n";
   Buffer.contents buf

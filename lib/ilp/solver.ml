@@ -18,10 +18,8 @@ type options = {
   prefer_high : bool;
   warm_start : int array option;
   incumbent_start : int array option;
-  verbose : bool;
   stats : bool;
   trace : Trace.sink option;
-  learn : bool;
 }
 
 let default =
@@ -32,10 +30,8 @@ let default =
     prefer_high = true;
     warm_start = None;
     incumbent_start = None;
-    verbose = false;
     stats = false;
     trace = None;
-    learn = true;
   }
 
 exception Out_of_time
@@ -848,7 +844,7 @@ let reduce_db s =
    unreachable outright. *)
 let learn_from_conflict s =
   let ri = s.conflict_row in
-  if ri >= 0 && s.opts.learn && s.decision_level > 0 && not s.no_stamp then begin
+  if ri >= 0 && s.decision_level > 0 && not s.no_stamp then begin
     s.conflicts_total <- s.conflicts_total + 1;
     (match s.stats with
     | Some st -> st.Stats.conflicts <- st.Stats.conflicts + 1
@@ -981,6 +977,7 @@ let learn_from_conflict s =
                  level = (if asserting then !assert_lv else -1);
                  lbd = !lbd;
                  size = s.cl_len;
+                 stored = store;
                  nodes = s.nodes;
                })
       | None -> ());
@@ -1404,16 +1401,6 @@ let search_drive s root_mark =
       end
   done
 
-(* The historical [verbose] flag is now a convenience alias for a
-   human-readable stderr trace: with no explicit sink installed it
-   reroutes through {!Trace.stderr_human}, so an explicit [--trace FILE]
-   captures the same events and leaves stderr clean (essential under
-   [jobs > 1], where interleaved worker prints were unreadable). *)
-let reroute_verbose (options : options) =
-  if options.verbose && options.trace = None then
-    { options with trace = Some (Trace.stderr_human ()) }
-  else options
-
 (* Build the full search state for [model]: normalized rows, occurrence
    lists, incremental activities and the warm-start incumbent. *)
 let build_search ?stats ~(options : options) ~started model =
@@ -1696,13 +1683,35 @@ let tick stats last set =
       last := t
   | None -> ()
 
+(* The one outcome constructor both entry points share.  [best] is the
+   winning (objective, solution), [complete] whether the search ran to
+   exhaustion, [bound] the root-propagated dual bound; a limit-hit search
+   reports the better of that bound and the incumbent. *)
+let make_outcome ~started ~complete ~best ~bound ~nodes ~stolen ~stats =
+  let status, solution, objective, bound =
+    match (best, complete) with
+    | Some (obj, x), true -> (Optimal, Some x, Some obj, obj)
+    | Some (obj, x), false -> (Feasible, Some x, Some obj, min bound obj)
+    | None, true -> (Infeasible, None, None, max_int)
+    | None, false -> (Unknown, None, None, bound)
+  in
+  {
+    status;
+    solution;
+    objective;
+    bound;
+    nodes;
+    time_s = now () -. started;
+    stolen;
+    stats;
+  }
+
 (* Sequential solve returning the search state too, for the learned-clause
    test hook below; [solve] drops it. *)
 let solve_internal ~(options : options) model =
   let started = now () in
   let stats = if options.stats then Some (Stats.create ()) else None in
   let last = ref started in
-  let options = reroute_verbose options in
   let s = build_search ?stats ~options ~started model in
   tick stats last (fun st d -> st.Stats.build_s <- d);
   let root_mark = ref 0 in
@@ -1730,59 +1739,13 @@ let solve_internal ~(options : options) model =
   tick stats last (fun st d -> st.Stats.search_s <- d);
   finalize_stats s;
   (* A limit can fire mid-branch with the trail partially wound; rewind to
-     the root-propagated state so the trivial bound below is a bound on the
-     whole problem, not on the interrupted subtree. *)
+     the root-propagated state so the bound below is a bound on the whole
+     problem, not on the interrupted subtree. *)
   undo_to s !root_mark;
-  let time_s = now () -. s.started in
-  let trivial_bound = objective_min_activity s in
-  let outcome =
-    match (s.incumbent, complete) with
-    | Some x, true ->
-      {
-        status = Optimal;
-        solution = Some x;
-        objective = Some s.incumbent_obj;
-        bound = s.incumbent_obj;
-        nodes = s.nodes;
-        time_s;
-        stolen = 0;
-        stats;
-      }
-    | Some x, false ->
-      {
-        status = Feasible;
-        solution = Some x;
-        objective = Some s.incumbent_obj;
-        bound = trivial_bound;
-        nodes = s.nodes;
-        time_s;
-        stolen = 0;
-        stats;
-      }
-    | None, true ->
-      {
-        status = Infeasible;
-        solution = None;
-        objective = None;
-        bound = max_int;
-        nodes = s.nodes;
-        time_s;
-        stolen = 0;
-        stats;
-      }
-    | None, false ->
-      {
-        status = Unknown;
-        solution = None;
-        objective = None;
-        bound = trivial_bound;
-        nodes = s.nodes;
-        time_s;
-        stolen = 0;
-        stats;
-      }
-  in
-  (outcome, s)
+  let best = Option.map (fun x -> (s.incumbent_obj, x)) s.incumbent in
+  ( make_outcome ~started ~complete ~best ~bound:(objective_min_activity s)
+      ~nodes:s.nodes ~stolen:0 ~stats,
+    s )
 
 let solve ?(options = default) model = fst (solve_internal ~options model)
 
@@ -1900,7 +1863,6 @@ let solve_parallel ?(options = default) ~jobs model =
   let started = now () in
   let stats = if options.stats then Some (Stats.create ()) else None in
   let last = ref started in
-  let options = reroute_verbose options in
   (* Strip a warm start that fails the audit here, once, so the per-subtree
      reset can trust it unconditionally. *)
   let options =
@@ -1914,54 +1876,6 @@ let solve_parallel ?(options = default) ~jobs model =
   in
   (* Force the model's lazy caches before it crosses domains. *)
   if Model.n_vars model > 0 then ignore (Model.bounds model 0);
-  let finish ~complete ~stolen ~nodes ~bound ~stats best =
-    let time_s = now () -. started in
-    match (best, complete) with
-    | Some (obj, x), true ->
-        {
-          status = Optimal;
-          solution = Some x;
-          objective = Some obj;
-          bound = obj;
-          nodes;
-          time_s;
-          stolen;
-          stats;
-        }
-    | Some (obj, x), false ->
-        {
-          status = Feasible;
-          solution = Some x;
-          objective = Some obj;
-          bound = min bound obj;
-          nodes;
-          time_s;
-          stolen;
-          stats;
-        }
-    | None, true ->
-        {
-          status = Infeasible;
-          solution = None;
-          objective = None;
-          bound = max_int;
-          nodes;
-          time_s;
-          stolen;
-          stats;
-        }
-    | None, false ->
-        {
-          status = Unknown;
-          solution = None;
-          objective = None;
-          bound;
-          nodes;
-          time_s;
-          stolen;
-          stats;
-        }
-  in
   let s0 = build_search ?stats ~options ~started model in
   tick stats last (fun st d -> st.Stats.build_s <- d);
   let root_state =
@@ -1978,9 +1892,9 @@ let solve_parallel ?(options = default) ~jobs model =
         Option.map (fun x -> (s0.incumbent_obj, x)) s0.incumbent
       in
       finalize_stats s0;
-      finish ~complete ~stolen:0 ~nodes:s0.nodes
+      make_outcome ~started ~complete ~best
         ~bound:(objective_min_activity s0)
-        ~stats best
+        ~nodes:s0.nodes ~stolen:0 ~stats
   | `Open ->
       (* The subtree count must NOT depend on [jobs]: the frontier (and
          with it root_best, every per-subtree result and the final
@@ -2004,9 +1918,9 @@ let solve_parallel ?(options = default) ~jobs model =
         (* the whole tree closed during expansion, or a limit fired *)
         finalize_stats s0;
         tick stats last (fun st d -> st.Stats.search_s <- d);
-        finish
+        make_outcome ~started
           ~complete:((not expansion_aborted) && frontier = [])
-          ~stolen:0 ~nodes:s0.nodes ~bound:root_bound ~stats root_best
+          ~best:root_best ~bound:root_bound ~nodes:s0.nodes ~stolen:0 ~stats
       end
       else begin
         let frontier = Array.of_list frontier in
@@ -2162,10 +2076,9 @@ let solve_parallel ?(options = default) ~jobs model =
               merged.Stats.workers <- jobs;
               Some merged
         in
-        finish ~complete
-          ~stolen:(Atomic.get stolen)
+        make_outcome ~started ~complete ~best:!best ~bound:root_bound
           ~nodes:(s0.nodes + worker_nodes)
-          ~bound:root_bound ~stats !best
+          ~stolen:(Atomic.get stolen) ~stats
       end
 
 (* --- test + micro-benchmark hooks --------------------------------------- *)

@@ -4,6 +4,15 @@
     - bound-tightening (pseudo-boolean) propagation at every node,
     - an objective cutoff row updated whenever the incumbent improves,
       which is the only bound: there is no LP relaxation,
+    - 1-UIP conflict analysis: when an in-tree propagation fixpoint
+      fails, a pseudo-boolean nogood over bound literals of binary
+      variables is derived from the reason-annotated trail and appended
+      to the row block, where the unchanged propagation kernel enforces
+      it everywhere below the root.  A root-asserting nogood aborts the
+      dive; the root re-propagation then fixes its variable for good (a
+      non-chronological backjump) and the search dives again.  In
+      {!solve_parallel} the databases are subtree-local, preserving
+      jobs-invariance,
     - a caller-supplied branching order and warm-start solution,
     - wall-clock time limit with best-found-so-far reporting, mirroring the
       24-hour CPU cap the paper applied to CPLEX.
@@ -66,11 +75,6 @@ type options = {
           cutoff without derailing a trajectory tuned to the warm start
           (e.g. a cross-instance seed next to a same-instance heuristic).
           Checked and silently discarded if infeasible. *)
-  verbose : bool;
-      (** progress lines on stderr (incumbents).  Implemented
-          as a {!Trace.stderr_human} sink installed when [trace] is
-          [None]; an explicit [trace] sink takes precedence and receives
-          the same events (plus the full node/prune stream). *)
   stats : bool;
       (** collect {!Stats} for this solve (default false).  The
           instrumentation is allocation-free and branch-only when off;
@@ -81,23 +85,12 @@ type options = {
           typed event stream: nodes, prunes with reasons, incumbents,
           conflicts, subtree spawns and steals. The sink is shared by
           all parallel workers (writes are serialized); the caller owns
-          it and should {!Trace.close} it after the solve. *)
-  learn : bool;
-      (** 1-UIP conflict analysis (default true): when an in-tree
-          propagation fixpoint fails, derive a pseudo-boolean nogood over
-          bound literals of binary variables from the reason-annotated
-          trail and append it to the row block, where the unchanged
-          propagation kernel enforces it everywhere below the root.  A
-          root-asserting nogood aborts the dive; the root re-propagation
-          then fixes its variable for good (a non-chronological backjump)
-          and the search dives again.  In {!solve_parallel} the databases
-          are subtree-local, preserving jobs-invariance. *)
+          it and should {!Trace.close} it after the solve.  For
+          progress lines on stderr, install {!Trace.stderr_human}. *)
 }
 
 val default : options
-(** No limits, no order, prefer 1, no warm start, quiet, no stats, no
-    trace, conflict learning on.  Every solve is LP-free: nodes are bounded by the
-    objective cutoff row alone. *)
+(** No limits, no order, prefer 1, no warm start, no stats, no trace. *)
 
 val solve : ?options:options -> Model.t -> outcome
 

@@ -35,16 +35,24 @@ type event =
   | Subtree of { id : int; depth : int }
       (** a frontier subtree was spawned ([depth] = path length) *)
   | Steal of { thief : int; victim : int }
-  | Conflict of { depth : int; level : int; lbd : int; size : int; nodes : int }
-      (** a 1-UIP nogood was learned: the conflict fired at [depth], its
-          asserting level is [level] ([-1] when the nogood is not
-          asserting), [lbd] is the number of distinct decision levels
-          among its literals and [size] its literal count *)
+  | Conflict of {
+      depth : int;
+      level : int;
+      lbd : int;
+      size : int;
+      stored : bool;
+      nodes : int;
+    }
+      (** a conflict was analyzed to a 1-UIP nogood: the conflict fired
+          at [depth], its asserting level is [level] ([-1] when the
+          nogood is not asserting), [lbd] is the number of distinct
+          decision levels among its literals and [size] its literal
+          count; [stored] tells whether the nogood entered the learned
+          database (oversize nogoods are dropped) *)
   | Restart of { conflicts : int; learned : int; nodes : int }
       (** a root-asserting nogood abandoned the dive and the search
           re-entered from the root ([conflicts] analyzed and [learned]
           clauses retained so far) *)
-  | Message of string  (** free-form progress line *)
 
 type sink
 
@@ -52,16 +60,11 @@ val file : string -> sink
 (** JSONL sink writing one [{"t":seconds,"ev":kind,...}] object per
     line to a fresh file; {!close} closes it. *)
 
-val channel : out_channel -> sink
-(** JSONL sink on an existing channel; {!close} flushes but does not
-    close it. *)
-
 val stderr_human : unit -> sink
-(** Human-readable sink reproducing the solver's historical [verbose]
-    stderr lines: prints {!Incumbent} and {!Message} events only. *)
+(** Human-readable progress sink: prints {!Incumbent} events only. *)
 
-val ring : int -> sink
-(** In-memory ring keeping the last [capacity] events (for tests). *)
+val ring : unit -> sink
+(** In-memory sink keeping every event, read back with {!events}. *)
 
 val emit : sink -> time_s:float -> event -> unit
 (** Record [event] at [time_s] seconds since the solve started. *)
@@ -69,24 +72,18 @@ val emit : sink -> time_s:float -> event -> unit
 val events : sink -> (float * event) list
 (** Contents of a {!ring} sink, oldest first.
 
-    @raise Invalid_argument on {!file}, {!channel} and {!stderr_human}
-    sinks — their events are gone once written; parse a JSONL trace
-    back with {!Replay.of_file}. *)
+    @raise Invalid_argument on {!file} and {!stderr_human} sinks —
+    their events are gone once written; parse a JSONL trace back with
+    {!Replay.of_file}. *)
 
 val jsonl_line : time_s:float -> event -> string
-(** The one-line JSON object a {!file}/{!channel} sink writes for
-    [event] (no trailing newline).  {!Replay.event_of_line} is its
-    inverse. *)
+(** The one-line JSON object a {!file} sink writes for [event] (no
+    trailing newline).  {!Replay.event_of_line} is its inverse. *)
 
 val reason_name : prune_reason -> string
 (** Stable lower-case wire name ([cutoff], [probed]) — the [reason]
     field of a JSONL prune line and the key of {!Replay}'s per-reason
     attribution. *)
-
-val json_escape : string -> string
-(** JSON string-body escaping used by the JSONL renderer (quotes,
-    backslashes, control characters); shared with {!Replay}'s Chrome
-    trace exporter. *)
 
 val close : sink -> unit
 (** Flush (and for {!file} sinks close) the underlying channel. *)

@@ -613,6 +613,28 @@ let test_synthesis_runs_lp_free () =
     (st.Ilp.Stats.prop_scans > 0
     && st.Ilp.Stats.prop_scans < st.Ilp.Stats.prop_ticks)
 
+(* The explain post-mortem counts only the nogoods the solver stored:
+   oversize nogoods are analyzed, traced and dropped, so on the pinned
+   tseng k=1 proof the replayed learned count must equal [Stats.learned]
+   (3,479), not the 6,295 analyzed conflicts.  A caller's own sink still
+   receives every captured event. *)
+let test_explain_learned_matches_stats () =
+  let tseng = Option.get (Circuits.Suite.find "tseng") in
+  let sink = Ilp.Trace.ring () in
+  let o =
+    get
+      (Advbist.Synth.synthesize ~time_limit:60.0 ~stats:true ~explain:true
+         ~trace:sink tseng ~k:1)
+  in
+  let st = Option.get o.Advbist.Synth.stats in
+  let rep = Option.get o.Advbist.Synth.explain in
+  check_bool "tseng k=1 optimal" true o.Advbist.Synth.optimal;
+  check_int "replayed learned = Stats.learned" st.Ilp.Stats.learned
+    rep.Ilp.Replay.learned;
+  check_int "learned" 3_479 rep.Ilp.Replay.learned;
+  check_int "caller sink sees every event" rep.Ilp.Replay.events
+    (List.length (Ilp.Trace.events sink))
+
 (* On a limit-hit solve the reported gap must reflect the structural bound:
    strictly below 100, and consistent with the outcome's own area. *)
 let test_gap_uses_structural_bound () =
@@ -991,6 +1013,8 @@ let () =
             test_gap_uses_structural_bound;
           Alcotest.test_case "synthesis runs LP-free" `Quick
             test_synthesis_runs_lp_free;
+          Alcotest.test_case "explain learned = Stats.learned" `Quick
+            test_explain_learned_matches_stats;
         ] );
       ( "encoding",
         [

@@ -247,8 +247,12 @@ let brute_force m =
   done;
   !best
 
+(* The one solver configuration against exhaustive enumeration: the
+   only pruning is the propagation fixpoint, probing, the incumbent
+   cutoff and learned nogoods, so each must land on the brute-force
+   optimum (or agree the model is infeasible). *)
 let prop_bb_matches_brute_force =
-  QCheck2.Test.make ~name:"B&B = brute force on random 0-1 models" ~count:300
+  QCheck2.Test.make ~name:"B&B = brute force on random 0-1 models" ~count:600
     gen_small_model (fun spec ->
       let m = build_model spec in
       let r = Ilp.Solver.solve m in
@@ -260,42 +264,7 @@ let prop_bb_matches_brute_force =
           Option.get r.Ilp.Solver.objective = expect
       | Some _, (Ilp.Solver.Feasible | Ilp.Solver.Unknown) -> false)
 
-(* The bare bound-and-propagate search, with conflict learning off: the
-   solver has no LP relaxation, so its only pruning is the propagation
-   fixpoint, probing and the incumbent cutoff. *)
-let prop_bb_without_lp_matches =
-  QCheck2.Test.make ~name:"B&B without LP matches brute force" ~count:200
-    gen_small_model (fun spec ->
-      let m = build_model spec in
-      let opts = { Ilp.Solver.default with Ilp.Solver.learn = false } in
-      let r = Ilp.Solver.solve ~options:opts m in
-      match (brute_force m, r.Ilp.Solver.status) with
-      | None, Ilp.Solver.Infeasible -> true
-      | None, _ -> false
-      | Some _, Ilp.Solver.Infeasible -> false
-      | Some expect, Ilp.Solver.Optimal ->
-          Option.get r.Ilp.Solver.objective = expect
-      | Some _, (Ilp.Solver.Feasible | Ilp.Solver.Unknown) -> false)
-
 (* -- Conflict learning --------------------------------------------------- *)
-
-(* The conflict engine is pure pruning: learning on and off must both
-   land on the brute-force optimum (or agree the model is infeasible).
-   Models are rebuilt per solve so no run sees another's presolve. *)
-let prop_learning_matches_brute_force =
-  QCheck2.Test.make ~name:"learn on/off both match brute force" ~count:300
-    gen_small_model (fun spec ->
-      let expect = brute_force (build_model spec) in
-      List.for_all
-        (fun learn ->
-          let options = { Ilp.Solver.default with Ilp.Solver.learn } in
-          let r = Ilp.Solver.solve ~options (build_model spec) in
-          match (expect, r.Ilp.Solver.status) with
-          | None, Ilp.Solver.Infeasible -> true
-          | None, _ | Some _, Ilp.Solver.Infeasible -> false
-          | Some e, Ilp.Solver.Optimal -> Option.get r.Ilp.Solver.objective = e
-          | Some _, (Ilp.Solver.Feasible | Ilp.Solver.Unknown) -> false)
-        [ true; false ])
 
 (* Soundness of the 1-UIP derivation itself: every nogood alive at the end
    of the search must hold at every 0-1 point that satisfies the model and
@@ -1120,7 +1089,7 @@ let prop_stats_merge_associative =
         (Ilp.Stats.merge (Ilp.Stats.merge a b) c))
 
 let test_trace_ring () =
-  let ring = Ilp.Trace.ring 100_000 in
+  let ring = Ilp.Trace.ring () in
   let options = { Ilp.Solver.default with Ilp.Solver.trace = Some ring } in
   let r = Ilp.Solver.solve ~options (assignment_model ()) in
   let events = List.map snd (Ilp.Trace.events ring) in
@@ -1198,29 +1167,24 @@ let test_trace_events_raises_on_file_sink () =
     with Invalid_argument _ -> true
   in
   check_bool "events on a file sink raises" true raised;
-  Ilp.Trace.emit sink ~time_s:0.5 (Ilp.Trace.Message "still alive");
+  Ilp.Trace.emit sink ~time_s:0.5
+    (Ilp.Trace.Incumbent { objective = 42; nodes = 7 });
   Ilp.Trace.close sink;
   (match Ilp.Replay.of_file path with
-  | Ok [ (_, Ilp.Trace.Message "still alive") ] -> ()
+  | Ok [ (_, Ilp.Trace.Incumbent { objective = 42; nodes = 7 }) ] -> ()
   | Ok evs -> Alcotest.failf "unexpected events after raise: %d" (List.length evs)
   | Error msg -> Alcotest.failf "sink unusable after raise: %s" msg);
   Sys.remove path
 
 (* Every [Trace.event] constructor, with payloads covering negatives,
    [max_int] (a pruned-empty node's bound — must round-trip bit-exactly,
-   which rules out any float path in the parser) and messages that need
-   every escape class. *)
+   which rules out any float path in the parser) and both values of a
+   conflict's [stored] flag. *)
 let gen_trace_event =
   let open QCheck2.Gen in
   let nat = int_range 0 5_000_000 in
   let bound = oneof [ int_range (-10_000) 10_000; return max_int ] in
   let reason = oneofl [ Ilp.Trace.Cutoff; Ilp.Trace.Probed ] in
-  let message =
-    string_size (int_range 0 30)
-      ~gen:
-        (oneofl
-           [ 'a'; 'Z'; '0'; ' '; '"'; '\\'; '\n'; '\t'; '\r'; '\x01'; '\x1f' ])
-  in
   oneof
     [
       map
@@ -1245,17 +1209,16 @@ let gen_trace_event =
         (fun (thief, victim) -> Ilp.Trace.Steal { thief; victim })
         (pair (int_range 0 63) (int_range 0 63));
       map
-        (fun ((depth, level), (lbd, size), nodes) ->
-          Ilp.Trace.Conflict { depth; level; lbd; size; nodes })
+        (fun ((depth, level), (lbd, size), (stored, nodes)) ->
+          Ilp.Trace.Conflict { depth; level; lbd; size; stored; nodes })
         (triple
-           (pair (int_range 0 500) (int_range 0 500))
+           (pair (int_range 0 500) (int_range (-1) 500))
            (pair (int_range 1 64) (int_range 1 2000))
-           nat);
+           (pair bool nat));
       map
         (fun (conflicts, (learned, nodes)) ->
           Ilp.Trace.Restart { conflicts; learned; nodes })
         (pair nat (pair nat nat));
-      map (fun s -> Ilp.Trace.Message s) message;
     ]
 
 let prop_trace_jsonl_roundtrip =
@@ -1272,9 +1235,10 @@ let prop_trace_jsonl_roundtrip =
       | Ok (t, ev') ->
           ev' = ev && Ilp.Trace.jsonl_line ~time_s:t ev' = line)
 
-(* Traces written before the solver lost its LP carry prune reasons and
-   events that no longer exist.  Each such line must fail the parse with
-   an [Error] naming the line and the offending value, never raise. *)
+(* Traces written by older solvers carry prune reasons and events that no
+   longer exist: LP prunes, cut rounds, LP resolves and free-form
+   messages.  Each such line must fail the parse with an [Error] naming
+   the line and the offending value, never raise. *)
 let replay_rejects line needle () =
   let node =
     {|{"t":0.000100,"ev":"node","depth":0,"nodes":1,"var":-1,"value":0,"bound":5}|}
@@ -1301,6 +1265,10 @@ let test_replay_rejects_lp_event =
   replay_rejects
     {|{"t":0.000200,"ev":"lp","pivots":40,"iters":52,"refactors":1}|}
     {|event kind "lp"|}
+
+let test_replay_rejects_message =
+  replay_rejects {|{"t":0.000200,"ev":"message","text":"root done"}|}
+    {|event kind "message"|}
 
 (* End-to-end: solve with a JSONL sink, parse the trace back, and check
    the post-mortem's books balance against the solver's own outcome. *)
@@ -1370,7 +1338,7 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_bb_matches_brute_force; prop_bb_without_lp_matches ] );
+          [ prop_bb_matches_brute_force ] );
       ( "lp_format",
         [
           Alcotest.test_case "render" `Quick test_lp_format;
@@ -1425,11 +1393,7 @@ let () =
             [ prop_stats_merge_commutative; prop_stats_merge_associative ] );
       ( "learning",
         List.map QCheck_alcotest.to_alcotest
-          [
-            prop_learning_matches_brute_force;
-            prop_learned_nogoods_implied;
-            prop_learned_rows_are_clauses;
-          ] );
+          [ prop_learned_nogoods_implied; prop_learned_rows_are_clauses ] );
       ( "trace",
         [
           Alcotest.test_case "ring sink" `Quick test_trace_ring;
@@ -1447,6 +1411,8 @@ let () =
             test_replay_rejects_cut_round;
           Alcotest.test_case "rejects lp events" `Quick
             test_replay_rejects_lp_event;
+          Alcotest.test_case "rejects message events" `Quick
+            test_replay_rejects_message;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_trace_jsonl_roundtrip ] );
     ]
