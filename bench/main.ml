@@ -671,7 +671,11 @@ let smoke () =
 (* `perf` arm: the propagation kernel's rate on a fixed instance (tseng
    k=1), for the CI artifact next to bench_diff.txt: full worklist
    fixpoints over the presolved model's rows via
-   Ilp.Solver.propagation_rate, in sweeps/s.
+   Ilp.Solver.propagation_rate, in sweeps/s.  Next to it, the
+   deterministic work of the tseng k=1 optimality proof — nodes, row
+   propagations (ticks), row scans and ticks per node — which read the
+   same on every machine, so two commits compare without a same-machine
+   run.
 
    Non-gating by design: the rate is machine-dependent, so the artifact is
    for eyeballing trends across CI runs, not a pass/fail check. *)
@@ -688,7 +692,18 @@ let perf () =
   Printf.printf "perf: %s\n" (Ilp.Model.stats model);
   let sweeps = 2_000 in
   let rate = Ilp.Solver.propagation_rate model ~sweeps in
-  Printf.printf "perf: propagation %d sweeps = %.0f sweeps/s\n" sweeps rate
+  Printf.printf "perf: propagation %d sweeps = %.0f sweeps/s\n" sweeps rate;
+  match Advbist.Synth.synthesize ~stats:true p ~k:1 with
+  | Ok { Advbist.Synth.nodes; optimal; stats = Some st; _ } ->
+      let ticks = st.Ilp.Stats.prop_ticks in
+      Printf.printf
+        "perf: tseng k=1 proof (%s): %d nodes, %d ticks, %d scans, %.1f \
+         ticks/node\n"
+        (if optimal then "optimal" else "unproved")
+        nodes ticks st.Ilp.Stats.prop_scans
+        (float_of_int ticks /. float_of_int (max 1 nodes))
+  | Ok _ -> prerr_endline "perf: tseng k=1 proof returned no stats"
+  | Error msg -> Printf.eprintf "perf: tseng k=1 proof failed: %s\n" msg
 
 (* Snapshot regression diff: FAIL on area/optimality/coverage losses,
    warn on node-count, gap, time and phase-share drift. *)

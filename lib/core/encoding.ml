@@ -944,9 +944,22 @@ let vector_of_plan e (plan : Bist.Plan.t) =
     let x = Array.make (Ilp.Model.n_vars e.model) 0 in
     let n_mod = Dfg.Problem.n_modules p in
     fill_datapath e netlist x;
+    (* Sub-test sessions are interchangeable labels: number them by first
+       use in module order, the canonical form the Section 3.5 session
+       rows demand (as [Synth.align_to_clique] renames registers), so a
+       plan with arbitrary session labels lifts into either encoding. *)
+    let label = Array.make e.k (-1) and used = ref 0 in
+    let session md =
+      let s = plan.Bist.Plan.session_of_module.(md) in
+      if label.(s) < 0 then begin
+        label.(s) <- !used;
+        incr used
+      end;
+      label.(s)
+    in
     (* sessions and test registers *)
     for md = 0 to n_mod - 1 do
-      let s = plan.Bist.Plan.session_of_module.(md) in
+      let s = session md in
       x.(e.a.(md).(s)) <- 1;
       x.(e.s_mrp.(md).(plan.Bist.Plan.sr_of_module.(md)).(s)) <- 1;
       Array.iteri

@@ -103,5 +103,8 @@ val vector_of_netlist : t -> Datapath.Netlist.t -> (int array, string) result
 
 val vector_of_plan : t -> Bist.Plan.t -> (int array, string) result
 (** The exact solution vector representing a given plan (used to warm-start
-    the solver from a heuristic design).  Fails if the plan does not match
-    the encoding's problem, register count or k. *)
+    the solver from a heuristic design).  Sub-test sessions are renumbered
+    by first use in module order, so any session labelling of the plan
+    satisfies the symmetric encoding's session canonicalization; register
+    names are taken as they are.  Fails if the plan does not match the
+    encoding's problem, register count or k. *)

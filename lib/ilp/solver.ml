@@ -50,10 +50,9 @@ exception Out_of_time
      +-1, so [row_coef] covers the static rows only.  [minact] caches the
      row's minimal activity (sum of a*lb for a > 0, a*ub for a < 0),
      maintained incrementally by every bound change and its undo.
-   - Occurrence lists are CSR too: [occ_start]/[occ_row] (deduped row
-     indices per variable, driving worklist enqueueing) and the signed
-     pairs [occ_pos_*]/[occ_neg_*] driving the incremental min-activity
-     updates on lower/upper bound changes.
+   - Occurrence lists are CSR too: the signed pairs [occ_pos_*] /
+     [occ_neg_*] drive the incremental min-activity updates on lower /
+     upper bound changes, and with them worklist enqueueing.
    - The trail is two parallel int arrays ([(v lsl 1) lor is_lb], old
      bound) grown by doubling — no per-push block allocation.
    - The propagation worklist is a power-of-two ring buffer with
@@ -84,9 +83,7 @@ type search = {
          whose rows haven't moved since their last probe *)
   row_span : int array;
       (* static rows and the cutoff row: max |a| * (ub - lb) over the
-         build bounds, max_int on overflow (see [propagate_row]) *)
-  occ_start : int array;  (* n + 1 *)
-  occ_row : int array;  (* deduped row indices, ascending *)
+         build bounds, max_int on overflow (see [apply_lb_delta]) *)
   occ_pos_start : int array;
   occ_pos_ri : int array;  (* row indices with coef > 0 ... *)
   occ_pos_a : int array;  (* ... and the matching coefficients *)
@@ -149,7 +146,7 @@ type search = {
      binary variables, stored as Le rows of packed literals past the
      cutoff row.  Their occurrences live in per-variable vectors (the
      static CSR occurrence block is immutable), walked by the bound-delta
-     and touch paths next to the static lists. *)
+     paths next to the static lists. *)
   is_bin : bool array;  (* root domain within {0,1}: literal-eligible *)
   pos_lb : int array;  (* var -> trail position of its live lb entry, -1 *)
   pos_ub : int array;
@@ -221,28 +218,54 @@ let trail_push s v old is_lb reason =
   end;
   s.trail_len <- len + 1
 
-let apply_lb_delta s v delta =
+(* Worklist membership is generation-stamped: a row whose stamp equals the
+   current generation is in the ring.  Dequeuing resets the stamp so a row
+   can re-enter within the same fixpoint. *)
+let enqueue_row s i =
+  if Array.unsafe_get s.prop_queued i <> s.prop_gen then begin
+    Array.unsafe_set s.prop_queued i s.prop_gen;
+    Array.unsafe_set s.prop_queue (s.q_tail land s.queue_mask) i;
+    s.q_tail <- s.q_tail + 1
+  end
+
+(* The one walk of a bound change.  A lower-bound move shifts the
+   min-activity of the rows holding [v] with a positive coefficient (an
+   upper-bound move: a negative one); every other row keeps its slack and
+   its term thresholds, so it can deduce nothing new and stays off the
+   worklist.  With [enq] (tightenings, not undos) each shifted row is
+   queued when it can still deduce: a static row once its slack drops
+   below its [row_span] — a term tightens only when slack < |a| * (ub -
+   lb), and no term's range exceeds the span — and a learned clause at
+   minact >= rhs.
+
+   Learned rows are invisible inside probing trials: the trial's bound
+   moves and their undos are both bracketed by [no_stamp], so skipping
+   the walk leaves their min-activities exact once the trial unwinds —
+   probing just doesn't pay the clause database on every trial bound
+   change, and a redundant row a trial ignores can only cost a missed
+   fixing, never a wrong one.  Learned rows carry no stamp
+   ([probe_candidates] reads static rows' only). *)
+let apply_lb_delta s v delta enq =
   if not s.no_stamp then s.change_gen <- s.change_gen + 1;
   let gen = s.change_gen and stamping = not s.no_stamp in
-  let minact = s.row_minact and stamp = s.row_stamp in
+  let minact = s.row_minact and stamp = s.row_stamp and rhs = s.row_rhs in
   for i = s.occ_pos_start.(v) to s.occ_pos_start.(v + 1) - 1 do
     let r = Array.unsafe_get s.occ_pos_ri i in
-    Array.unsafe_set minact r
-      (Array.unsafe_get minact r + (Array.unsafe_get s.occ_pos_a i * delta));
-    if stamping then Array.unsafe_set stamp r gen
+    let m =
+      Array.unsafe_get minact r + (Array.unsafe_get s.occ_pos_a i * delta)
+    in
+    Array.unsafe_set minact r m;
+    if stamping then Array.unsafe_set stamp r gen;
+    if enq && Array.unsafe_get rhs r - m < Array.unsafe_get s.row_span r then
+      enqueue_row s r
   done;
-  (* Learned rows are invisible inside probing trials (see [touch]):
-     the trial's bound moves and their undos are both bracketed by
-     [no_stamp], so skipping the walk leaves their min-activities exact
-     once the trial unwinds — probing just doesn't pay the clause
-     database on every trial bound change.  Learned rows carry no stamp
-     ([probe_candidates] reads static rows' only), so the walk is one
-     store per cell. *)
   if stamping then begin
     let rows = Array.unsafe_get s.lrn_pos v in
     for i = 0 to Array.unsafe_get s.lrn_pos_len v - 1 do
       let r = Array.unsafe_get rows i in
-      Array.unsafe_set minact r (Array.unsafe_get minact r + delta)
+      let m = Array.unsafe_get minact r + delta in
+      Array.unsafe_set minact r m;
+      if enq && m >= Array.unsafe_get rhs r then enqueue_row s r
     done
   end;
   let c = Array.unsafe_get s.objc v in
@@ -251,21 +274,27 @@ let apply_lb_delta s v delta =
     s.obj_dirty <- true
   end
 
-let apply_ub_delta s v delta =
+let apply_ub_delta s v delta enq =
   if not s.no_stamp then s.change_gen <- s.change_gen + 1;
   let gen = s.change_gen and stamping = not s.no_stamp in
-  let minact = s.row_minact and stamp = s.row_stamp in
+  let minact = s.row_minact and stamp = s.row_stamp and rhs = s.row_rhs in
   for i = s.occ_neg_start.(v) to s.occ_neg_start.(v + 1) - 1 do
     let r = Array.unsafe_get s.occ_neg_ri i in
-    Array.unsafe_set minact r
-      (Array.unsafe_get minact r + (Array.unsafe_get s.occ_neg_a i * delta));
-    if stamping then Array.unsafe_set stamp r gen
+    let m =
+      Array.unsafe_get minact r + (Array.unsafe_get s.occ_neg_a i * delta)
+    in
+    Array.unsafe_set minact r m;
+    if stamping then Array.unsafe_set stamp r gen;
+    if enq && Array.unsafe_get rhs r - m < Array.unsafe_get s.row_span r then
+      enqueue_row s r
   done;
   if stamping then begin
     let rows = Array.unsafe_get s.lrn_neg v in
     for i = 0 to Array.unsafe_get s.lrn_neg_len v - 1 do
       let r = Array.unsafe_get rows i in
-      Array.unsafe_set minact r (Array.unsafe_get minact r - delta)
+      let m = Array.unsafe_get minact r - delta in
+      Array.unsafe_set minact r m;
+      if enq && m >= Array.unsafe_get rhs r then enqueue_row s r
     done
   end;
   let c = Array.unsafe_get s.objc v in
@@ -274,12 +303,15 @@ let apply_ub_delta s v delta =
     s.obj_dirty <- true
   end
 
+(* Tightenings enqueue into the current fixpoint's worklist: callers open
+   it with [prop_enter] before the first bound change and drain it with
+   [prop_run] after the last. *)
 let set_lb_r s v value reason =
   if value > s.lb.(v) then begin
     trail_push s v s.lb.(v) true reason;
     let delta = value - s.lb.(v) in
     s.lb.(v) <- value;
-    apply_lb_delta s v delta
+    apply_lb_delta s v delta true
   end
 
 let set_ub_r s v value reason =
@@ -287,7 +319,7 @@ let set_ub_r s v value reason =
     trail_push s v s.ub.(v) false reason;
     let delta = value - s.ub.(v) in
     s.ub.(v) <- value;
-    apply_ub_delta s v delta
+    apply_ub_delta s v delta true
   end
 
 (* Reason-less tightening: decisions and the fixings conflict analysis
@@ -310,13 +342,13 @@ let undo_to s m =
       Array.unsafe_set s.pos_lb v (Array.unsafe_get s.trail_prev len);
       let delta = old - s.lb.(v) in
       s.lb.(v) <- old;
-      apply_lb_delta s v delta
+      apply_lb_delta s v delta false
     end
     else begin
       Array.unsafe_set s.pos_ub v (Array.unsafe_get s.trail_prev len);
       let delta = old - s.ub.(v) in
       s.ub.(v) <- old;
-      apply_ub_delta s v delta
+      apply_ub_delta s v delta false
     end
   done
 
@@ -364,58 +396,14 @@ let bump_learned s ri =
 
 (* --- propagation ------------------------------------------------------- *)
 
-(* Worklist membership is generation-stamped: a row whose stamp equals the
-   current generation is in the ring.  Dequeuing resets the stamp so a row
-   can re-enter within the same fixpoint, exactly like the old queue. *)
-let enqueue_row s i =
-  if Array.unsafe_get s.prop_queued i <> s.prop_gen then begin
-    Array.unsafe_set s.prop_queued i s.prop_gen;
-    Array.unsafe_set s.prop_queue (s.q_tail land s.queue_mask) i;
-    s.q_tail <- s.q_tail + 1
-  end
-
-let touch s v =
-  for i = Array.unsafe_get s.occ_start v
-       to Array.unsafe_get s.occ_start (v + 1) - 1 do
-    enqueue_row s (Array.unsafe_get s.occ_row i)
-  done;
-  (* Learned rows are clauses (+-1 coefficients over binary variables):
-     they can deduce or conflict exactly when minact >= rhs, so slack-y
-     rows skip the queue — the filter is what keeps dense clause
-     databases off the fixpoint's critical path.  Only the list whose
-     literal on [v] may hold is walked: once [v] is fixed, every row of
-     the other list contains [v]'s false literal, is satisfied, and can
-     neither deduce nor conflict until [v] is unfixed.  Probing trials
-     skip learned rows entirely: their min-activities are frozen inside
-     a trial (see [apply_lb_delta]), and redundant rows a trial ignores
-     can only cost a missed fixing, never a wrong one. *)
-  if not s.no_stamp then begin
-    let minact = s.row_minact and rhs = s.row_rhs in
-    if Array.unsafe_get s.ub v > 0 then begin
-      let rows = Array.unsafe_get s.lrn_pos v in
-      for i = 0 to Array.unsafe_get s.lrn_pos_len v - 1 do
-        let r = Array.unsafe_get rows i in
-        if Array.unsafe_get minact r >= Array.unsafe_get rhs r then
-          enqueue_row s r
-      done
-    end;
-    if Array.unsafe_get s.lb v < 1 then begin
-      let rows = Array.unsafe_get s.lrn_neg v in
-      for i = 0 to Array.unsafe_get s.lrn_neg_len v - 1 do
-        let r = Array.unsafe_get rows i in
-        if Array.unsafe_get minact r >= Array.unsafe_get rhs r then
-          enqueue_row s r
-      done
-    end
-  end
-
-(* Bound tightening on one Le row; returns false on conflict, enqueues the
-   rows of every touched variable.  A row's own tightenings never move its
-   cached [minact] (positive-coefficient vars lose upper bound, which the
-   min-activity does not read, and symmetrically), so the slack computed
-   on entry stays valid throughout the scan.  A static row whose slack
-   reaches its [row_span] returns at once: a term tightens only when
-   slack < |a| * (ub - lb), and no term's range exceeds the span. *)
+(* Bound tightening on one Le row; returns false on conflict.  The
+   tightenings enqueue the rows whose min-activity they move.  A row's own
+   tightenings never move its cached [minact] (positive-coefficient vars
+   lose upper bound, which the min-activity does not read, and
+   symmetrically), so the slack computed on entry stays valid throughout
+   the scan.  Static rows reach the worklist only with slack below their
+   [row_span], and min-activities only rise within a fixpoint, so every
+   popped row either conflicts or scans. *)
 let propagate_row s ri =
   let minact = Array.unsafe_get s.row_minact ri in
   let rhs = Array.unsafe_get s.row_rhs ri in
@@ -438,22 +426,15 @@ let propagate_row s ri =
       let v = lit lsr 1 in
       if lit land 1 = 1 then begin
         let max_x = Array.unsafe_get s.lb v + slack in
-        if max_x < Array.unsafe_get s.ub v then begin
-          set_ub_r s v max_x ri;
-          touch s v
-        end
+        if max_x < Array.unsafe_get s.ub v then set_ub_r s v max_x ri
       end
       else begin
         let min_x = Array.unsafe_get s.ub v - slack in
-        if min_x > Array.unsafe_get s.lb v then begin
-          set_lb_r s v min_x ri;
-          touch s v
-        end
+        if min_x > Array.unsafe_get s.lb v then set_lb_r s v min_x ri
       end
     done;
     true
   end
-  else if rhs - minact >= Array.unsafe_get s.row_span ri then true
   else begin
     s.scans <- s.scans + 1;
     let slack = rhs - minact in
@@ -467,27 +448,22 @@ let propagate_row s ri =
         let max_x =
           Array.unsafe_get s.lb v + (if a = 1 then slack else slack / a)
         in
-        if max_x < Array.unsafe_get s.ub v then begin
-          set_ub_r s v max_x ri;
-          touch s v
-        end
+        if max_x < Array.unsafe_get s.ub v then set_ub_r s v max_x ri
       end
       else begin
         (* (-a) * (ub - x) <= slack  =>  x >= ub - slack / (-a) *)
         let min_x =
           Array.unsafe_get s.ub v - (if a = -1 then slack else slack / -a)
         in
-        if min_x > Array.unsafe_get s.lb v then begin
-          set_lb_r s v min_x ri;
-          touch s v
-        end
+        if min_x > Array.unsafe_get s.lb v then set_lb_r s v min_x ri
       end
     done;
     true
   end
 
-(* Reset the worklist for a fresh fixpoint: a new generation invalidates
-   all membership stamps in O(1) and the ring rewinds. *)
+(* Open a fresh fixpoint: a new generation invalidates all membership
+   stamps in O(1) and the ring rewinds.  Called before the bound changes
+   that seed it, which enqueue as they land. *)
 let prop_enter s =
   (match s.stats with
   | Some st -> st.Stats.prop_fixpoints <- st.Stats.prop_fixpoints + 1
@@ -525,7 +501,8 @@ let obj_pass s =
          variables leave every threshold lb(v) + slack/a unchanged.) *)
       if s.obj_dirty then begin
         s.obj_dirty <- false;
-        propagate_row s ri
+        s.row_rhs.(ri) - s.row_minact.(ri) >= s.row_span.(ri)
+        || propagate_row s ri
       end
       else true
     end
@@ -562,28 +539,20 @@ let prop_run ?(budget = max_int) s =
   | Some _ | None -> ());
   !ok
 
-(* Worklist propagation to fixpoint starting from the given variables (or
-   all rows when [None]). *)
-let propagate ?budget s seeds =
+(* Propagation to fixpoint over every row: the root, re-dives and the
+   test hooks.  Static rows whose slack already covers their span are
+   left out, like a bound change leaves them out. *)
+let propagate s =
   prop_enter s;
-  (match seeds with
-  | None ->
-      for i = 0 to s.n_rows - 1 do
-        enqueue_row s i
-      done;
-      for j = 0 to s.n_learned - 1 do
-        let r = s.n_rows + 1 + j in
-        if s.row_minact.(r) >= s.row_rhs.(r) then enqueue_row s r
-      done;
-      s.obj_dirty <- true
-  | Some vars -> List.iter (fun v -> touch s v) vars);
-  prop_run ?budget s
-
-(* Single-seed fast path for branching and probing: no list allocation. *)
-let propagate1 ?budget s v =
-  prop_enter s;
-  touch s v;
-  prop_run ?budget s
+  for i = 0 to s.n_rows - 1 do
+    if s.row_rhs.(i) - s.row_minact.(i) < s.row_span.(i) then enqueue_row s i
+  done;
+  for j = 0 to s.n_learned - 1 do
+    let r = s.n_rows + 1 + j in
+    if s.row_minact.(r) >= s.row_rhs.(r) then enqueue_row s r
+  done;
+  s.obj_dirty <- true;
+  prop_run s
 
 (* --- conflict analysis --------------------------------------------------
 
@@ -616,7 +585,9 @@ exception Abort_dive
 (* Unwinds the current dive to the root without per-level undo (exactly
    like [Out_of_time]); [search_drive] rewinds the trail there. *)
 
-(* Largest nogood worth storing, in literals. *)
+(* Largest nogood worth storing, in literals.  Every stored literal is an
+   occurrence cell that each bound change on its variable's moved side
+   visits once (min-activity update and enqueue test in one walk). *)
 let clause_size_cap n = max 8 (min 16 (n / 4))
 
 let cl_push s lit level =
@@ -742,18 +713,21 @@ let append_learned s ~lbd =
 
 (* Initial clause-database cap.  The cap is what keeps the counter-based
    kernel honest: every bound change on a variable walks the learned
-   occurrence list of the side that moved, twice — once in the delta
-   walk that keeps min-activities exact, once in [touch] to enqueue the
-   rows at their threshold (there are no watched literals) — so
+   occurrence list of the side that moved once — the walk that keeps
+   min-activities exact also enqueues the rows at their threshold (there
+   are no watched literals) — and every undo walks it again, so
    per-change cost is proportional to the database size: unbounded
-   growth turns the O(1) hot path quadratic.  Reduction halves the database on
-   overflow and lets the cap creep up MiniSat-style. *)
+   growth turns the O(1) hot path quadratic.  Reduction halves the
+   database on overflow and lets the cap creep up MiniSat-style. *)
 (* Sized to the instance: 4x the variable count keeps tens of dives'
    worth of nogoods live.  Smaller caps (n/8) measurably lengthen the
    optimality proofs on the bench models — the delta walks get cheaper
    but each dive re-derives refutations its predecessors already
-   learned; 16x gives marginally smaller trees at distinctly worse
-   wall clock, so 4x is the knee. *)
+   learned; larger ones give marginally smaller trees at distinctly
+   worse wall clock.  With one walk per bound change, the tseng k=2
+   proof (median of 3, 2-vCPU VM) takes 1.28 s at 2x, 1.34 s at 4x,
+   1.69 s at 8x and 1.78 s at 16x: 2x and 4x are within noise, so 4x
+   stays the knee. *)
 let max_learnts_init n = max 512 (4 * n)
 
 (* Drop the less active half of the learned database, protecting glue
@@ -831,10 +805,10 @@ let reduce_db s =
     | Some st -> st.Stats.deleted <- st.Stats.deleted + (m - !w)
     | None -> ());
     s.n_learned <- !w;
-    (* Additive creep, not geometric: the delta walk and the [touch]
-       walk of a bound change each visit every learned row holding the
-       moved side's literal, however few of them are enqueued, so the
-       cap must stay near its initial size. *)
+    (* Additive creep, not geometric: a bound change and its undo each
+       visit every learned row holding the moved side's literal, however
+       few of them are enqueued, so the cap must stay near its initial
+       size. *)
     s.max_learnts <- s.max_learnts + 32
   end
 
@@ -963,9 +937,11 @@ let learn_from_conflict s =
         match s.stats with
         | Some st ->
             st.Stats.learned <- st.Stats.learned + 1;
-            if asserting then
+            if asserting then begin
+              st.Stats.asserting <- st.Stats.asserting + 1;
               st.Stats.backjump_depth <-
                 st.Stats.backjump_depth + (level - !assert_lv)
+            end
         | None -> ()
       end;
       (match s.opts.trace with
@@ -1030,26 +1006,30 @@ let probe_fixpoint s ~max_passes =
           | Some st -> st.Stats.probe_trials <- st.Stats.probe_trials + 1
           | None -> ());
           let m = mark s in
+          prop_enter s;
           set_ub s v lo;
-          let ok_lo = propagate1 s v in
+          let ok_lo = prop_run s in
           undo_to s m;
           if not ok_lo then begin
+            prop_enter s;
             set_lb s v hi;
             changed := true;
-            if not (propagate1 s v) then alive := false
+            if not (prop_run s) then alive := false
           end
           else begin
             (match s.stats with
             | Some st -> st.Stats.probe_trials <- st.Stats.probe_trials + 1
             | None -> ());
             let m = mark s in
+            prop_enter s;
             set_lb s v hi;
-            let ok_hi = propagate1 s v in
+            let ok_hi = prop_run s in
             undo_to s m;
             if not ok_hi then begin
+              prop_enter s;
               set_ub s v lo;
               changed := true;
-              if not (propagate1 s v) then alive := false
+              if not (prop_run s) then alive := false
             end
           end
         end;
@@ -1078,6 +1058,16 @@ let probe_half = true
    streak resets, and probing runs at full cadence where it pays. *)
 let probe_max_backoff = 6
 
+(* Whether a row of [v]'s occurrence list [start]/[ri] (one coefficient
+   sign) changed after stamp [last]. *)
+let stamped_after s start ri v last =
+  let dirty = ref false and j = ref start.(v) in
+  while (not !dirty) && !j < start.(v + 1) do
+    if s.row_stamp.(Array.unsafe_get ri !j) > last then dirty := true;
+    incr j
+  done;
+  !dirty
+
 (* Probe only the next [w] unfixed variables in branch order — the node's
    own branching candidates — instead of every unit-domain variable, and
    skip any candidate none of whose rows changed since its last probe
@@ -1096,16 +1086,11 @@ let probe_candidates s ~w =
     let v = s.branch_seq.(!i) in
     if s.ub.(v) - s.lb.(v) = 1 then begin
       incr seen;
-      let dirty = ref false in
-      let occ1 = s.occ_start.(v + 1) in
       let last = s.probe_stamp.(v) in
-      let j = ref s.occ_start.(v) in
-      while (not !dirty) && !j < occ1 do
-        if s.row_stamp.(Array.unsafe_get s.occ_row !j) > last then
-          dirty := true;
-        incr j
-      done;
-      if !dirty then begin
+      if
+        stamped_after s s.occ_pos_start s.occ_pos_ri v last
+        || stamped_after s s.occ_neg_start s.occ_neg_ri v last
+      then begin
         s.probe_stamp.(v) <- s.change_gen;
         let lo = s.lb.(v) and hi = s.ub.(v) in
         (* With a warm-start hint, the hinted value is tried first by the
@@ -1124,16 +1109,18 @@ let probe_candidates s ~w =
           | Some st -> st.Stats.probe_trials <- st.Stats.probe_trials + 1
           | None -> ());
           s.no_stamp <- true;
+          prop_enter s;
           set_ub s v lo;
-          let ok = propagate1 ~budget:probe_budget s v in
+          let ok = prop_run ~budget:probe_budget s in
           undo_to s m;
           s.no_stamp <- false;
           ok
         in
         if not ok_lo then begin
           s.probe_hit <- true;
+          prop_enter s;
           set_lb s v hi;
-          if not (propagate1 s v) then alive := false
+          if not (prop_run s) then alive := false
         end
         else begin
           let ok_hi =
@@ -1144,16 +1131,18 @@ let probe_candidates s ~w =
             | Some st -> st.Stats.probe_trials <- st.Stats.probe_trials + 1
             | None -> ());
             s.no_stamp <- true;
+            prop_enter s;
             set_lb s v hi;
-            let ok = propagate1 ~budget:probe_budget s v in
+            let ok = prop_run ~budget:probe_budget s in
             undo_to s m;
             s.no_stamp <- false;
             ok
           in
           if not ok_hi then begin
             s.probe_hit <- true;
+            prop_enter s;
             set_ub s v lo;
-            if not (propagate1 s v) then alive := false
+            if not (prop_run s) then alive := false
           end
         end
       end
@@ -1322,9 +1311,10 @@ and branch s depth =
       let try_value value =
         let m = mark s in
         s.decision_level <- depth + 1;
+        prop_enter s;
         set_lb s v value;
         set_ub s v value;
-        if propagate1 s v then dfs s (depth + 1) ~var:v ~value
+        if prop_run s then dfs s (depth + 1) ~var:v ~value
         else handle_conflict s;
         undo_to s m;
         s.decision_level <- depth
@@ -1352,13 +1342,15 @@ and branch s depth =
         let mid = lo + ((hi - lo) / 2) in
         let m = mark s in
         s.decision_level <- depth + 1;
+        prop_enter s;
         set_ub s v mid;
-        if propagate1 s v then dfs s (depth + 1) ~var:v ~value:mid
+        if prop_run s then dfs s (depth + 1) ~var:v ~value:mid
         else handle_conflict s;
         undo_to s m;
         let m = mark s in
+        prop_enter s;
         set_lb s v (mid + 1);
-        if propagate1 s v then dfs s (depth + 1) ~var:v ~value:(mid + 1)
+        if prop_run s then dfs s (depth + 1) ~var:v ~value:(mid + 1)
         else handle_conflict s;
         undo_to s m;
         s.decision_level <- depth
@@ -1382,7 +1374,7 @@ let search_drive s root_mark =
       s.decision_level <- 0;
       if not s.learn_closed then begin
         reduce_db s;
-        if propagate s None then begin
+        if propagate s then begin
           root_mark := mark s;
           (match s.opts.trace with
           | Some tr ->
@@ -1460,10 +1452,10 @@ let build_search ?stats ~(options : options) ~started model =
       incr k)
     obj_terms;
   row_start.(n_rows + 1) <- !k;
-  (* Occurrence lists over the ordinary rows, deduped and split by
-     coefficient sign, flattened to CSR.  [occ_row] drives worklist
-     enqueueing; the pos/neg pairs drive the incremental min-activity
-     updates on lower/upper bound changes respectively. *)
+  (* Occurrence lists over the ordinary rows, split by coefficient sign
+     and flattened to CSR: the pos/neg pairs drive the incremental
+     min-activity updates (and the enqueueing) on lower/upper bound
+     changes respectively. *)
   let occ_all = Array.make (max n 1) [] in
   for ri = n_rows - 1 downto 0 do
     for t = row_start.(ri + 1) - 1 downto row_start.(ri) do
@@ -1491,10 +1483,6 @@ let build_search ?stats ~(options : options) ~started model =
     done;
     start.(n) <- !k;
     (start, ri, aa)
-  in
-  let occ_start, occ_row, _ =
-    flatten_rows (fun l ->
-        List.map (fun r -> (r, 0)) (List.sort_uniq compare (List.map fst l)))
   in
   let occ_pos_start, occ_pos_ri, occ_pos_a =
     flatten_rows (List.filter (fun (_, a) -> a > 0))
@@ -1566,8 +1554,6 @@ let build_search ?stats ~(options : options) ~started model =
       row_minact;
       row_stamp = Array.make (n_rows + 1) 1;
       row_span;
-      occ_start;
-      occ_row;
       occ_pos_start;
       occ_pos_ri;
       occ_pos_a;
@@ -1717,7 +1703,7 @@ let solve_internal ~(options : options) model =
   let root_mark = ref 0 in
   let complete =
     try
-      let root_ok = propagate s None && probe_fixpoint s ~max_passes:4 in
+      let root_ok = propagate s && probe_fixpoint s ~max_passes:4 in
       tick stats last (fun st d -> st.Stats.root_s <- d);
       root_mark := mark s;
       if root_ok then begin
@@ -1841,13 +1827,13 @@ let expand_frontier s ~target =
        incr expansions;
        let path = Queue.take q in
        let m = mark s in
+       if path <> [] then prop_enter s;
        List.iter
          (fun (v, lo, hi) ->
            set_lb s v lo;
            set_ub s v hi)
          path;
-       let seeds = List.map (fun (v, _, _) -> v) path in
-       if path = [] || propagate s (Some seeds) then begin
+       if path = [] || prop_run s then begin
          match pick_branch_var s with
          | None -> record_incumbent s
          | Some v ->
@@ -1880,7 +1866,7 @@ let solve_parallel ?(options = default) ~jobs model =
   tick stats last (fun st d -> st.Stats.build_s <- d);
   let root_state =
     try
-      if propagate s0 None && probe_fixpoint s0 ~max_passes:4 then `Open
+      if propagate s0 && probe_fixpoint s0 ~max_passes:4 then `Open
       else `Closed
     with Out_of_time -> `Aborted
   in
@@ -1965,7 +1951,7 @@ let solve_parallel ?(options = default) ~jobs model =
           in
           (* replicate the deterministic root phase of the main domain *)
           let root_ok =
-            try propagate ws None && probe_fixpoint ws ~max_passes:4
+            try propagate ws && probe_fixpoint ws ~max_passes:4
             with Out_of_time ->
               Atomic.set incomplete true;
               false
@@ -1977,13 +1963,13 @@ let solve_parallel ?(options = default) ~jobs model =
               flush_nodes ();
               let m = mark ws in
               (try
+                 prop_enter ws;
                  List.iter
                    (fun (v, lo, hi) ->
                      set_lb ws v lo;
                      set_ub ws v hi)
                    path;
-                 let seeds = List.map (fun (v, _, _) -> v) path in
-                 let open_ = propagate ws (Some seeds) in
+                 let open_ = prop_run ws in
                  if open_ then begin
                    (* the subtree's own root watermark: re-dives inside the
                       subtree rewind here, keeping the path assumptions *)
@@ -2100,9 +2086,20 @@ let row_min_activities ?lower ?upper model =
   let s = bare_search ?lower ?upper model in
   Array.sub s.row_minact 0 s.n_rows
 
-let propagate_bounds ?lower ?upper model =
+let propagate_bounds ?lower ?upper ?fix model =
   let s = bare_search ?lower ?upper model in
-  if propagate s None then Some (s.lb, s.ub) else None
+  let ok =
+    propagate s
+    &&
+    match fix with
+    | None -> true
+    | Some (v, lo, hi) ->
+        prop_enter s;
+        set_lb s v lo;
+        set_ub s v hi;
+        prop_run s
+  in
+  if ok then Some (s.lb, s.ub) else None
 
 (* Sequential solve that also returns the learned nogoods surviving at the
    end of the search, each as (coefs, vars, rhs, cutoff-rhs-at-derivation):
@@ -2130,7 +2127,7 @@ let propagation_rate model ~sweeps =
   let t0 = now () in
   for _ = 1 to max 1 sweeps do
     let m = mark s in
-    ignore (propagate s None);
+    ignore (propagate s);
     undo_to s m
   done;
   let dt = now () -. t0 in

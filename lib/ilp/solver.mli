@@ -137,12 +137,16 @@ val row_min_activities :
 val propagate_bounds :
   ?lower:int array ->
   ?upper:int array ->
+  ?fix:int * int * int ->
   Model.t ->
   (int array * int array) option
 (** The bounds (lower, upper) after the worklist propagation fixpoint
     over every normalized row, starting from the model bounds tightened
     by [lower]/[upper]; [None] when propagation runs into a conflict.
-    No objective cutoff or learning takes part. *)
+    With [~fix:(v, lo, hi)], that fixpoint is then narrowed to
+    [lo <= x_v <= hi] and re-propagated incrementally, as a search
+    decision is: only the rows whose min-activity the narrowing moves
+    are queued.  No objective cutoff or learning takes part. *)
 
 val propagation_rate : Model.t -> sweeps:int -> float
 (** Full propagation-fixpoint sweeps per second over [sweeps] repeats

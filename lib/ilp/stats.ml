@@ -30,6 +30,7 @@ type t = {
   mutable nogood_lits : int;  (* literals summed over analyzed nogoods *)
   mutable backjumps : int;  (* root-asserting conflicts that aborted the dive *)
   mutable backjump_depth : int;  (* sum of (conflict level - asserting level) *)
+  mutable asserting : int;  (* stored asserting nogoods: the depth sum's count *)
   (* Probing (in-tree shaving + root shaving trials). *)
   mutable probe_calls : int;  (* probing steps actually run at a node *)
   mutable probe_skips : int;  (* nodes skipped by the backoff gate *)
@@ -77,6 +78,7 @@ let create () =
     nogood_lits = 0;
     backjumps = 0;
     backjump_depth = 0;
+    asserting = 0;
     probe_calls = 0;
     probe_skips = 0;
     probe_trials = 0;
@@ -158,6 +160,7 @@ let merge a b =
     nogood_lits = a.nogood_lits + b.nogood_lits;
     backjumps = a.backjumps + b.backjumps;
     backjump_depth = a.backjump_depth + b.backjump_depth;
+    asserting = a.asserting + b.asserting;
     probe_calls = a.probe_calls + b.probe_calls;
     probe_skips = a.probe_skips + b.probe_skips;
     probe_trials = a.probe_trials + b.probe_trials;
@@ -206,7 +209,7 @@ let pp ?time_s ppf t =
      mean size %.1f, avg backjump %.1f"
     t.conflicts t.learned t.deleted t.oversize
     (mean t.nogood_lits (t.learned + t.oversize))
-    (mean t.backjump_depth t.conflicts);
+    (mean t.backjump_depth t.asserting);
   fprintf ppf
     "@,probing: %d calls (%d hits, %d trials), %d skipped, %d backoffs"
     t.probe_calls t.probe_hits t.probe_trials t.probe_skips t.probe_backoffs;

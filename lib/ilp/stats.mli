@@ -47,9 +47,12 @@ type t = {
   mutable backjumps : int;
       (** root-asserting conflicts that aborted the current dive *)
   mutable backjump_depth : int;
-      (** sum over analyzed conflicts of (conflict level - asserting
-          level); divided by [conflicts] in {!pp} as the mean jump
-          distance a nogood supports *)
+      (** sum over the stored asserting nogoods of (conflict level -
+          asserting level); divided by [asserting] in {!pp} as the mean
+          jump distance a nogood supports, the same mean {!Replay} reports *)
+  mutable asserting : int;
+      (** stored nogoods with a single literal at the conflict level: the
+          nogoods [backjump_depth] sums over *)
   mutable probe_calls : int;
   mutable probe_skips : int;  (** nodes skipped by the backoff gate *)
   mutable probe_trials : int;  (** tentative endpoint propagations *)

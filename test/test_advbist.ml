@@ -7,6 +7,13 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let fig1 = Dfg.Benchmarks.fig1
 
+let contains_sub s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 let get = function
   | Ok x -> x
   | Error (msg : string) -> Alcotest.failf "unexpected error: %s" msg
@@ -117,6 +124,37 @@ let test_vector_of_plan_feasible () =
       | None -> Alcotest.fail "expected a plan");
       ignore e)
     [ 1; 2 ]
+
+(* Sub-test session labels are arbitrary: a synthesized plan with its
+   sessions relabelled still lifts into the symmetric encoding, whose
+   Section 3.5 rows put module 0 in session 0 and open sessions in
+   order, and decodes at the same cost. *)
+let test_vector_of_plan_relabels_sessions () =
+  let k = 2 in
+  let o = get (Advbist.Synth.synthesize ~time_limit:60.0 fig1 ~k) in
+  let plan = o.Advbist.Synth.plan in
+  let permuted =
+    get
+      (Bist.Plan.make plan.Bist.Plan.netlist ~k
+         ~session_of_module:
+           (Array.map (fun s -> k - 1 - s) plan.Bist.Plan.session_of_module)
+         ~sr_of_module:plan.Bist.Plan.sr_of_module
+         ~tpg_of_port:plan.Bist.Plan.tpg_of_port)
+  in
+  check_bool "module 0 leaves session 0" true
+    (permuted.Bist.Plan.session_of_module.(0) <> 0);
+  let e =
+    Advbist.Encoding.build fig1 ~n_regs:(Dfg.Problem.min_registers fig1) ~k
+  in
+  let x = get (Advbist.Encoding.vector_of_plan e permuted) in
+  check_bool "symmetric model accepts the vector" true
+    (Ilp.Model.check e.Advbist.Encoding.model x = Ok ());
+  match get (Advbist.Encoding.decode e x) with
+  | _, Some plan' ->
+      check_int "same cost"
+        (Bist.Plan.objective_cost plan)
+        (Bist.Plan.objective_cost plan')
+  | _, None -> Alcotest.fail "expected a plan"
 
 let test_vector_of_netlist_reference () =
   let e = Advbist.Encoding.build_reference ~symmetry:false fig1 ~n_regs:3 in
@@ -594,7 +632,10 @@ let test_objective_lower_bound_sound () =
    spends no simplex resolve or pivot.  The node count pins the size of
    its search tree, which an LP bound on these encodings never pruned;
    the propagation and conflict-engine counters pin the tree itself, so a
-   kernel change that loses or reorders a deduction fails here. *)
+   kernel change that loses or reorders a deduction fails here.  The tick
+   count pins the kernel's work: a bound change queues only the rows whose
+   min-activity it moved and that can still deduce, so a kernel that
+   queues dead rows again fails here too. *)
 let test_synthesis_runs_lp_free () =
   let tseng = Option.get (Circuits.Suite.find "tseng") in
   let o = get (Advbist.Synth.synthesize ~time_limit:60.0 ~stats:true tseng ~k:1) in
@@ -602,22 +643,21 @@ let test_synthesis_runs_lp_free () =
   check_bool "tseng k=1 optimal" true o.Advbist.Synth.optimal;
   check_int "no LP resolves" 0 st.Ilp.Stats.lp_resolves;
   check_int "no LP pivots" 0 st.Ilp.Stats.lp_pivots;
-  check_int "nodes" 15_606 o.Advbist.Synth.nodes;
-  check_int "fixpoints" 123_446 st.Ilp.Stats.prop_fixpoints;
-  check_int "propagation conflicts" 21_595 st.Ilp.Stats.prop_conflicts;
-  check_int "analysed conflicts" 6_295 st.Ilp.Stats.conflicts;
-  check_int "learned" 3_479 st.Ilp.Stats.learned;
+  check_int "nodes" 15_746 o.Advbist.Synth.nodes;
+  check_int "fixpoints" 126_264 st.Ilp.Stats.prop_fixpoints;
+  check_int "propagation conflicts" 21_904 st.Ilp.Stats.prop_conflicts;
+  check_int "analysed conflicts" 6_187 st.Ilp.Stats.conflicts;
+  check_int "learned" 3_440 st.Ilp.Stats.learned;
   check_int "deleted" 2_511 st.Ilp.Stats.deleted;
-  check_int "oversize" 2_816 st.Ilp.Stats.oversize;
-  check_bool "some ticks end without a scan" true
-    (st.Ilp.Stats.prop_scans > 0
-    && st.Ilp.Stats.prop_scans < st.Ilp.Stats.prop_ticks)
+  check_int "oversize" 2_747 st.Ilp.Stats.oversize;
+  check_int "propagation ticks" 2_190_623 st.Ilp.Stats.prop_ticks
 
 (* The explain post-mortem counts only the nogoods the solver stored:
    oversize nogoods are analyzed, traced and dropped, so on the pinned
-   tseng k=1 proof the replayed learned count must equal [Stats.learned]
-   (3,479), not the 6,295 analyzed conflicts.  A caller's own sink still
-   receives every captured event. *)
+   tseng k=1 proof the replayed learned count must equal [Stats.learned],
+   not the analyzed conflicts.  Both reports average the backjump over
+   the stored asserting nogoods, so `--explain --stats` print one mean.
+   A caller's own sink still receives every captured event. *)
 let test_explain_learned_matches_stats () =
   let tseng = Option.get (Circuits.Suite.find "tseng") in
   let sink = Ilp.Trace.ring () in
@@ -631,9 +671,18 @@ let test_explain_learned_matches_stats () =
   check_bool "tseng k=1 optimal" true o.Advbist.Synth.optimal;
   check_int "replayed learned = Stats.learned" st.Ilp.Stats.learned
     rep.Ilp.Replay.learned;
-  check_int "learned" 3_479 rep.Ilp.Replay.learned;
+  check_int "learned" 3_440 rep.Ilp.Replay.learned;
   check_int "caller sink sees every event" rep.Ilp.Replay.events
-    (List.length (Ilp.Trace.events sink))
+    (List.length (Ilp.Trace.events sink));
+  check_bool "asserting nogoods counted" true (st.Ilp.Stats.asserting > 0);
+  check_bool "replayed avg backjump = Stats mean" true
+    (rep.Ilp.Replay.avg_backjump
+    = float_of_int st.Ilp.Stats.backjump_depth
+      /. float_of_int st.Ilp.Stats.asserting);
+  let printed = Format.asprintf "%a" (Ilp.Stats.pp ?time_s:None) st in
+  check_bool "stats line prints the replayed mean" true
+    (contains_sub printed
+       (Printf.sprintf "avg backjump %.1f" rep.Ilp.Replay.avg_backjump))
 
 (* On a limit-hit solve the reported gap must reflect the structural bound:
    strictly below 100, and consistent with the outcome's own area. *)
@@ -807,13 +856,6 @@ let test_bench_diff_flags_throughput_drop () =
     (List.exists
        (fun f -> f.severity = Warn && f.circuit = circuit && f.k = Some k)
        findings)
-
-let contains_sub s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
 
 (* Rewrite one (circuit, k) row of [t] through [f]. *)
 let map_row t ~circuit ~k f =
@@ -1031,6 +1073,8 @@ let () =
       ( "warm_start",
         [
           Alcotest.test_case "vector of plan" `Quick test_vector_of_plan_feasible;
+          Alcotest.test_case "vector of plan relabels sessions" `Quick
+            test_vector_of_plan_relabels_sessions;
           Alcotest.test_case "vector of netlist" `Quick
             test_vector_of_netlist_reference;
           Alcotest.test_case "whole-suite roundtrip" `Quick

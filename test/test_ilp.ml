@@ -836,32 +836,60 @@ let reference_fixpoint m lower upper =
     Some (lb, ub)
   with Conflict -> None
 
-(* The worklist kernel — incremental min-activities, the slack-span exit,
-   the queue — must reach the same fixpoint (or the same conflict) as the
-   naive re-sweep: bound propagation's fixpoint is unique. *)
+let int_propagation_model (n, rows, doms) =
+  let m = Ilp.Model.create ~name:"intprop" () in
+  let xs =
+    Array.init n (fun i -> Ilp.Model.int_var m ~lb:0 ~ub:5 (Printf.sprintf "x%d" i))
+  in
+  List.iter
+    (fun (terms, sense, rhs) ->
+      let e =
+        Ilp.Linexpr.of_list
+          (List.filter_map Fun.id
+             (List.mapi (fun i c -> Option.map (fun c -> (c, xs.(i))) c) terms))
+      in
+      Ilp.Model.add m e sense rhs)
+    rows;
+  (m, Array.of_list (List.map fst doms), Array.of_list (List.map snd doms))
+
+(* The worklist kernel — incremental min-activities, the slack-span
+   filter, the queue — must reach the same fixpoint (or the same conflict)
+   as the naive re-sweep: bound propagation's fixpoint is unique. *)
 let prop_fixpoint_matches_resweep =
   QCheck2.Test.make ~name:"propagation fixpoint = naive re-sweep" ~count:1000
-    gen_int_propagation_case (fun (n, rows, doms) ->
-      let m = Ilp.Model.create ~name:"intprop" () in
-      let xs =
-        Array.init n (fun i ->
-            Ilp.Model.int_var m ~lb:0 ~ub:5 (Printf.sprintf "x%d" i))
-      in
-      List.iter
-        (fun (terms, sense, rhs) ->
-          let e =
-            Ilp.Linexpr.of_list
-              (List.filter_map Fun.id
-                 (List.mapi
-                    (fun i c -> Option.map (fun c -> (c, xs.(i))) c)
-                    terms))
-          in
-          Ilp.Model.add m e sense rhs)
-        rows;
-      let lower = Array.of_list (List.map fst doms)
-      and upper = Array.of_list (List.map snd doms) in
+    gen_int_propagation_case (fun case ->
+      let m, lower, upper = int_propagation_model case in
       Ilp.Solver.propagate_bounds ~lower ~upper m
       = reference_fixpoint m lower upper)
+
+(* The search never re-propagates every row: after a bound change it
+   queues only the rows whose min-activity moved, and only those whose
+   slack is still below their span.  Narrow one variable of a propagated
+   fixpoint through that incremental path and the result must still be
+   the naive re-sweep's fixpoint on the narrowed domains. *)
+let prop_incremental_fixpoint_matches_resweep =
+  QCheck2.Test.make ~name:"incremental fixpoint = naive re-sweep" ~count:1000
+    QCheck2.Gen.(pair gen_int_propagation_case (triple nat nat nat))
+    (fun (case, (pick, a, b)) ->
+      let m, lower, upper = int_propagation_model case in
+      match Ilp.Solver.propagate_bounds ~lower ~upper m with
+      | None -> true
+      | Some (lb, ub) ->
+          let n = Array.length lb in
+          (* prefer a variable the fixpoint left open *)
+          let open_vars = List.filter (fun v -> lb.(v) < ub.(v)) (List.init n Fun.id) in
+          let v =
+            match open_vars with
+            | [] -> pick mod n
+            | l -> List.nth l (pick mod List.length l)
+          in
+          let lo = lb.(v) + (a mod (ub.(v) - lb.(v) + 1)) in
+          let hi = lo + (b mod (ub.(v) - lo + 1)) in
+          let lb' = Array.copy lb and ub' = Array.copy ub in
+          lb'.(v) <- lo;
+          ub'.(v) <- hi;
+          Ilp.Solver.propagate_bounds ~lower ~upper ~fix:(v, lo, hi) m
+          = reference_fixpoint m lb' ub')
 
 (* The optimum must be invariant to the worker count, and the reported
    solution identical across jobs (first-found determinism). *)
@@ -995,6 +1023,8 @@ let test_stats_parallel_jobs_invariant () =
     s4.Ilp.Stats.oversize;
   check_int "nogood literals identical" s1.Ilp.Stats.nogood_lits
     s4.Ilp.Stats.nogood_lits;
+  check_int "asserting nogoods identical" s1.Ilp.Stats.asserting
+    s4.Ilp.Stats.asserting;
   check_bool "analysis completed nogoods" true
     (s4.Ilp.Stats.nogood_lits > 0);
   check_bool "the frontier actually spawned subtrees" true
@@ -1004,7 +1034,7 @@ let test_stats_parallel_jobs_invariant () =
 (* The report is what lands in CI artifacts, so pin the conflict-engine
    line down to the numbers: counters verbatim, mean nogood size =
    nogood_lits / (learned + oversize), mean backjump = backjump_depth /
-   conflicts, and 0.0 when nothing conflicted. *)
+   asserting, and 0.0 when nothing conflicted. *)
 let test_stats_pp_conflict_line () =
   let contains ~needle hay =
     let nl = String.length needle and hl = String.length hay in
@@ -1019,12 +1049,13 @@ let test_stats_pp_conflict_line () =
   st.Ilp.Stats.nogood_lits <- 420;
   st.Ilp.Stats.backjumps <- 5;
   st.Ilp.Stats.backjump_depth <- 100;
+  st.Ilp.Stats.asserting <- 25;
   let out = Format.asprintf "%a" (Ilp.Stats.pp ?time_s:None) st in
   check_bool "conflict-engine line renders the counters" true
     (contains out
        ~needle:
          "conflict engine: 40 conflicts, 31 learned, 7 deleted, 9 oversize, \
-          mean size 10.5, avg backjump 2.5");
+          mean size 10.5, avg backjump 4.0");
   let quiet = Format.asprintf "%a" (Ilp.Stats.pp ?time_s:None) (Ilp.Stats.create ()) in
   check_bool "zero conflicts renders the means as 0.0" true
     (contains quiet
@@ -1065,6 +1096,7 @@ let mk_stats ints =
   st.Ilp.Stats.oversize <- get 27;
   st.Ilp.Stats.nogood_lits <- get 28;
   st.Ilp.Stats.prop_scans <- get 29;
+  st.Ilp.Stats.asserting <- get 30;
   for d = 0 to get 17 mod 8 do
     Ilp.Stats.node st ~depth:d
   done;
@@ -1395,6 +1427,7 @@ let () =
           [
             prop_flat_min_activities;
             prop_fixpoint_matches_resweep;
+            prop_incremental_fixpoint_matches_resweep;
             prop_jobs_invariant;
           ] );
       ( "stats",
