@@ -68,7 +68,8 @@ ilp-smoke:
 	grep -q '^objective: 1104$$' $(CURDIR)/_build/ilp_smoke.txt
 
 # Kernel micro-benchmark: propagation fixpoint sweeps/s on a fixed
-# instance (tseng k=1).
+# instance (tseng k=1), next to the tseng k=1 proof's deterministic work
+# (nodes, ticks, scans, ticks/node — the same on every machine).
 # Non-gating — the rate is machine-dependent — but the report is kept in
 # _build/perf_micro.txt so CI can upload it next to bench_diff.txt for
 # trend eyeballing.
