@@ -30,7 +30,7 @@ type t = {
   mutable nogood_lits : int;  (* literals summed over analyzed nogoods *)
   mutable backjumps : int;  (* root-asserting conflicts that aborted the dive *)
   mutable backjump_depth : int;  (* sum of (conflict level - asserting level) *)
-  mutable asserting : int;  (* stored asserting nogoods: the depth sum's count *)
+  mutable asserting : int;  (* nogoods [backjump_depth] sums over *)
   (* Probing (in-tree shaving + root shaving trials). *)
   mutable probe_calls : int;  (* probing steps actually run at a node *)
   mutable probe_skips : int;  (* nodes skipped by the backoff gate *)

@@ -839,7 +839,8 @@ let reference_fixpoint m lower upper =
 let int_propagation_model (n, rows, doms) =
   let m = Ilp.Model.create ~name:"intprop" () in
   let xs =
-    Array.init n (fun i -> Ilp.Model.int_var m ~lb:0 ~ub:5 (Printf.sprintf "x%d" i))
+    Array.init n (fun i ->
+        Ilp.Model.int_var m ~lb:0 ~ub:5 (Printf.sprintf "x%d" i))
   in
   List.iter
     (fun (terms, sense, rhs) ->
@@ -877,7 +878,9 @@ let prop_incremental_fixpoint_matches_resweep =
       | Some (lb, ub) ->
           let n = Array.length lb in
           (* prefer a variable the fixpoint left open *)
-          let open_vars = List.filter (fun v -> lb.(v) < ub.(v)) (List.init n Fun.id) in
+          let open_vars =
+            List.filter (fun v -> lb.(v) < ub.(v)) (List.init n Fun.id)
+          in
           let v =
             match open_vars with
             | [] -> pick mod n
