@@ -45,14 +45,22 @@ bench-diff:
 
 # Conflict-engine smoke: solve tseng k=2 with --stats and keep the
 # profile in _build/learning_stats.txt for CI upload next to
-# bench_diff.txt.  Fails unless its "conflict engine:" line reports a
-# nonzero learned count; the other counters are trend material.
+# bench_diff.txt, then again with the subtree search on two domains
+# (-j 2) into _build/learning_stats_j2.txt.  Fails unless each
+# "conflict engine:" line (for -j 2, the merge over both workers)
+# reports a nonzero learned count, and unless the -j 2 profile has its
+# "parallel: 2 workers" line; the other counters are trend material.
 learn-smoke:
 	@mkdir -p $(CURDIR)/_build
 	dune exec bin/advbist_cli.exe -- synth -c tseng -k 2 -t 10 --stats 2>&1 \
 		| tee $(CURDIR)/_build/learning_stats.txt
 	grep -Eq '^conflict engine: [0-9]+ conflicts, [1-9][0-9]* learned' \
 		$(CURDIR)/_build/learning_stats.txt
+	dune exec bin/advbist_cli.exe -- synth -c tseng -k 2 -t 10 -j 2 --stats \
+		2>&1 | tee $(CURDIR)/_build/learning_stats_j2.txt
+	grep -Eq '^conflict engine: [0-9]+ conflicts, [1-9][0-9]* learned' \
+		$(CURDIR)/_build/learning_stats_j2.txt
+	grep -q '^parallel: 2 workers' $(CURDIR)/_build/learning_stats_j2.txt
 
 # End-to-end check of the standalone ILP solver: export tseng k=1 as a
 # CPLEX-LP file, solve it with `ilp_cli solve --stats` (about 3 s) and

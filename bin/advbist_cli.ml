@@ -76,8 +76,9 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains: with $(docv) >= 2, split each solve into open \
-           subtrees on a work-stealing domain pool (deterministic across \
-           -j).  Default: $(b,ADVBIST_JOBS) from the environment, else 1.")
+           subtrees on $(docv) domains with work stealing (deterministic \
+           across -j >= 2).  Default: $(b,ADVBIST_JOBS) from the \
+           environment, else 1.")
 
 let k_arg =
   Arg.(
@@ -119,10 +120,10 @@ let stats_arg =
     value & flag
     & info [ "stats" ]
         ~doc:
-          "Collect solver telemetry (per-phase timers, propagation, \
+          "Print the solver telemetry (per-phase timers, propagation, \
            conflict and probing counters, incumbent curve, depth \
-           histogram) and print the table to stderr; sweep prints the \
-           aggregate over every solve.")
+           histogram) to stderr; sweep prints the aggregate over every \
+           solve.")
 
 let trace_arg =
   Arg.(
@@ -159,6 +160,20 @@ let or_die = function
       Printf.eprintf "advbist: %s\n" msg;
       exit 1
 
+(* [write ()] creates or writes [path]; an unwritable path is reported as
+   "cannot write PATH: reason" instead of escaping as an exception (a
+   Sys_error message usually starts with the path already). *)
+let writing path write =
+  try write ()
+  with Sys_error msg ->
+    let msg =
+      if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg
+    in
+    or_die (Error ("cannot write " ^ msg))
+
+let open_trace =
+  Option.map (fun path -> writing path (fun () -> Ilp.Trace.file path))
+
 (* -- list ---------------------------------------------------------------- *)
 
 let list_cmd =
@@ -186,7 +201,7 @@ let show_cmd =
     Format.printf "minimum registers: %d@." (Dfg.Problem.min_registers p);
     Option.iter
       (fun path ->
-        Dfg.Dot.to_file path p.Dfg.Problem.dfg;
+        writing path (fun () -> Dfg.Dot.to_file path p.Dfg.Problem.dfg);
         Format.printf "wrote %s@." path)
       dot
   in
@@ -204,7 +219,8 @@ let ref_cmd =
       (if r.Advbist.Synth.ref_optimal then " (optimal)" else " *");
     Option.iter
       (fun path ->
-        Datapath.Rtl.to_file path r.Advbist.Synth.ref_netlist;
+        writing path (fun () ->
+            Datapath.Rtl.to_file path r.Advbist.Synth.ref_netlist);
         Format.printf "wrote %s@." path)
       verilog
   in
@@ -223,10 +239,11 @@ let synth_cmd =
       (fun path ->
         if k < 1 then or_die (Error "--lp needs k >= 1 test sessions");
         let e = Advbist.Encoding.build p ~n_regs:(Dfg.Problem.min_registers p) ~k in
-        Ilp.Lp_format.to_file path e.Advbist.Encoding.model;
+        writing path (fun () ->
+            Ilp.Lp_format.to_file path e.Advbist.Encoding.model);
         Format.printf "wrote %s@." path)
       lp;
-    let trace = Option.map Ilp.Trace.file trace_file in
+    let trace = open_trace trace_file in
     let plan, tag =
       match meth with
       | `Advbist ->
@@ -264,7 +281,8 @@ let synth_cmd =
     | Error _ -> ());
     Option.iter
       (fun path ->
-        Datapath.Rtl.to_file path plan.Bist.Plan.netlist;
+        writing path (fun () ->
+            Datapath.Rtl.to_file path plan.Bist.Plan.netlist);
         Format.printf "wrote %s@." path)
       verilog
   in
@@ -279,7 +297,7 @@ let synth_cmd =
 let sweep_cmd =
   let run circuit file time_limit fmt jobs stats trace_file explain =
     let p = or_die (load ~circuit ~file) in
-    let trace = Option.map Ilp.Trace.file trace_file in
+    let trace = open_trace trace_file in
     let reference, rows =
       or_die
         (Advbist.Synth.sweep ~time_limit ~jobs ~stats ?trace ~explain p)

@@ -33,8 +33,8 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains: with $(docv) >= 2, split the tree into open \
-           subtrees and solve them on a work-stealing domain pool \
-           (deterministic: any -j returns the same objective and \
+           subtrees and solve them on $(docv) domains with work stealing \
+           (deterministic: any -j >= 2 returns the same objective and \
            solution).")
 
 let stats_flag_arg =
@@ -42,9 +42,9 @@ let stats_flag_arg =
     value & flag
     & info [ "stats" ]
         ~doc:
-          "Collect solver telemetry (per-phase timers, propagation, \
+          "Print the solver telemetry (per-phase timers, propagation, \
            conflict and probing counters, incumbent curve, depth \
-           histogram) and print the table to stderr after the solve.")
+           histogram) to stderr after the solve.")
 
 let trace_arg =
   Arg.(
@@ -55,42 +55,45 @@ let trace_arg =
           "Write the structured search trace (nodes, prunes, incumbents, \
            conflicts, subtree spawns/steals) to $(docv) as JSON lines.")
 
+let die msg =
+  Printf.eprintf "ilp: %s\n" msg;
+  exit 1
+
+(* "PATH: reason", naming the path once: a Sys_error message usually
+   starts with it already. *)
+let about path msg =
+  if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg
+
+(* [write ()] creates or writes [path]; an unwritable path is reported as
+   a user error instead of escaping as an exception. *)
+let writing path write =
+  try write () with Sys_error msg -> die ("cannot write " ^ about path msg)
+
 let load path =
-  match Ilp.Lp_parse.of_file path with
-  | Ok p -> p
-  | Error msg ->
-      Printf.eprintf "ilp: %s\n" msg;
-      exit 1
+  match Ilp.Lp_parse.of_file path with Ok p -> p | Error msg -> die msg
 
 let solve_cmd =
   let run path time_limit verbose jobs stats trace_file =
     let { Ilp.Lp_parse.model; negated } = load path in
-    Printf.printf "%s\n" (Ilp.Model.stats model);
-    (* an explicit trace file takes precedence over -v *)
+    (* an explicit trace file takes precedence over -v; it is opened
+       before the solve, so an unwritable path fails fast *)
     let trace =
       match trace_file with
-      | Some path -> Some (Ilp.Trace.file path)
+      | Some tf -> Some (writing tf (fun () -> Ilp.Trace.file tf))
       | None -> if verbose then Some (Ilp.Trace.stderr_human ()) else None
     in
-    let options =
-      { Ilp.Solver.default with Ilp.Solver.time_limit; stats; trace }
-    in
-    let r =
-      if jobs >= 2 then
-        Ilp.Solver.solve_parallel ~options ~jobs model
-      else Ilp.Solver.solve ~options model
-    in
+    Printf.printf "%s\n" (Ilp.Model.stats model);
+    let options = { Ilp.Solver.default with Ilp.Solver.time_limit; trace } in
+    let r = Ilp.Solver.solve ~options ~jobs model in
     Option.iter Ilp.Trace.close trace;
-    (match r.Ilp.Solver.stats with
-    | Some st ->
-        Format.eprintf "%a@."
-          (Ilp.Stats.pp ~time_s:r.Ilp.Solver.time_s)
-          st
-    | None -> ());
+    if stats then
+      Format.eprintf "%a@."
+        (Ilp.Stats.pp ~time_s:r.Ilp.Solver.time_s)
+        r.Ilp.Solver.stats;
     let sign v = if negated then -v else v in
     let limit_detail () =
       (* On a limit hit, report how the parallel search spread the work. *)
-      Printf.printf "stolen: %d\n" r.Ilp.Solver.stolen
+      Printf.printf "stolen: %d\n" r.Ilp.Solver.stats.Ilp.Stats.steals
     in
     (match r.Ilp.Solver.status with
     | Ilp.Solver.Optimal ->
@@ -155,16 +158,15 @@ let explain_cmd =
   in
   let run trace_file chrome =
     match Ilp.Replay.of_file trace_file with
-    | Error msg ->
-        Printf.eprintf "ilp: %s: %s\n" trace_file msg;
-        exit 1
+    | Error msg -> die (about trace_file msg)
     | Ok events ->
         let report = Ilp.Replay.analyze events in
         Format.printf "%a@?" Ilp.Replay.render_report report;
         Option.iter
           (fun path ->
-            Out_channel.with_open_text path (fun oc ->
-                output_string oc (Ilp.Replay.chrome_of_events events));
+            writing path (fun () ->
+                Out_channel.with_open_text path (fun oc ->
+                    output_string oc (Ilp.Replay.chrome_of_events events)));
             Printf.printf "chrome trace written to %s\n" path)
           chrome
   in

@@ -70,25 +70,16 @@ let align_to_clique (p : Dfg.Problem.t) (d : Datapath.Netlist.t) =
   Datapath.Netlist.make ~swapped:d.Datapath.Netlist.swapped p ~reg_of_var
     ~module_of_op:d.Datapath.Netlist.module_of_op
 
-let solver_options ?time_limit ?node_limit ?(stats = false) ?trace encoding
-    warm =
+let solver_options ?time_limit ?node_limit ?trace encoding warm =
   {
     Ilp.Solver.default with
     Ilp.Solver.time_limit;
     node_limit;
-    stats;
     trace;
     branch_order = Some (Encoding.branch_order encoding);
     warm_start = warm;
     prefer_high = false;
   }
-
-(* One ILP solve: a work-stealing parallel subtree search, or the plain
-   sequential branch-and-bound. *)
-let run_solver ~jobs options model =
-  if jobs >= 2 then
-    Ilp.Solver.solve_parallel ~options ~jobs model
-  else Ilp.Solver.solve ~options model
 
 (* Post-mortem capture: when [explain] is set the solve's trace is
    collected in memory and analyzed with {!Ilp.Replay}.  A caller-supplied
@@ -106,30 +97,29 @@ let with_explain ~explain ?trace run =
     (r, Some (Ilp.Replay.analyze events))
   end
 
-(* Presolve runs here, outside the solver entry points, so its wall clock
-   is stamped into the solve's stats record after the fact — the phase
-   table then accounts for the whole pipeline, not just the search. *)
-let stamp_presolve (r : Ilp.Solver.outcome) presolve_s =
-  match r.Ilp.Solver.stats with
-  | Some st -> st.Ilp.Stats.presolve_s <- st.Ilp.Stats.presolve_s +. presolve_s
-  | None -> ()
+(* Presolve runs here, outside the solver, so its wall clock is stamped
+   into the solve's stats record after the fact — the phase table then
+   accounts for the whole pipeline, not just the search.  [stats] picks
+   whether the caller gets the record. *)
+let solve ~jobs ~stats ~presolve_s options model =
+  let r = Ilp.Solver.solve ~options ~jobs model in
+  let st = r.Ilp.Solver.stats in
+  st.Ilp.Stats.presolve_s <- st.Ilp.Stats.presolve_s +. presolve_s;
+  (r, if stats then Some st else None)
 
-let reference ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?stats ?trace
-    (p : Dfg.Problem.t) =
+let reference ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(stats = false)
+    ?trace (p : Dfg.Problem.t) =
   let n_regs = Dfg.Problem.min_registers p in
   let e = Encoding.build_reference ?symmetry p ~n_regs in
   let* d0 = Heuristic.netlist p in
   let* d0 = align_to_clique p d0 in
   let warm = Result.to_option (Encoding.vector_of_netlist e d0) in
-  let options =
-    solver_options ?time_limit ?node_limit ?stats ?trace e warm
-  in
+  let options = solver_options ?time_limit ?node_limit ?trace e warm in
   (* presolve keeps variable indices, so decoding solutions still works *)
   let t_pre = Unix.gettimeofday () in
   let model, _pstats = Ilp.Presolve.strengthen e.Encoding.model in
   let presolve_s = Unix.gettimeofday () -. t_pre in
-  let r = run_solver ~jobs options model in
-  stamp_presolve r presolve_s;
+  let r, ref_stats = solve ~jobs ~stats ~presolve_s options model in
   match r.Ilp.Solver.solution with
   | None -> Error "reference synthesis found no data path"
   | Some x ->
@@ -140,11 +130,11 @@ let reference ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?stats ?trace
           ref_area = Datapath.Netlist.reference_area netlist;
           ref_optimal = r.Ilp.Solver.status = Ilp.Solver.Optimal;
           ref_time = r.Ilp.Solver.time_s;
-          ref_stats = r.Ilp.Solver.stats;
+          ref_stats;
         }
 
-let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?stats ?trace
-    ?(explain = false) ?seed (p : Dfg.Problem.t) ~k =
+let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?(stats = false)
+    ?trace ?(explain = false) ?seed (p : Dfg.Problem.t) ~k =
   let* () =
     if k >= 1 then Ok ()
     else Error (Printf.sprintf "k must be >= 1 (got %d)" k)
@@ -186,18 +176,17 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?stats ?trace
     | Some h, s -> (Some h, s)
     | None, s -> (s, None)
   in
-  let options = solver_options ?time_limit ?node_limit ?stats e warm in
+  let options = solver_options ?time_limit ?node_limit e warm in
   let options = { options with Ilp.Solver.incumbent_start = incumbent } in
   (* presolve keeps variable indices, so decoding solutions still works *)
   let t_pre = Unix.gettimeofday () in
   let model, _pstats = Ilp.Presolve.strengthen e.Encoding.model in
   let presolve_s = Unix.gettimeofday () -. t_pre in
-  let r, report =
+  let (r, stats), report =
     with_explain ~explain ?trace (fun tr ->
-        let options = { options with Ilp.Solver.trace = tr } in
-        let r = run_solver ~jobs options model in
-        stamp_presolve r presolve_s;
-        r)
+        solve ~jobs ~stats ~presolve_s
+          { options with Ilp.Solver.trace = tr }
+          model)
   in
   match r.Ilp.Solver.solution with
   | None ->
@@ -238,8 +227,8 @@ let synthesize ?time_limit ?node_limit ?symmetry ?(jobs = 1) ?stats ?trace
                 gap_pct
                   ~lower_bound:(Encoding.objective_lower_bound e)
                   ~base_area:e.Encoding.base_area ~area r;
-              stolen = r.Ilp.Solver.stolen;
-              stats = r.Ilp.Solver.stats;
+              stolen = r.Ilp.Solver.stats.Ilp.Stats.steals;
+              stats;
               explain = report;
             })
 

@@ -22,9 +22,11 @@ type outcome = {
           better of the solver's search bound and the structural bound
           {!Encoding.objective_lower_bound}, lifted to the area scale by
           {!Encoding.base_area} *)
-  stolen : int;  (** subtrees stolen across domains ([jobs >= 2] only) *)
+  stolen : int;
+      (** subtrees stolen across domains ([jobs >= 2] only): the solve's
+          [Ilp.Stats.steals], reported whether or not [stats] is set *)
   stats : Ilp.Stats.t option;
-      (** solver telemetry, present iff the solve ran with [stats];
+      (** solver telemetry, present iff the call passed [~stats:true];
           [presolve_s] covers the {!Ilp.Presolve} pass this module runs
           before handing the model to the solver *)
   explain : Ilp.Replay.report option;
@@ -47,9 +49,9 @@ val reference :
   ?stats:bool -> ?trace:Ilp.Trace.sink -> Dfg.Problem.t ->
   (reference, string) result
 (** Area-optimal non-BIST data path (registers all plain + minimal mux
-    area), warm-started from left-edge + greedy binding.  [jobs >= 2]
-    runs the work-stealing parallel tree search
-    ({!Ilp.Solver.solve_parallel}). *)
+    area), warm-started from left-edge + greedy binding.  [jobs] is
+    passed to {!Ilp.Solver.solve}: [jobs >= 2] runs the work-stealing
+    subtree search. *)
 
 val synthesize :
   ?time_limit:float -> ?node_limit:int -> ?symmetry:bool -> ?jobs:int ->
@@ -58,9 +60,10 @@ val synthesize :
   (outcome, string) result
 (** [Error] when [k < 1]: a BIST design needs at least one test session.
 
-    [stats] (default false) collects solver telemetry into
-    [outcome.stats]; [trace] installs a structured event sink
-    ({!Ilp.Trace}) for the solve.  [explain] (default false) captures
+    [stats] (default false) hands the solver's telemetry record to the
+    caller in [outcome.stats] (the solver always keeps it); [trace]
+    installs a structured event sink ({!Ilp.Trace}) for the solve.
+    [explain] (default false) captures
     the solve's trace in memory and replays it into
     [outcome.explain] — a caller-supplied [trace] sink still receives
     every event, replayed after the solve rather than live.
@@ -97,8 +100,8 @@ val sweep :
     for its session count by the exact session optimizer — every row
     starts from a finite incumbent.  [jobs] (default 1) therefore no
     longer farms rows out; it parallelizes each individual solve's tree
-    search with work stealing ({!Ilp.Solver.solve_parallel}), which keeps
-    the node-limited results deterministic: any [jobs] returns the same
+    search with work stealing ({!Ilp.Solver.solve}), which keeps the
+    node-limited results deterministic: any [jobs >= 2] returns the same
     status, objective and solution.
 
     [stats] and [trace] apply to every solve of the sweep (reference
@@ -108,4 +111,4 @@ val sweep :
 
 val sweep_stats : ?reference:reference -> sweep_row list -> Ilp.Stats.t option
 (** {!Ilp.Stats.merge} over every row's stats record (plus the reference
-    solve's when given); [None] when no solve collected stats. *)
+    solve's when given); [None] when no solve ran with [~stats:true]. *)

@@ -7,8 +7,7 @@ type outcome = {
   bound : int;
   nodes : int;
   time_s : float;
-  stolen : int;
-  stats : Stats.t option;
+  stats : Stats.t;
 }
 
 type options = {
@@ -18,7 +17,6 @@ type options = {
   prefer_high : bool;
   warm_start : int array option;
   incumbent_start : int array option;
-  stats : bool;
   trace : Trace.sink option;
 }
 
@@ -30,7 +28,6 @@ let default =
     prefer_high = true;
     warm_start = None;
     incumbent_start = None;
-    stats = false;
     trace = None;
   }
 
@@ -60,7 +57,7 @@ exception Out_of_time
      so the ring never overflows.
 
    Everything a node touches is therefore preallocated with the search
-   (per worker in [solve_parallel]): the steady-state DFS loop allocates
+   (per worker in the subtree search): the steady-state DFS loop allocates
    nothing. *)
 type search = {
   model : Model.t;
@@ -139,8 +136,9 @@ type search = {
   act : float array;  (* conflict-driven branching activity (VSIDS-style) *)
   mutable act_inc : float;
   value_hint : int array option;
-  stats : Stats.t option;
-      (* telemetry; None costs one branch per instrumented site *)
+  mutable stats : Stats.t;
+      (* counters and sub-timers; a subtree worker swaps in a fresh record
+         after replaying the root phase, which the main domain counted *)
   (* --- conflict engine ---------------------------------------------------
      Learned nogoods are pseudo-boolean clauses over bound literals of
      binary variables, stored as Le rows of packed literals past the
@@ -465,9 +463,7 @@ let propagate_row s ri =
    stamps in O(1) and the ring rewinds.  Called before the bound changes
    that seed it, which enqueue as they land. *)
 let prop_enter s =
-  (match s.stats with
-  | Some st -> st.Stats.prop_fixpoints <- st.Stats.prop_fixpoints + 1
-  | None -> ());
+  s.stats.prop_fixpoints <- s.stats.prop_fixpoints + 1;
   s.prop_gen <- s.prop_gen + 1;
   s.q_head <- 0;
   s.q_tail <- 0;
@@ -533,10 +529,7 @@ let prop_run ?(budget = max_int) s =
       if not (obj_pass s) then ok := false
       else again := s.q_head <> s.q_tail || s.obj_dirty
   done;
-  (match s.stats with
-  | Some st when not !ok ->
-      st.Stats.prop_conflicts <- st.Stats.prop_conflicts + 1
-  | Some _ | None -> ());
+  if not !ok then s.stats.prop_conflicts <- s.stats.prop_conflicts + 1;
   !ok
 
 (* Propagation to fixpoint over every row: the root, re-dives and the
@@ -567,7 +560,7 @@ let propagate s =
    Soundness notes:
    - Literals established at level 0 are dropped: root bounds only ever
      tighten (across re-dives too), so they stay facts.  In
-     [solve_parallel] the subtree path is applied at level 0, which makes
+     the subtree search the subtree path is applied at level 0, which makes
      every clause subtree-local — [reset_for_subtree] clears the database.
    - Bound changes without a reason row (decisions, probing fixings) are
      kept in the clause as opaque antecedent literals instead of being
@@ -801,9 +794,7 @@ let reduce_db s =
       let r = s.trail_reason.(p) in
       if r > s.n_rows then s.trail_reason.(p) <- remap.(r - s.n_rows - 1)
     done;
-    (match s.stats with
-    | Some st -> st.Stats.deleted <- st.Stats.deleted + (m - !w)
-    | None -> ());
+    s.stats.deleted <- s.stats.deleted + (m - !w);
     s.n_learned <- !w;
     (* Additive creep, not geometric: a bound change and its undo each
        visit every learned row holding the moved side's literal, however
@@ -820,9 +811,7 @@ let learn_from_conflict s =
   let ri = s.conflict_row in
   if ri >= 0 && s.decision_level > 0 && not s.no_stamp then begin
     s.conflicts_total <- s.conflicts_total + 1;
-    (match s.stats with
-    | Some st -> st.Stats.conflicts <- st.Stats.conflicts + 1
-    | None -> ());
+    s.stats.conflicts <- s.stats.conflicts + 1;
     let level = s.decision_level in
     s.an_gen <- s.an_gen + 1;
     let gen = s.an_gen in
@@ -927,22 +916,16 @@ let learn_from_conflict s =
          database. *)
       let store = s.cl_len <= clause_size_cap s.n in
       let asserting = !n_cur <= 1 && store in
-      (match s.stats with
-      | Some st ->
-          st.Stats.nogood_lits <- st.Stats.nogood_lits + s.cl_len;
-          if not store then st.Stats.oversize <- st.Stats.oversize + 1
-      | None -> ());
+      let st = s.stats in
+      st.nogood_lits <- st.nogood_lits + s.cl_len;
+      if not store then st.oversize <- st.oversize + 1;
       if store then begin
         append_learned s ~lbd:!lbd;
-        match s.stats with
-        | Some st ->
-            st.Stats.learned <- st.Stats.learned + 1;
-            if asserting then begin
-              st.Stats.asserting <- st.Stats.asserting + 1;
-              st.Stats.backjump_depth <-
-                st.Stats.backjump_depth + (level - !assert_lv)
-            end
-        | None -> ()
+        st.learned <- st.learned + 1;
+        if asserting then begin
+          st.asserting <- st.asserting + 1;
+          st.backjump_depth <- st.backjump_depth + (level - !assert_lv)
+        end
       end;
       (match s.opts.trace with
       | Some tr ->
@@ -960,9 +943,7 @@ let learn_from_conflict s =
       if asserting && !assert_lv = 0 then begin
         (* root-asserting: after the driver re-propagates at the root the
            clause fixes at least one variable for good *)
-        (match s.stats with
-        | Some st -> st.Stats.backjumps <- st.Stats.backjumps + 1
-        | None -> ());
+        st.backjumps <- st.backjumps + 1;
         raise Abort_dive
       end
     end
@@ -1002,9 +983,7 @@ let probe_fixpoint s ~max_passes =
         let v = !i in
         if s.ub.(v) - s.lb.(v) = 1 then begin
           let lo = s.lb.(v) and hi = s.ub.(v) in
-          (match s.stats with
-          | Some st -> st.Stats.probe_trials <- st.Stats.probe_trials + 1
-          | None -> ());
+          s.stats.probe_trials <- s.stats.probe_trials + 1;
           let m = mark s in
           prop_enter s;
           set_ub s v lo;
@@ -1017,9 +996,7 @@ let probe_fixpoint s ~max_passes =
             if not (prop_run s) then alive := false
           end
           else begin
-            (match s.stats with
-            | Some st -> st.Stats.probe_trials <- st.Stats.probe_trials + 1
-            | None -> ());
+            s.stats.probe_trials <- s.stats.probe_trials + 1;
             let m = mark s in
             prop_enter s;
             set_lb s v hi;
@@ -1042,12 +1019,9 @@ let probe_fixpoint s ~max_passes =
 (* In-tree probing parameters.  [probe_window] candidates are examined per
    probed node; each trial propagation is cut off after [probe_budget] row
    propagations (a truncated trial just means a missed fixing, never a
-   wrong one).  [probe_half] probes only the endpoint the warm-start hint
-   disfavours — the branching step commits the hinted value first anyway,
-   so refuting the opposite endpoint is the deduction that pays. *)
+   wrong one). *)
 let probe_window = 24
 let probe_budget = 300
-let probe_half = true
 
 (* Exponential backoff on fruitless probing: after [m] consecutive probe
    calls that fixed nothing, the next [2^m - 1] nodes skip probing
@@ -1093,57 +1067,24 @@ let probe_candidates s ~w =
       then begin
         s.probe_stamp.(v) <- s.change_gen;
         let lo = s.lb.(v) and hi = s.ub.(v) in
-        (* With a warm-start hint, the hinted value is tried first by the
-           branching step anyway; probing just the opposite endpoint buys
-           the common deduction (hint forced) at half the cost. *)
-        let hint_lo =
+        (* One trial per candidate, on the warm-start hint's endpoint (the
+           low one without a hint): a refuted trial fixes the other. *)
+        let try_lo =
           match s.value_hint with Some h -> h.(v) <= lo | None -> true
         in
-        let skip_lo = probe_half && not hint_lo in
-        let skip_hi = probe_half && hint_lo in
-        let ok_lo =
-          skip_lo
-          ||
-          let m = mark s in
-          (match s.stats with
-          | Some st -> st.Stats.probe_trials <- st.Stats.probe_trials + 1
-          | None -> ());
-          s.no_stamp <- true;
-          prop_enter s;
-          set_ub s v lo;
-          let ok = prop_run ~budget:probe_budget s in
-          undo_to s m;
-          s.no_stamp <- false;
-          ok
-        in
-        if not ok_lo then begin
+        let m = mark s in
+        s.stats.probe_trials <- s.stats.probe_trials + 1;
+        s.no_stamp <- true;
+        prop_enter s;
+        if try_lo then set_ub s v lo else set_lb s v hi;
+        let ok = prop_run ~budget:probe_budget s in
+        undo_to s m;
+        s.no_stamp <- false;
+        if not ok then begin
           s.probe_hit <- true;
           prop_enter s;
-          set_lb s v hi;
+          if try_lo then set_lb s v hi else set_ub s v lo;
           if not (prop_run s) then alive := false
-        end
-        else begin
-          let ok_hi =
-            skip_hi
-            ||
-            let m = mark s in
-            (match s.stats with
-            | Some st -> st.Stats.probe_trials <- st.Stats.probe_trials + 1
-            | None -> ());
-            s.no_stamp <- true;
-            prop_enter s;
-            set_lb s v hi;
-            let ok = prop_run ~budget:probe_budget s in
-            undo_to s m;
-            s.no_stamp <- false;
-            ok
-          in
-          if not ok_hi then begin
-            s.probe_hit <- true;
-            prop_enter s;
-            set_ub s v lo;
-            if not (prop_run s) then alive := false
-          end
         end
       end
     end
@@ -1172,11 +1113,8 @@ let record_incumbent s =
       s.row_rhs.(s.n_rows) <- obj - 1;
       s.obj_dirty <- true
     end;
-    (match s.stats with
-    | Some st ->
-        Stats.incumbent st ~time_s:(now () -. s.started) ~nodes:s.nodes
-          ~objective:obj
-    | None -> ());
+    Stats.incumbent s.stats ~time_s:(now () -. s.started) ~nodes:s.nodes
+      ~objective:obj;
     match s.opts.trace with
     | Some tr ->
         Trace.emit tr ~time_s:(now () -. s.started)
@@ -1237,29 +1175,25 @@ let pick_branch_var s =
    the node infeasible against the cutoff.  Misses widen the skip gap
    (see [probe_max_backoff]); any landed fixing resets it. *)
 let probe_prune s =
+  let st = s.stats in
   if s.probe_skip > 0 then begin
     s.probe_skip <- s.probe_skip - 1;
-    (match s.stats with
-    | Some st -> st.Stats.probe_skips <- st.Stats.probe_skips + 1
-    | None -> ());
+    st.probe_skips <- st.probe_skips + 1;
     false
   end
   else begin
-    let t0 = match s.stats with Some _ -> now () | None -> 0.0 in
+    let t0 = now () in
     let alive = probe_candidates s ~w:probe_window in
-    (match s.stats with
-    | Some st ->
-        st.Stats.probe_s <- st.Stats.probe_s +. (now () -. t0);
-        st.Stats.probe_calls <- st.Stats.probe_calls + 1;
-        if s.probe_hit then st.Stats.probe_hits <- st.Stats.probe_hits + 1
-    | None -> ());
-    if s.probe_hit then s.probe_miss <- 0
+    st.probe_s <- st.probe_s +. (now () -. t0);
+    st.probe_calls <- st.probe_calls + 1;
+    if s.probe_hit then begin
+      st.probe_hits <- st.probe_hits + 1;
+      s.probe_miss <- 0
+    end
     else begin
       s.probe_miss <- min (s.probe_miss + 1) probe_max_backoff;
       s.probe_skip <- (1 lsl s.probe_miss) - 1;
-      (match s.stats with
-      | Some st -> st.Stats.probe_backoffs <- st.Stats.probe_backoffs + 1
-      | None -> ())
+      st.probe_backoffs <- st.probe_backoffs + 1
     end;
     not alive
   end
@@ -1281,7 +1215,7 @@ let pruned s depth reason bound =
    disabled path still passes two immediates and allocates nothing. *)
 let rec dfs s depth ~var ~value =
   s.nodes <- s.nodes + 1;
-  (match s.stats with Some st -> Stats.node st ~depth | None -> ());
+  Stats.node s.stats ~depth;
   (match s.opts.trace with
   | Some tr ->
       Trace.emit tr ~time_s:(now () -. s.started)
@@ -1395,7 +1329,7 @@ let search_drive s root_mark =
 
 (* Build the full search state for [model]: normalized rows, occurrence
    lists, incremental activities and the warm-start incumbent. *)
-let build_search ?stats ~(options : options) ~started model =
+let build_search ~(options : options) ~started model =
   let n = Model.n_vars model in
   let lb = Model.lower_bounds model and ub = Model.upper_bounds model in
   (* Normalize rows to Le, as (coefs, vars, rhs) triples in model order
@@ -1601,7 +1535,7 @@ let build_search ?stats ~(options : options) ~started model =
       act = Array.make (max n 1) 0.0;
       act_inc = 1.0;
       value_hint = options.warm_start;
-      stats;
+      stats = Stats.create ();
       is_bin = Array.init (max n 1) (fun v -> v < n && lb.(v) >= 0 && ub.(v) <= 1);
       pos_lb = Array.make (max n 1) (-1);
       pos_ub = Array.make (max n 1) (-1);
@@ -1649,112 +1583,42 @@ let build_search ?stats ~(options : options) ~started model =
   | Some _ | None -> ());
   s
 
-(* End-of-search stamping of the counters that are kept outside the hot
-   path: propagation ticks and scans live in the search record. *)
-let finalize_stats s =
-  match s.stats with
-  | None -> ()
-  | Some st ->
-      st.Stats.prop_ticks <- st.Stats.prop_ticks + s.ticks;
-      st.Stats.prop_scans <- st.Stats.prop_scans + s.scans
+(* Bank the propagation counters kept in the search record (outside the
+   hot path's stats record) into [s.stats], restarting them from zero. *)
+let flush_ticks s =
+  s.stats.prop_ticks <- s.stats.prop_ticks + s.ticks;
+  s.stats.prop_scans <- s.stats.prop_scans + s.scans;
+  s.ticks <- 0;
+  s.scans <- 0
 
-(* Phase-boundary timer: [tick stats last set] charges the wall clock
-   since [!last] to one stats field and advances the boundary.  Per-solve
-   cost only (a handful of calls per solve), never per node. *)
-let tick stats last set =
-  match stats with
-  | Some st ->
-      let t = now () in
-      set st (t -. !last);
-      last := t
-  | None -> ()
-
-(* The one outcome constructor both entry points share.  [best] is the
-   winning (objective, solution), [complete] whether the search ran to
-   exhaustion, [bound] the root-propagated dual bound; a limit-hit search
-   reports the better of that bound and the incumbent. *)
-let make_outcome ~started ~complete ~best ~bound ~nodes ~stolen ~stats =
-  let status, solution, objective, bound =
-    match (best, complete) with
-    | Some (obj, x), true -> (Optimal, Some x, Some obj, obj)
-    | Some (obj, x), false -> (Feasible, Some x, Some obj, min bound obj)
-    | None, true -> (Infeasible, None, None, max_int)
-    | None, false -> (Unknown, None, None, bound)
-  in
-  {
-    status;
-    solution;
-    objective;
-    bound;
-    nodes;
-    time_s = now () -. started;
-    stolen;
-    stats;
-  }
-
-(* Sequential solve returning the search state too, for the learned-clause
-   test hook below; [solve] drops it. *)
-let solve_internal ~(options : options) model =
-  let started = now () in
-  let stats = if options.stats then Some (Stats.create ()) else None in
-  let last = ref started in
-  let s = build_search ?stats ~options ~started model in
-  tick stats last (fun st d -> st.Stats.build_s <- d);
-  let root_mark = ref 0 in
-  let complete =
-    try
-      let root_ok = propagate s && probe_fixpoint s ~max_passes:4 in
-      tick stats last (fun st d -> st.Stats.root_s <- d);
-      root_mark := mark s;
-      if root_ok then begin
-        (* the dual curve's only point: the root-propagated trivial
-           bound *)
-        (match s.opts.trace with
-        | Some tr ->
-            Trace.emit tr ~time_s:(now () -. s.started)
-              (Trace.Bound
-                 { bound = objective_min_activity s; nodes = s.nodes })
-        | None -> ());
-        search_drive s root_mark
-      end;
-      true
-    with Out_of_time -> false
-  in
-  (* On an in-root limit hit the root tick never ran; the search tick then
-     absorbs the root phase too, keeping the phase account exhaustive. *)
-  tick stats last (fun st d -> st.Stats.search_s <- d);
-  finalize_stats s;
-  (* A limit can fire mid-branch with the trail partially wound; rewind to
-     the root-propagated state so the bound below is a bound on the whole
-     problem, not on the interrupted subtree. *)
-  undo_to s !root_mark;
-  let best = Option.map (fun x -> (s.incumbent_obj, x)) s.incumbent in
-  ( make_outcome ~started ~complete ~best ~bound:(objective_min_activity s)
-      ~nodes:s.nodes ~stolen:0 ~stats,
-    s )
-
-let solve ?(options = default) model = fst (solve_internal ~options model)
+(* Phase-boundary timer: [tick st last set] charges the wall clock since
+   [!last] to one stats field and advances the boundary.  Per-solve cost
+   only (a handful of calls per solve), never per node. *)
+let tick st last set =
+  let t = now () in
+  set st (t -. !last);
+  last := t
 
 (* --- parallel subtree search --------------------------------------------
 
-   One hard instance, several domains: the main domain runs the root phase
-   (propagation, probing) once, expands the root breadth-first into a
-   frontier of open subtrees — each a list of (var, lo, hi) bound
+   One hard instance, several domains: after the shared root phase
+   (propagation, probing), the main domain expands the root breadth-first
+   into a frontier of open subtrees — each a list of (var, lo, hi) bound
    restrictions — and distributes them round-robin over per-worker
    work-stealing deques.  Idle workers steal the oldest (largest) pending
    subtree from a victim's deque.
 
    Determinism is by subtree isolation.  Each subtree is solved from a
    per-subtree reset of the worker's search state (activities, probe
-   state, row stamps, incumbent re-seeded from the deterministic root
-   phase), so its result depends only on the subtree, never on the
-   schedule.  Workers share no incumbent: inside a subtree only the
-   deterministic seed prunes, so the node count and depth histogram are
-   jobs-invariant too.  The final solution is
-   the minimum over all subtree results (and the root-phase incumbent)
-   under the (objective, lexicographic solution) order — independent of
-   which worker finished first, so [~jobs:1] and [~jobs:4] return
-   identical outcomes. *)
+   state, row stamps, node and tick counters, incumbent re-seeded from the
+   deterministic root phase), so its result depends only on the subtree,
+   never on the schedule.  Workers share no incumbent: inside a subtree
+   only the deterministic seed prunes, so the node count and depth
+   histogram are jobs-invariant too.  The final solution is the minimum
+   over all subtree results (and the root-phase incumbent) under the
+   (objective, lexicographic solution) order — independent of which
+   worker finished first, so [~jobs:2] and [~jobs:4] return identical
+   outcomes. *)
 
 (* Per-subtree reset: everything schedule- or history-dependent goes back
    to a canonical state derived from the deterministic root phase.  The
@@ -1844,228 +1708,240 @@ let expand_frontier s ~target =
    with Out_of_time -> aborted := true);
   (List.of_seq (Queue.to_seq q), !aborted)
 
-let solve_parallel ?(options = default) ~jobs model =
-  let jobs = max 1 (min jobs 64) in
-  let started = now () in
-  let stats = if options.stats then Some (Stats.create ()) else None in
-  let last = ref started in
-  (* Strip a warm start that fails the audit here, once, so the per-subtree
-     reset can trust it unconditionally. *)
-  let options =
-    match options.warm_start with
-    | Some x
-      when Array.length x = Model.n_vars model && Model.check model x = Ok ()
-      ->
-        options
-    | Some _ -> { options with warm_start = None }
-    | None -> options
-  in
-  (* Force the model's lazy caches before it crosses domains. *)
-  if Model.n_vars model > 0 then ignore (Model.bounds model 0);
-  let s0 = build_search ?stats ~options ~started model in
-  tick stats last (fun st d -> st.Stats.build_s <- d);
-  let root_state =
-    try
-      if propagate s0 && probe_fixpoint s0 ~max_passes:4 then `Open
-      else `Closed
-    with Out_of_time -> `Aborted
-  in
-  tick stats last (fun st d -> st.Stats.root_s <- d);
-  match root_state with
-  | `Closed | `Aborted ->
-      let complete = root_state = `Closed in
-      let best =
-        Option.map (fun x -> (s0.incumbent_obj, x)) s0.incumbent
-      in
-      finalize_stats s0;
-      make_outcome ~started ~complete ~best
-        ~bound:(objective_min_activity s0)
-        ~nodes:s0.nodes ~stolen:0 ~stats
-  | `Open ->
-      (* The subtree count must NOT depend on [jobs]: the frontier (and
-         with it root_best, every per-subtree result and the final
-         combine) is then identical for any worker count, which is what
-         makes the returned solution — not just its objective —
-         jobs-invariant even among equal-objective ties.  64 subtrees
-         keep 16 workers fed with slack for uneven subtree sizes. *)
-      let target = 64 in
-      let frontier, expansion_aborted = expand_frontier s0 ~target in
-      let root_best =
-        Option.map (fun x -> (s0.incumbent_obj, x)) s0.incumbent
-      in
-      let root_bound = objective_min_activity s0 in
-      (match options.trace with
-      | Some tr ->
-          Trace.emit tr
-            ~time_s:(now () -. started)
-            (Trace.Bound { bound = root_bound; nodes = s0.nodes })
-      | None -> ());
-      if frontier = [] || expansion_aborted then begin
-        (* the whole tree closed during expansion, or a limit fired *)
-        finalize_stats s0;
-        tick stats last (fun st d -> st.Stats.search_s <- d);
-        make_outcome ~started
-          ~complete:((not expansion_aborted) && frontier = [])
-          ~best:root_best ~bound:root_bound ~nodes:s0.nodes ~stolen:0 ~stats
-      end
-      else begin
-        let frontier = Array.of_list frontier in
-        let n_sub = Array.length frontier in
-        (match options.trace with
-        | Some tr ->
-            Array.iteri
-              (fun i path ->
-                Trace.emit tr
-                  ~time_s:(now () -. started)
-                  (Trace.Subtree { id = i; depth = List.length path }))
-              frontier
-        | None -> ());
-        let deques = Pool.Deques.create ~owners:jobs in
+(* The subtree search below the propagated, open root of [s0] on [jobs]
+   domains.  On return the worker results are folded into [s0]: its
+   incumbent is the best (objective, solution) over the root phase and
+   every subtree, its node count and stats include every worker's.
+   Returns whether the search ran to exhaustion. *)
+let search_subtrees s0 ~jobs =
+  let options = s0.opts and started = s0.started and model = s0.model in
+  (* The subtree count must NOT depend on [jobs]: the frontier (and with
+     it the root incumbent, every per-subtree result and the final
+     combine) is then identical for any worker count, which is what makes
+     the returned solution — not just its objective — jobs-invariant even
+     among equal-objective ties.  64 subtrees keep 16 workers fed with
+     slack for uneven subtree sizes. *)
+  let frontier, expansion_aborted = expand_frontier s0 ~target:64 in
+  if frontier = [] || expansion_aborted then
+    (* the whole tree closed during expansion, or a limit fired *)
+    not expansion_aborted
+  else begin
+    let root_best =
+      Option.map (fun x -> (s0.incumbent_obj, x)) s0.incumbent
+    in
+    let frontier = Array.of_list frontier in
+    let n_sub = Array.length frontier in
+    (match options.trace with
+    | Some tr ->
         Array.iteri
-          (fun i path -> Pool.Deques.push deques ~owner:(i mod jobs) (i, path))
-          frontier;
-        let stolen = Atomic.make 0 in
-        let incomplete = Atomic.make false in
-        let results = Array.make n_sub None in
-        let work idx =
-          let wstats = if options.stats then Some (Stats.create ()) else None in
-          let ws = build_search ?stats:wstats ~options ~started model in
-          let total_nodes = ref 0 in
-          (* Capture and zero the per-search node counter, so each subtree
-             gets the full node budget.  A cumulative budget would make a
-             limit-hit subtree's partial result depend on which subtrees
-             this worker happened to process first — i.e. on the stealing
-             schedule; per-subtree budgets keep every subtree's outcome a
-             pure function of the subtree itself. *)
-          let flush_nodes () =
-            total_nodes := !total_nodes + ws.nodes;
-            ws.nodes <- 0
-          in
-          (* The wall clock, unlike the node budget, does not reset per
-             subtree: once it fires, draining the rest of the queue is
-             pointless. *)
-          let hard_stop () =
-            match ws.opts.time_limit with
-            | Some tl -> now () -. ws.started > tl
-            | None -> false
-          in
-          (* replicate the deterministic root phase of the main domain *)
-          let root_ok =
-            try propagate ws && probe_fixpoint ws ~max_passes:4
-            with Out_of_time ->
-              Atomic.set incomplete true;
-              false
-          in
-          if not root_ok then Atomic.set incomplete true
-          else begin
-            let process (i, path) =
-              reset_for_subtree ws ~seed:root_best;
-              flush_nodes ();
-              let m = mark ws in
-              (try
-                 prop_enter ws;
-                 List.iter
-                   (fun (v, lo, hi) ->
-                     set_lb ws v lo;
-                     set_ub ws v hi)
-                   path;
-                 let open_ = prop_run ws in
-                 if open_ then begin
-                   (* the subtree's own root watermark: re-dives inside the
-                      subtree rewind here, keeping the path assumptions *)
-                   let sub_mark = ref (mark ws) in
-                   search_drive ws sub_mark
-                 end
-               with Out_of_time -> Atomic.set incomplete true);
-              undo_to ws m;
-              match ws.incumbent with
-              | Some x
-                when ws.incumbent_obj
-                     < (match root_best with Some (o, _) -> o | None -> max_int)
-                ->
-                  results.(i) <- Some (ws.incumbent_obj, x)
-              | Some _ | None -> ()
-            in
-            let rec loop () =
-              if not (hard_stop ()) then
-                match Pool.Deques.pop deques ~owner:idx with
-                | Some item ->
+          (fun i path ->
+            Trace.emit tr
+              ~time_s:(now () -. started)
+              (Trace.Subtree { id = i; depth = List.length path }))
+          frontier
+    | None -> ());
+    let deques = Pool.Deques.create ~owners:jobs in
+    Array.iteri
+      (fun i path -> Pool.Deques.push deques ~owner:(i mod jobs) (i, path))
+      frontier;
+    let incomplete = Atomic.make false in
+    let results = Array.make n_sub None in
+    let work idx =
+      let ws = build_search ~options ~started model in
+      (* replicate the deterministic root phase of the main domain *)
+      let root_ok =
+        try propagate ws && probe_fixpoint ws ~max_passes:4
+        with Out_of_time -> false
+      in
+      (* the main domain already counted the root phase once *)
+      flush_ticks ws;
+      ws.stats <- Stats.create ();
+      let total_nodes = ref 0 in
+      (* Bank and zero the node and tick counters before each subtree, so
+         each subtree gets the full node budget and the same limit-check
+         cadence (every 2,048 ticks).  Counters carried over from subtree
+         to subtree would make a limit-hit subtree's partial result depend
+         on which subtrees this worker happened to process first — i.e. on
+         the stealing schedule. *)
+      let flush () =
+        total_nodes := !total_nodes + ws.nodes;
+        ws.nodes <- 0;
+        flush_ticks ws
+      in
+      (* The wall clock, unlike the node budget, does not reset per
+         subtree: once it fires, draining the rest of the queue is
+         pointless. *)
+      let hard_stop () =
+        match options.time_limit with
+        | Some tl -> now () -. started > tl
+        | None -> false
+      in
+      if not root_ok then Atomic.set incomplete true
+      else begin
+        let process (i, path) =
+          reset_for_subtree ws ~seed:root_best;
+          flush ();
+          let m = mark ws in
+          (try
+             prop_enter ws;
+             List.iter
+               (fun (v, lo, hi) ->
+                 set_lb ws v lo;
+                 set_ub ws v hi)
+               path;
+             if prop_run ws then
+               (* the subtree's own root watermark: re-dives inside the
+                  subtree rewind here, keeping the path assumptions *)
+               search_drive ws (ref (mark ws))
+           with Out_of_time -> Atomic.set incomplete true);
+          undo_to ws m;
+          match ws.incumbent with
+          | Some x
+            when ws.incumbent_obj
+                 < (match root_best with Some (o, _) -> o | None -> max_int)
+            ->
+              results.(i) <- Some (ws.incumbent_obj, x)
+          | Some _ | None -> ()
+        in
+        let rec loop () =
+          if not (hard_stop ()) then
+            match Pool.Deques.pop deques ~owner:idx with
+            | Some item ->
+                process item;
+                loop ()
+            | None -> (
+                match Pool.Deques.steal deques ~thief:idx with
+                | Some (item, victim) ->
+                    ws.stats.steals <- ws.stats.steals + 1;
+                    (match options.trace with
+                    | Some tr ->
+                        Trace.emit tr
+                          ~time_s:(now () -. started)
+                          (Trace.Steal { thief = idx; victim })
+                    | None -> ());
                     process item;
                     loop ()
-                | None -> (
-                    match Pool.Deques.steal deques ~thief:idx with
-                    | Some (item, victim) ->
-                        Atomic.incr stolen;
-                        (match ws.opts.trace with
-                        | Some tr ->
-                            Trace.emit tr
-                              ~time_s:(now () -. ws.started)
-                              (Trace.Steal { thief = idx; victim })
-                        | None -> ());
-                        process item;
-                        loop ()
-                    | None -> ())
-              else if
-                (* abandoning actual work is what makes the run incomplete;
-                   a deadline passing after the queue drained is not *)
-                Pool.Deques.pop deques ~owner:idx <> None
-                || Pool.Deques.steal deques ~thief:idx <> None
-              then Atomic.set incomplete true
-            in
-            loop ()
-          end;
-          flush_nodes ();
-          finalize_stats ws;
-          (!total_nodes, wstats)
+                | None -> ())
+          else if
+            (* abandoning actual work is what makes the run incomplete;
+               a deadline passing after the queue drained is not *)
+            Pool.Deques.pop deques ~owner:idx <> None
+            || Pool.Deques.steal deques ~thief:idx <> None
+          then Atomic.set incomplete true
         in
-        let pool = Pool.create ~jobs in
-        let tasks = List.init jobs (fun idx -> Pool.submit pool (fun () -> work idx)) in
-        let settled = List.map Pool.await tasks in
-        Pool.shutdown pool;
-        let worker_nodes =
-          List.fold_left
-            (fun acc r ->
-              match r with Ok (n, _) -> acc + n | Error e -> raise e)
-            0 settled
-        in
-        let best = ref root_best in
-        Array.iter
-          (function
-            | Some (obj, x) -> (
-                match !best with
-                | Some (bo, bx) when bo < obj || (bo = obj && compare bx x <= 0)
-                  ->
-                    ()
-                | Some _ | None -> best := Some (obj, x))
-            | None -> ())
-          results;
-        let complete = not (Atomic.get incomplete) in
-        finalize_stats s0;
-        let stats =
-          match stats with
-          | None -> None
-          | Some st ->
-              (* Phase timers live on the main record (workers only fill
-                 CPU sub-timers like probe_s), so the merged phases
-                 still sum to the call's wall clock. *)
-              st.Stats.search_s <- now () -. !last;
-              let merged =
-                List.fold_left
-                  (fun acc r ->
-                    match r with
-                    | Ok (_, Some ws) -> Stats.merge acc ws
-                    | Ok (_, None) | Error _ -> acc)
-                  st settled
-              in
-              merged.Stats.subtrees <- n_sub;
-              merged.Stats.steals <- Atomic.get stolen;
-              merged.Stats.workers <- jobs;
-              Some merged
-        in
-        make_outcome ~started ~complete ~best:!best ~bound:root_bound
-          ~nodes:(s0.nodes + worker_nodes)
-          ~stolen:(Atomic.get stolen) ~stats
+        loop ()
+      end;
+      flush ();
+      (!total_nodes, ws.stats)
+    in
+    (* Force the model's lazy caches before it crosses domains. *)
+    if Model.n_vars model > 0 then ignore (Model.bounds model 0);
+    let domains =
+      List.init jobs (fun idx -> Domain.spawn (fun () -> work idx))
+    in
+    (* join every worker before re-raising any worker's exception *)
+    let joined =
+      List.map (fun d -> try Ok (Domain.join d) with e -> Error e) domains
+    in
+    List.iter
+      (function
+        | Ok (nodes, wstats) ->
+            s0.nodes <- s0.nodes + nodes;
+            s0.stats <- Stats.merge s0.stats wstats
+        | Error e -> raise e)
+      joined;
+    s0.stats.subtrees <- n_sub;
+    s0.stats.workers <- jobs;
+    Array.iter
+      (function
+        | Some (obj, x)
+          when s0.incumbent_obj > obj
+               || (s0.incumbent_obj = obj
+                  && compare (Option.get s0.incumbent) x > 0) ->
+            s0.incumbent <- Some x;
+            s0.incumbent_obj <- obj
+        | Some _ | None -> ())
+      results;
+    not (Atomic.get incomplete)
+  end
+
+(* The one solve: build, the root phase, then the sequential search
+   ([jobs < 2]) or the subtree search; returns the search state too, for
+   the learned-clause test hook below. *)
+let solve_internal ~(options : options) ~jobs model =
+  let jobs = max 1 (min jobs 64) in
+  let started = now () in
+  let last = ref started in
+  (* The subtree search strips a warm start that fails the audit here,
+     once, so the per-subtree reset can trust it unconditionally. *)
+  let feasible x =
+    Array.length x = Model.n_vars model && Model.check model x = Ok ()
+  in
+  let options =
+    match options.warm_start with
+    | Some x when jobs >= 2 && not (feasible x) ->
+        { options with warm_start = None }
+    | Some _ | None -> options
+  in
+  let s = build_search ~options ~started model in
+  tick s.stats last (fun st d -> st.Stats.build_s <- d);
+  let root_mark = ref 0 in
+  let complete =
+    try
+      let root_ok = propagate s && probe_fixpoint s ~max_passes:4 in
+      tick s.stats last (fun st d -> st.Stats.root_s <- d);
+      root_mark := mark s;
+      (* a closed root is a complete search: nothing beats the incumbent *)
+      if not root_ok then true
+      else begin
+        (* the dual curve's only point: the root-propagated trivial
+           bound *)
+        (match options.trace with
+        | Some tr ->
+            Trace.emit tr ~time_s:(now () -. started)
+              (Trace.Bound
+                 { bound = objective_min_activity s; nodes = s.nodes })
+        | None -> ());
+        if jobs >= 2 then search_subtrees s ~jobs
+        else begin
+          search_drive s root_mark;
+          true
+        end
       end
+    with Out_of_time -> false
+  in
+  (* On an in-root limit hit the root tick never ran; the search tick then
+     absorbs the root phase too, keeping the phase account exhaustive. *)
+  tick s.stats last (fun st d -> st.Stats.search_s <- d);
+  flush_ticks s;
+  (* A limit can fire mid-branch or mid-probe with the trail partially
+     wound; rewind to the root-propagated state (mark 0 when the root
+     phase itself was cut short) so the bound below is a bound on the
+     whole problem, not on the interrupted subtree or trial. *)
+  undo_to s !root_mark;
+  (* a limit-hit search reports the better of the root-propagated dual
+     bound and the incumbent *)
+  let bound = objective_min_activity s and obj = s.incumbent_obj in
+  let status, objective, bound =
+    match (s.incumbent, complete) with
+    | Some _, true -> (Optimal, Some obj, obj)
+    | Some _, false -> (Feasible, Some obj, min bound obj)
+    | None, true -> (Infeasible, None, max_int)
+    | None, false -> (Unknown, None, bound)
+  in
+  ( {
+      status;
+      solution = s.incumbent;
+      objective;
+      bound;
+      nodes = s.nodes;
+      time_s = now () -. started;
+      stats = s.stats;
+    },
+    s )
+
+let solve ?(options = default) ?(jobs = 1) model =
+  fst (solve_internal ~options ~jobs model)
 
 (* --- test + micro-benchmark hooks --------------------------------------- *)
 
@@ -2107,7 +1983,7 @@ let propagate_bounds ?lower ?upper ?fix model =
    [objective <= cutoff-rhs].  Rows dropped by database reduction are not
    reported. *)
 let solve_with_learned ?(options = default) model =
-  let outcome, s = solve_internal ~options model in
+  let outcome, s = solve_internal ~options ~jobs:1 model in
   let rows = ref [] in
   for i = s.n_learned - 1 downto 0 do
     let ri = s.n_rows + 1 + i in

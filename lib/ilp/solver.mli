@@ -10,9 +10,9 @@
       to the row block, where the unchanged propagation kernel enforces
       it everywhere below the root.  A root-asserting nogood aborts the
       dive; the root re-propagation then fixes its variable for good (a
-      non-chronological backjump) and the search dives again.  In
-      {!solve_parallel} the databases are subtree-local, preserving
-      jobs-invariance,
+      non-chronological backjump) and the search dives again.  In the
+      subtree search ([jobs >= 2]) the databases are subtree-local,
+      preserving jobs-invariance,
     - a caller-supplied branching order and warm-start solution,
     - wall-clock time limit with best-found-so-far reporting, mirroring the
       24-hour CPU cap the paper applied to CPLEX.
@@ -34,19 +34,16 @@ type outcome = {
   nodes : int;
   time_s : float;
       (** wall-clock seconds of the whole call, measured from entry to
-          return of {!solve} / {!solve_parallel} — it covers presolve
-          done by the entry point, search-state construction and the
-          search itself, so it is the number a caller's own stopwatch
-          around the call would read. *)
-  stolen : int;
-      (** subtrees executed by a worker other than their home worker;
-          always 0 for the sequential {!solve} *)
-  stats : Stats.t option;
-      (** per-phase timers and search counters, present iff
-          [options.stats] was set.  For {!solve_parallel} this is the
-          merge of the main domain's record with every worker's (see
-          {!Stats.merge}); deterministic counters (nodes, depth
-          histogram) are identical for any [jobs]. *)
+          return of {!solve} — it covers search-state construction, the
+          root phase and the search itself, so it is the number a
+          caller's own stopwatch around the call would read. *)
+  stats : Stats.t;
+      (** per-phase timers and search counters, always kept.  In the
+          subtree search ([jobs >= 2]) this is the merge of the main
+          domain's record with every worker's (see {!Stats.merge}), and
+          [stats.steals] counts the subtrees run by a worker other than
+          their home worker; the deterministic counters are identical for
+          any [jobs >= 2]. *)
 }
 
 type options = {
@@ -65,8 +62,9 @@ type options = {
       (** a (claimed) feasible assignment used as initial incumbent; it is
           checked and silently discarded if infeasible.  Also the source
           of the search's value hints: branching tries the hinted value
-          first and probing trials target the endpoint the hint
-          disfavours, so the warm start steers the whole trajectory. *)
+          first and each probing trial tests the hinted endpoint (fixing
+          the other when it fails), so the warm start steers the whole
+          trajectory. *)
   incumbent_start : int array option;
       (** a (claimed) feasible assignment installed as the initial
           incumbent when its objective beats [warm_start]'s — bound only:
@@ -75,49 +73,48 @@ type options = {
           cutoff without derailing a trajectory tuned to the warm start
           (e.g. a cross-instance seed next to a same-instance heuristic).
           Checked and silently discarded if infeasible. *)
-  stats : bool;
-      (** collect {!Stats} for this solve (default false).  The
-          instrumentation is allocation-free and branch-only when off;
-          when on it adds counter bumps and a few clock reads per solve
-          phase, never a syscall per node. *)
   trace : Trace.sink option;
       (** structured event sink (default [None]).  Receives the full
           typed event stream: nodes, prunes with reasons, incumbents,
           conflicts, subtree spawns and steals. The sink is shared by
-          all parallel workers (writes are serialized); the caller owns
+          all subtree workers (writes are serialized); the caller owns
           it and should {!Trace.close} it after the solve.  For
           progress lines on stderr, install {!Trace.stderr_human}. *)
 }
 
 val default : options
-(** No limits, no order, prefer 1, no warm start, no stats, no trace. *)
+(** No limits, no order, prefer 1, no warm start, no trace. *)
 
-val solve : ?options:options -> Model.t -> outcome
+val solve : ?options:options -> ?jobs:int -> Model.t -> outcome
+(** The solver's one entry point.  Both searches share the root phase
+    (search-state construction, root propagation and probing) and the
+    outcome assembly; [jobs] (default 1, clamped to 64) picks the search
+    below the root.
 
-val solve_parallel : ?options:options -> jobs:int -> Model.t -> outcome
-(** One instance, [jobs] domains: the root phase (propagation, probing)
-    runs once, the root is expanded breadth-first into open
-    subtrees using the sequential branching order, and the subtrees are
-    spread over per-worker work-stealing deques ({!Pool.Deques}) — idle
-    workers steal the oldest pending subtree of a busy one.  Workers do
-    not exchange incumbents: each subtree starts from a canonical
-    root-derived state seeded with the root incumbent, so every
-    subtree's result — including its node count and depth histogram —
-    is a pure function of the subtree, independent of the stealing
-    schedule.  The returned solution is the minimum over all subtree
-    results under (objective, lexicographic solution) —
-    [solve_parallel ~jobs:1] and [~jobs:4] return identical status,
-    objective, solution, node count and deterministic stats.
-    [outcome.stolen] counts subtrees that ran away from their home
-    worker; node counts are summed across workers.
+    With [jobs < 2], the sequential depth-first search.
+
+    With [jobs >= 2], the subtree search on [jobs] domains: the root is
+    expanded breadth-first into open subtrees using the sequential
+    branching order, and the subtrees are spread over per-worker
+    work-stealing deques ({!Pool.Deques}) — idle workers steal the
+    oldest pending subtree of a busy one.  Workers do not exchange
+    incumbents: each subtree starts from a canonical root-derived state
+    seeded with the root incumbent, so every subtree's result —
+    including its node count, depth histogram and counters — is a pure
+    function of the subtree, independent of the stealing schedule.  The
+    returned solution is the minimum over all subtree results under
+    (objective, lexicographic solution): any two [jobs >= 2] return
+    identical status, objective, solution, node count and deterministic
+    stats; only [stats.steals] and the timers depend on the schedule.
+    Node counts are summed across workers.
 
     [options.node_limit] applies to the root phase and then to each open
-    subtree separately (not cumulatively per worker), so a limit-hit
-    subtree's partial result is a pure function of the subtree, not of
-    the stealing schedule: even node-limited runs return the same
-    objective and solution for any [jobs].  Only the completion flag
-    (Optimal vs Feasible) and the node/stolen counters may vary across
-    [jobs], and only when a limit actually fires. *)
+    subtree separately (not cumulatively per worker), with each
+    subtree's node and propagation-tick counters starting from zero, so
+    a limit-hit subtree's partial result is a pure function of the
+    subtree: node-limited runs, too, return the same status, objective,
+    solution and node count for any [jobs >= 2].  Only a time limit
+    makes the outcome schedule-dependent. *)
 
 (** {2 Test and micro-benchmark hooks}
 
@@ -155,8 +152,8 @@ val propagation_rate : Model.t -> sweeps:int -> float
 
 val solve_with_learned :
   ?options:options -> Model.t -> outcome * (int array * int array * int * int) list
-(** {!solve}, additionally returning the learned nogoods alive at the end
-    of the search, each as [(coefs, vars, rhs, cutoff_rhs)]: the clause
+(** The sequential {!solve}, additionally returning the learned nogoods
+    alive at the end of the search, each as [(coefs, vars, rhs, cutoff_rhs)]: the clause
     row [sum coefs.(i) * x.(vars.(i)) <= rhs] is claimed to be implied by
     the model conjoined with [objective <= cutoff_rhs] (the cutoff row's
     right-hand side when the clause was derived).  The differential

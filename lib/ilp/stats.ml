@@ -1,10 +1,7 @@
 (* Per-solve counters and phase timers.  One record per search (and per
-   parallel worker); merged at combine so the hot path never touches an
-   atomic and jobs-deterministic fields stay deterministic.  All fields
-   are plain mutables: the solver bumps them behind a single
-   [match stats with Some st -> ... | None -> ()] branch, so a disabled
-   run costs one word-compare per instrumented site and allocates
-   nothing. *)
+   subtree-search worker); merged at combine so the hot path never
+   touches an atomic and jobs-deterministic fields stay deterministic.
+   All fields are plain mutables the solver bumps directly. *)
 
 type t = {
   (* Wall-clock phase timers (seconds).  The top-level phases are disjoint
@@ -49,7 +46,7 @@ type t = {
      (seconds since solve start, nodes so far, objective), newest first. *)
   mutable incumbents : (float * int * int) list;
   (* Per-depth node histogram; grows on demand.  Its sum equals the
-     outcome's node count in both entry points (parallel subtrees count
+     outcome's node count in both searches (parallel subtrees count
      depth below their subtree root). *)
   mutable depth_hist : int array;
   (* Parallel search. *)

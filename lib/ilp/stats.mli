@@ -1,13 +1,12 @@
 (** Per-solve search telemetry: phase timers and counters.
 
-    A [t] is a plain mutable record the solver fills in when
-    {!Solver.options.stats} is set; it is surfaced as
-    {!Solver.outcome.stats}.  Parallel solves give each worker its own
-    record and {!merge} them at combine time, so the search hot path
-    never touches an atomic and jobs-deterministic fields (node counts,
-    per-depth histogram) stay identical for any worker
-    count.  With stats disabled every instrumented site costs a single
-    branch and allocates nothing.
+    A [t] is a plain mutable record the solver fills in on every solve;
+    it is surfaced as {!Solver.outcome.stats}.  The subtree search
+    ([jobs >= 2]) gives each worker its own record and {!merge}s them at
+    combine time, so the search hot path never touches an atomic and
+    jobs-deterministic fields (node counts, per-depth histogram,
+    propagation, conflict and probing counters) stay identical for any
+    worker count [>= 2].
 
     The four top-level phase timers ([presolve_s] .. [search_s]) are
     disjoint wall-clock segments of the solve call measured on the
@@ -79,6 +78,8 @@ type t = {
       (** nodes per depth; the sum equals the outcome's node count *)
   mutable subtrees : int;  (** parallel frontier size; 0 sequentially *)
   mutable steals : int;
+      (** subtrees run by a worker other than their home worker; the one
+          schedule-dependent counter *)
   mutable workers : int;  (** worker domains; 0 sequentially *)
 }
 

@@ -4,8 +4,8 @@
     {!Solver.options.trace} is set.  The disabled path costs one branch
     per emission site (the event payload is only allocated when a sink
     is installed).  All sinks are domain-safe: writes are serialized
-    with a mutex, so the parallel workers of
-    {!Solver.solve_parallel} can share one sink.
+    with a mutex, so the subtree-search workers of {!Solver.solve}
+    ([jobs >= 2]) can share one sink.
 
     JSONL traces carry enough structure to reconstruct the search tree
     after the fact: {!Replay} parses them back ({!jsonl_line} and

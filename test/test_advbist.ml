@@ -531,10 +531,11 @@ let test_parallel_sweep_deterministic name () =
   Alcotest.(check (list (pair int int)))
     "per-k areas" rows_2 rows_4
 
-(* The work-stealing search on a real circuit model: jobs 1..4 must return
+(* The work-stealing search on a real circuit model: jobs 2..4 must return
    the same status, objective and solution vector (run to completion — no
-   limits — so even the optimality flag is schedule-independent). *)
-let test_solve_parallel_determinism () =
+   limits — so even the optimality flag is schedule-independent), and the
+   sequential search (jobs 1) must prove the same optimum. *)
+let test_subtree_search_determinism () =
   let e = Advbist.Encoding.build fig1 ~n_regs:3 ~k:1 in
   let model, _ = Ilp.Presolve.strengthen e.Advbist.Encoding.model in
   let options =
@@ -544,21 +545,67 @@ let test_solve_parallel_determinism () =
     }
   in
   let runs =
-    List.map
-      (fun jobs -> Ilp.Solver.solve_parallel ~options ~jobs model)
-      [ 1; 2; 3; 4 ]
+    List.map (fun jobs -> Ilp.Solver.solve ~options ~jobs model) [ 2; 3; 4 ]
   in
   let r0 = List.hd runs in
   check_bool "k=1 proven optimal" true
     (r0.Ilp.Solver.status = Ilp.Solver.Optimal);
   List.iteri
     (fun i (r : Ilp.Solver.outcome) ->
-      check_bool (Printf.sprintf "status jobs=%d" (i + 1)) true
+      check_bool (Printf.sprintf "status jobs=%d" (i + 2)) true
         (r.Ilp.Solver.status = r0.Ilp.Solver.status);
-      check_bool (Printf.sprintf "objective jobs=%d" (i + 1)) true
+      check_bool (Printf.sprintf "objective jobs=%d" (i + 2)) true
         (r.Ilp.Solver.objective = r0.Ilp.Solver.objective);
-      check_bool (Printf.sprintf "solution jobs=%d" (i + 1)) true
+      check_bool (Printf.sprintf "solution jobs=%d" (i + 2)) true
         (r.Ilp.Solver.solution = r0.Ilp.Solver.solution))
+    runs;
+  let seq = Ilp.Solver.solve ~options model in
+  check_bool "sequential search proves the same optimum" true
+    (seq.Ilp.Solver.status = Ilp.Solver.Optimal
+    && seq.Ilp.Solver.objective = r0.Ilp.Solver.objective)
+
+(* Node-limited subtree searches must be jobs-invariant too: every subtree
+   starts with its node and propagation-tick counters at zero, so where a
+   limit-hit subtree stops (the tick counter sets the limit-check cadence)
+   cannot depend on which subtrees its worker ran before.  tseng k=1 with
+   a 100-node budget per subtree, warm-started from a 200-node solve: the
+   limit fires in many subtrees. *)
+let test_node_limited_subtree_search_jobs_invariant () =
+  let p = Option.get (Circuits.Suite.find "tseng") in
+  let e = Advbist.Encoding.build p ~n_regs:(Dfg.Problem.min_registers p) ~k:1 in
+  let model, _ = Ilp.Presolve.strengthen e.Advbist.Encoding.model in
+  let base =
+    {
+      Ilp.Solver.default with
+      Ilp.Solver.branch_order = Some (Advbist.Encoding.branch_order e);
+      prefer_high = false;
+    }
+  in
+  let warm =
+    (Ilp.Solver.solve ~options:{ base with node_limit = Some 200 } model)
+      .Ilp.Solver.solution
+  in
+  let options = { base with warm_start = warm; node_limit = Some 100 } in
+  let runs =
+    List.map (fun jobs -> Ilp.Solver.solve ~options ~jobs model) [ 2; 3; 4 ]
+  in
+  let r0 = List.hd runs in
+  check_bool "a subtree limit fired" true
+    (r0.Ilp.Solver.status = Ilp.Solver.Feasible);
+  List.iteri
+    (fun i (r : Ilp.Solver.outcome) ->
+      let jobs = i + 2 in
+      check_bool (Printf.sprintf "status jobs=%d" jobs) true
+        (r.Ilp.Solver.status = r0.Ilp.Solver.status);
+      check_bool (Printf.sprintf "objective jobs=%d" jobs) true
+        (r.Ilp.Solver.objective = r0.Ilp.Solver.objective);
+      check_bool (Printf.sprintf "solution jobs=%d" jobs) true
+        (r.Ilp.Solver.solution = r0.Ilp.Solver.solution);
+      check_int (Printf.sprintf "nodes jobs=%d" jobs) r0.Ilp.Solver.nodes
+        r.Ilp.Solver.nodes;
+      check_int (Printf.sprintf "conflicts jobs=%d" jobs)
+        r0.Ilp.Solver.stats.Ilp.Stats.conflicts
+        r.Ilp.Solver.stats.Ilp.Stats.conflicts)
     runs
 
 (* Cross-k seeding: a seed netlist gives synthesize a finite incumbent, and
@@ -1042,8 +1089,10 @@ let () =
             (test_parallel_sweep_deterministic "tseng");
           Alcotest.test_case "sweep determinism (paulin)" `Slow
             (test_parallel_sweep_deterministic "paulin");
-          Alcotest.test_case "solve_parallel jobs 1..4 (fig1)" `Quick
-            test_solve_parallel_determinism;
+          Alcotest.test_case "jobs 2..4 (fig1)" `Quick
+            test_subtree_search_determinism;
+          Alcotest.test_case "node-limited jobs 2..4 (tseng)" `Quick
+            test_node_limited_subtree_search_jobs_invariant;
           Alcotest.test_case "cross-k seeding (fig1)" `Quick
             test_sweep_cross_k_seeding;
         ] );
