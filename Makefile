@@ -27,7 +27,10 @@ bench-json:
 # budget (deterministic: the same areas on every run and machine), write
 # a fresh schema-v6 snapshot to _build/bench_smoke.json, then diff it
 # against the committed BENCH_solver.json.  Exits non-zero when any
-# (circuit, k) row's design area regressed or proven optimality was lost;
+# (circuit, k) row's design area regressed or proven optimality was lost,
+# or when an unproved reference's area summed over its 36 relabeled
+# copies (solved here too, about 3 minutes) went up — its area on the
+# shipped labels alone is a single search path and only warns;
 # node-count (localized to the prune reason whose share moved) / waste /
 # gap / time / phase-share drift is reported as warnings.  The full report
 # lands in _build/bench_diff.txt; the tseng k=1 smoke run also leaves its

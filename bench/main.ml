@@ -408,6 +408,39 @@ let dirty_entries ~ignore_path =
     | _ -> []
   with Unix.Unix_error _ | Sys_error _ -> []
 
+(* An unproved reference area is one search path's draw, so the diff
+   gates it on the area summed over isomorphic relabeled copies of the
+   circuit (perfbench's [Relabel]), each solved under the same node
+   budget: [copies] copies for each of [seeds].  [Error] when a copy
+   fails to relabel or to solve. *)
+let relabeled_seeds = [ 1; 2; 3 ]
+let relabeled_copies = 12
+
+let relabeled_total ~seeds ~copies name p =
+  let ( let* ) = Result.bind in
+  let rec sum acc = function
+    | [] -> Ok acc
+    | (seed, copy) :: rest ->
+        let* p' = Perfbench.Relabel.relabel ~seed ~copy ~name p in
+        let* r =
+          Advbist.Synth.reference ~node_limit:snapshot_node_limit ~jobs p'
+        in
+        sum (acc + r.Advbist.Synth.ref_area) rest
+  in
+  let* area_total =
+    sum 0
+      (List.concat_map
+         (fun seed -> List.init copies (fun copy -> (seed, copy)))
+         seeds)
+  in
+  Ok
+    {
+      Advbist.Bench_snapshot.seeds;
+      copies;
+      area_total;
+      measured_at = git_commit ();
+    }
+
 (* One full k-sweep per circuit, with solver stats on, assembled into a
    schema-v6 snapshot (Advbist.Bench_snapshot) — the shared measurement
    core of the [json] and [smoke] arms.  The v5 post-mortem fields come
@@ -415,8 +448,11 @@ let dirty_entries ~ignore_path =
    which would inflate the rows' [time_s] and deflate their throughput —
    the measured pass stays untraced and only the attribution percentages
    are read off the traced twin (joined by k; the node budget makes it
-   the same search; roughly doubles the run). *)
-let run_snapshot ~tag () =
+   the same search; roughly doubles the run).  [relabel name ~optimal]
+   picks the relabeled copies (seeds, copies per seed) to total the
+   circuit's reference over, if any, given whether this run proved the
+   reference. *)
+let run_snapshot ~tag ~relabel () =
   let started = Unix.gettimeofday () in
   let circuits =
     List.filter_map
@@ -448,11 +484,34 @@ let run_snapshot ~tag () =
                     erows
               | Error _ -> []
             in
+            let reference_relabeled =
+              match
+                relabel name ~optimal:reference.Advbist.Synth.ref_optimal
+              with
+              | None -> None
+              | Some (seeds, copies) -> (
+                  let t0 = Unix.gettimeofday () in
+                  match relabeled_total ~seeds ~copies name p with
+                  | Ok r ->
+                      Printf.printf
+                        "%s: %s reference over %d relabeled copies: %d \
+                         (%.1fs)\n%!"
+                        tag name
+                        (copies * List.length seeds)
+                        r.Advbist.Bench_snapshot.area_total
+                        (Unix.gettimeofday () -. t0);
+                      Some r
+                  | Error msg ->
+                      Printf.printf "%s: %s relabeled reference: %s\n" tag name
+                        msg;
+                      None)
+            in
             Some
               {
                 Advbist.Bench_snapshot.circuit = name;
                 reference_area = reference.Advbist.Synth.ref_area;
                 reference_optimal = reference.Advbist.Synth.ref_optimal;
+                reference_relabeled;
                 wall_s = wall;
                 rows =
                   List.map
@@ -543,7 +602,10 @@ let bench_json () =
         "Commit (or stash) first, or set ADVBIST_BENCH_ALLOW_DIRTY=1 to \
          override.\n%!";
       exit 1);
-  write_snapshot (run_snapshot ~tag:"json" ()) path;
+  let relabel _name ~optimal =
+    if optimal then None else Some (relabeled_seeds, relabeled_copies)
+  in
+  write_snapshot (run_snapshot ~tag:"json" ~relabel ()) path;
   Printf.printf "json: wrote %s\n" path
 
 (* CI smoke: the canonical provable instance (tseng k=1) must still prove
@@ -602,64 +664,89 @@ let smoke () =
   if not have_baseline && json_out = None then
     Printf.printf "smoke: no %s; skipping area-regression gate\n" snapshot_path
   else begin
-    let current = run_snapshot ~tag:"smoke" () in
+    let baseline =
+      if have_baseline then Some (Advbist.Bench_snapshot.of_file snapshot_path)
+      else None
+    in
+    (* total the references over the copies the baseline totalled *)
+    let relabel name ~optimal:_ =
+      match baseline with
+      | Some (Ok b) -> (
+          match
+            List.find_opt
+              (fun (c : Advbist.Bench_snapshot.circuit) ->
+                c.Advbist.Bench_snapshot.circuit = name)
+              b.Advbist.Bench_snapshot.circuits
+          with
+          | Some
+              {
+                Advbist.Bench_snapshot.reference_optimal = false;
+                reference_relabeled = Some r;
+                _;
+              } ->
+              let open Advbist.Bench_snapshot in
+              Some (r.seeds, r.copies)
+          | Some _ | None -> None)
+      | Some (Error _) | None -> None
+    in
+    let current = run_snapshot ~tag:"smoke" ~relabel () in
     (match json_out with
     | Some path ->
         write_snapshot current path;
         Printf.printf "smoke: wrote %s\n" path
     | None -> ());
-    if have_baseline then
-      match Advbist.Bench_snapshot.of_file snapshot_path with
-      | Error msg ->
-          Printf.eprintf "smoke: cannot parse %s: %s\n" snapshot_path msg;
-          incr failures
-      | Ok baseline ->
-          List.iter
-            (fun (bc : Advbist.Bench_snapshot.circuit) ->
-              match
-                List.find_opt
-                  (fun (cc : Advbist.Bench_snapshot.circuit) ->
-                    cc.Advbist.Bench_snapshot.circuit
-                    = bc.Advbist.Bench_snapshot.circuit)
-                  current.Advbist.Bench_snapshot.circuits
-              with
-              | None ->
-                  Printf.eprintf "smoke: %s sweep failed or disappeared\n"
-                    bc.Advbist.Bench_snapshot.circuit;
-                  incr failures
-              | Some cc ->
-                  List.iter
-                    (fun (br : Advbist.Bench_snapshot.row) ->
-                      match
-                        List.find_opt
-                          (fun (cr : Advbist.Bench_snapshot.row) ->
-                            cr.Advbist.Bench_snapshot.k
-                            = br.Advbist.Bench_snapshot.k)
-                          cc.Advbist.Bench_snapshot.rows
-                      with
-                      | None ->
-                          Printf.eprintf "smoke: %s k=%d row disappeared\n"
+    match baseline with
+    | None -> ()
+    | Some (Error msg) ->
+        Printf.eprintf "smoke: cannot parse %s: %s\n" snapshot_path msg;
+        incr failures
+    | Some (Ok baseline) ->
+        List.iter
+          (fun (bc : Advbist.Bench_snapshot.circuit) ->
+            match
+              List.find_opt
+                (fun (cc : Advbist.Bench_snapshot.circuit) ->
+                  cc.Advbist.Bench_snapshot.circuit
+                  = bc.Advbist.Bench_snapshot.circuit)
+                current.Advbist.Bench_snapshot.circuits
+            with
+            | None ->
+                Printf.eprintf "smoke: %s sweep failed or disappeared\n"
+                  bc.Advbist.Bench_snapshot.circuit;
+                incr failures
+            | Some cc ->
+                List.iter
+                  (fun (br : Advbist.Bench_snapshot.row) ->
+                    match
+                      List.find_opt
+                        (fun (cr : Advbist.Bench_snapshot.row) ->
+                          cr.Advbist.Bench_snapshot.k
+                          = br.Advbist.Bench_snapshot.k)
+                        cc.Advbist.Bench_snapshot.rows
+                    with
+                    | None ->
+                        Printf.eprintf "smoke: %s k=%d row disappeared\n"
+                          bc.Advbist.Bench_snapshot.circuit
+                          br.Advbist.Bench_snapshot.k;
+                        incr failures
+                    | Some cr ->
+                        if
+                          cr.Advbist.Bench_snapshot.area
+                          > br.Advbist.Bench_snapshot.area
+                        then begin
+                          Printf.eprintf
+                            "smoke: AREA REGRESSION %s k=%d: %d > committed \
+                             %d\n"
                             bc.Advbist.Bench_snapshot.circuit
-                            br.Advbist.Bench_snapshot.k;
-                          incr failures
-                      | Some cr ->
-                          if
+                            br.Advbist.Bench_snapshot.k
                             cr.Advbist.Bench_snapshot.area
-                            > br.Advbist.Bench_snapshot.area
-                          then begin
-                            Printf.eprintf
-                              "smoke: AREA REGRESSION %s k=%d: %d > committed \
-                               %d\n"
-                              bc.Advbist.Bench_snapshot.circuit
-                              br.Advbist.Bench_snapshot.k
-                              cr.Advbist.Bench_snapshot.area
-                              br.Advbist.Bench_snapshot.area;
-                            incr failures
-                          end)
-                    bc.Advbist.Bench_snapshot.rows;
-                  Printf.printf "smoke: %s areas no worse than snapshot\n%!"
-                    bc.Advbist.Bench_snapshot.circuit)
-            baseline.Advbist.Bench_snapshot.circuits
+                            br.Advbist.Bench_snapshot.area;
+                          incr failures
+                        end)
+                  bc.Advbist.Bench_snapshot.rows;
+                Printf.printf "smoke: %s areas no worse than snapshot\n%!"
+                  bc.Advbist.Bench_snapshot.circuit)
+          baseline.Advbist.Bench_snapshot.circuits
   end;
   if !failures > 0 then begin
     Printf.eprintf "smoke: FAILED (%d regression(s))\n" !failures;
@@ -675,7 +762,10 @@ let smoke () =
    deterministic work of the tseng k=1 optimality proof — nodes, row
    propagations (ticks), row scans and ticks per node — which read the
    same on every machine, so two commits compare without a same-machine
-   run.
+   run.  The front end gets the same pair: the tseng k=1 model
+   construction (encode, presolve, the solver's search-state build) as
+   builds/s and as minor-heap words allocated per build, a count that
+   repeats exactly on every machine with the same compiler.
 
    Non-gating by design: the rate is machine-dependent, so the artifact is
    for eyeballing trends across CI runs, not a pass/fail check. *)
@@ -687,9 +777,31 @@ let perf () =
         prerr_endline "perf: tseng circuit missing";
         exit 1
   in
-  let e = Advbist.Encoding.build p ~n_regs:(Dfg.Problem.min_registers p) ~k:1 in
-  let model, _ = Ilp.Presolve.strengthen e.Advbist.Encoding.model in
+  let n_regs = Dfg.Problem.min_registers p in
+  (* [row_min_activities] builds a bare search state: the same
+     [build_search] every solve starts with, plus one small copy *)
+  let construct () =
+    let e = Advbist.Encoding.build p ~n_regs ~k:1 in
+    let model, _ = Ilp.Presolve.strengthen e.Advbist.Encoding.model in
+    ignore (Ilp.Solver.row_min_activities model);
+    model
+  in
+  let model = construct () in
   Printf.printf "perf: %s\n" (Ilp.Model.stats model);
+  let builds = 200 in
+  let gc0 = Gc.quick_stat () and t0 = Unix.gettimeofday () in
+  for _ = 1 to builds do
+    ignore (construct ())
+  done;
+  let dt = Unix.gettimeofday () -. t0 in
+  let gc1 = Gc.quick_stat () in
+  let per_build words = words /. float_of_int builds in
+  Printf.printf
+    "perf: front end, tseng k=1 encode + presolve + build: %.0f builds/s, \
+     %.0f minor words/build (%.0f promoted)\n"
+    (float_of_int builds /. dt)
+    (per_build (gc1.Gc.minor_words -. gc0.Gc.minor_words))
+    (per_build (gc1.Gc.promoted_words -. gc0.Gc.promoted_words));
   let sweeps = 2_000 in
   let rate = Ilp.Solver.propagation_rate model ~sweeps in
   Printf.printf "perf: propagation %d sweeps = %.0f sweeps/s\n" sweeps rate;

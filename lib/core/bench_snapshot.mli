@@ -42,10 +42,25 @@ type row = {
   deleted : int;  (** learned rows dropped by DB reduction *)
 }
 
+type relabeled = {
+  seeds : int list;
+  copies : int;  (** relabeled copies per seed, numbered from 0 *)
+  area_total : int;
+      (** reference area summed over every copy, each solved under the
+          snapshot's node budget *)
+  measured_at : string;  (** the commit the total was measured at *)
+}
+(** A reference row's area over isomorphic relabeled copies of its
+    circuit (perfbench's [Relabel.relabel ~seed ~copy]); the JSON object
+    [reference_relabeled] with keys [seeds], [copies], [area_total] and
+    [commit]. *)
+
 type circuit = {
   circuit : string;
   reference_area : int;
   reference_optimal : bool;
+  reference_relabeled : relabeled option;
+      (** absent on proved references and in older snapshots *)
   wall_s : float;
   rows : row list;
 }
@@ -86,7 +101,11 @@ val diff : baseline:t -> current:t -> finding list
 
     [Fail]: a row's design area increased, a row lost proven optimality
     (optimal [true] -> [false]), or a baseline circuit/row is missing
-    from [current].
+    from [current].  A reference row fails when its area increased,
+    except an unproved one whose baseline carries [reference_relabeled]:
+    that one fails when the relabeled total increased or is missing from
+    [current] (or was taken over other copies), and its own area
+    increase only warns.
 
     [Warn]: node count moved more than 20% in either direction (only on
     rows both snapshots prove optimal — on a budget-limited row the

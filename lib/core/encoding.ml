@@ -30,11 +30,13 @@ type t = {
 
 let lx = Ilp.Linexpr.of_list
 
-(* A named binary variable. *)
-let bin m fmt = Format.kasprintf (fun s -> Ilp.Model.bool_var m s) fmt
-
-let fixed m value fmt =
-  Format.kasprintf (fun s -> Ilp.Model.int_var m ~lb:value ~ub:value s) fmt
+(* Variables and rows are named by printers, [bin m (fun f -> pf f
+   "x_v%d_r%d" v r)]: a build stores the closure, and the text is
+   formatted only when something prints it (an LP export, a
+   [Model.check] message). *)
+let pf = Format.fprintf
+let bin m name = Ilp.Model.var m ~lb:0 ~ub:1 name
+let fixed m value name = Ilp.Model.var m ~lb:value ~ub:value name
 
 let n_ports (p : Dfg.Problem.t) m = Dfg.Fu_kind.n_ports p.Dfg.Problem.modules.(m)
 
@@ -99,12 +101,14 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
         Array.init n_regs (fun r ->
             match Hashtbl.find_opt clique_slot v with
             | Some slot ->
-                fixed m (if slot = r then 1 else 0) "x_v%d_r%d" v r
-            | None -> bin m "x_v%d_r%d" v r))
+                fixed m
+                  (if slot = r then 1 else 0)
+                  (fun f -> pf f "x_v%d_r%d" v r)
+            | None -> bin m (fun f -> pf f "x_v%d_r%d" v r)))
   in
   for v = 0 to nv - 1 do
     Ilp.Model.add_eq m
-      ~name:(Printf.sprintf "assign_v%d" v)
+      ~name:(fun f -> pf f "assign_v%d" v)
       (lx (List.init n_regs (fun r -> (1, x_vr.(v).(r)))))
       1
   done;
@@ -126,12 +130,15 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
             if not (List.mem md cands) then -1
             else
               match List.assoc_opt o mod_fix with
-              | Some md' -> fixed m (if md = md' then 1 else 0) "x_o%d_m%d" o md
-              | None -> bin m "x_o%d_m%d" o md))
+              | Some md' ->
+                  fixed m
+                    (if md = md' then 1 else 0)
+                    (fun f -> pf f "x_o%d_m%d" o md)
+              | None -> bin m (fun f -> pf f "x_o%d_m%d" o md)))
   in
   for o = 0 to no - 1 do
     Ilp.Model.add_eq m
-      ~name:(Printf.sprintf "bind_o%d" o)
+      ~name:(fun f -> pf f "bind_o%d" o)
       (lx
          (List.filter_map
             (fun md -> if x_om.(o).(md) >= 0 then Some (1, x_om.(o).(md)) else None)
@@ -154,7 +161,7 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
   let swap =
     Array.init no (fun o ->
         if Dfg.Op_kind.commutative (Dfg.Graph.operation g o).Dfg.Graph.kind
-        then bin m "swap_o%d" o
+        then bin m (fun f -> pf f "swap_o%d" o)
         else -1)
   in
 
@@ -162,11 +169,12 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
   let z =
     Array.init n_regs (fun r ->
         Array.init n_mod (fun md ->
-            Array.init (n_ports p md) (fun l -> bin m "z_r%d_m%d_l%d" r md l)))
+            Array.init (n_ports p md) (fun l ->
+                bin m (fun f -> pf f "z_r%d_m%d_l%d" r md l))))
   in
   let z_out =
     Array.init n_mod (fun md ->
-        Array.init n_regs (fun r -> bin m "zo_m%d_r%d" md r))
+        Array.init n_regs (fun r -> bin m (fun f -> pf f "zo_m%d_r%d" md r)))
   in
   (* support lists for the no-adverse-path upper bounds *)
   let aux = ref [] in
@@ -190,7 +198,9 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
                 (lx [ (1, z.(r).(md).(l_star)); (-1, xv); (-1, xm) ])
                 (-1);
               (* support: y <= x_vr, y <= x_om *)
-              let y = bin m "y_e%d_%d_%d_r%d_m%d" v o l_star r md in
+              let y =
+                bin m (fun f -> pf f "y_e%d_%d_%d_r%d_m%d" v o l_star r md)
+              in
               Ilp.Model.add_le m (lx [ (1, y); (-1, xv) ]) 0;
               Ilp.Model.add_le m (lx [ (1, y); (-1, xm) ]) 0;
               def_aux y [ (xv, 1); (xm, 1) ];
@@ -207,13 +217,17 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
                 (lx
                    [ (1, z.(r).(md).(1 - l_star)); (-1, xv); (-1, xm); (-1, sw) ])
                 (-2);
-              let y0 = bin m "y0_e%d_%d_%d_r%d_m%d" v o l_star r md in
+              let y0 =
+                bin m (fun f -> pf f "y0_e%d_%d_%d_r%d_m%d" v o l_star r md)
+              in
               Ilp.Model.add_le m (lx [ (1, y0); (-1, xv) ]) 0;
               Ilp.Model.add_le m (lx [ (1, y0); (-1, xm) ]) 0;
               Ilp.Model.add_le m (lx [ (1, y0); (1, sw) ]) 1;
               def_aux y0 [ (xv, 1); (xm, 1); (sw, 0) ];
               add_support (`Port (r, md, l_star)) y0;
-              let y1 = bin m "y1_e%d_%d_%d_r%d_m%d" v o l_star r md in
+              let y1 =
+                bin m (fun f -> pf f "y1_e%d_%d_%d_r%d_m%d" v o l_star r md)
+              in
               Ilp.Model.add_le m (lx [ (1, y1); (-1, xv) ]) 0;
               Ilp.Model.add_le m (lx [ (1, y1); (-1, xm) ]) 0;
               Ilp.Model.add_le m (lx [ (1, y1); (-1, sw) ]) 0;
@@ -234,7 +248,7 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
             Ilp.Model.add_ge m
               (lx [ (1, z_out.(md).(r)); (-1, xv); (-1, xm) ])
               (-1);
-            let w = bin m "w_o%d_v%d_m%d_r%d" o v md r in
+            let w = bin m (fun f -> pf f "w_o%d_v%d_m%d_r%d" o v md r) in
             Ilp.Model.add_le m (lx [ (1, w); (-1, xv) ]) 0;
             Ilp.Model.add_le m (lx [ (1, w); (-1, xm) ]) 0;
             def_aux w [ (xv, 1); (xm, 1) ];
@@ -248,7 +262,7 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
     match Hashtbl.find_opt cz_tbl (c, md, l) with
     | Some var -> var
     | None ->
-        let var = bin m "cz_%d_m%d_l%d" c md l in
+        let var = bin m (fun f -> pf f "cz_%d_m%d_l%d" c md l) in
         Hashtbl.replace cz_tbl (c, md, l) var;
         var
   in
@@ -268,12 +282,12 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
             Ilp.Model.add_ge m (lx [ (1, cz0); (-1, xm); (1, sw) ]) 0;
             let cz1 = cz_var c md (1 - l_star) in
             Ilp.Model.add_ge m (lx [ (1, cz1); (-1, xm); (-1, sw) ]) (-1);
-            let y0 = bin m "yc0_%d_o%d_m%d" c o md in
+            let y0 = bin m (fun f -> pf f "yc0_%d_o%d_m%d" c o md) in
             Ilp.Model.add_le m (lx [ (1, y0); (-1, xm) ]) 0;
             Ilp.Model.add_le m (lx [ (1, y0); (1, sw) ]) 1;
             def_aux y0 [ (xm, 1); (sw, 0) ];
             add_support (`Const (c, md, l_star)) y0;
-            let y1 = bin m "yc1_%d_o%d_m%d" c o md in
+            let y1 = bin m (fun f -> pf f "yc1_%d_o%d_m%d" c o md) in
             Ilp.Model.add_le m (lx [ (1, y1); (-1, xm) ]) 0;
             Ilp.Model.add_le m (lx [ (1, y1); (-1, sw) ]) 0;
             def_aux y1 [ (xm, 1); (sw, 1) ];
@@ -292,7 +306,7 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
           | None -> []
         in
         Ilp.Model.add_le m
-          ~name:(Printf.sprintf "adverse_r%d_m%d_l%d" r md l)
+          ~name:(fun f -> pf f "adverse_r%d_m%d_l%d" r md l)
           (lx ((1, z.(r).(md).(l)) :: List.map (fun y -> (-1, y)) sup))
           0
       done
@@ -326,7 +340,7 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
   let primary = Dfg.Graph.primary_inputs g in
   let inp =
     Array.init n_regs (fun r ->
-        if primary = [] then -1 else bin m "inp_r%d" r)
+        if primary = [] then -1 else bin m (fun f -> pf f "inp_r%d" r))
   in
   if primary <> [] then
     for r = 0 to n_regs - 1 do
@@ -338,19 +352,21 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
         (lx ((1, inp.(r)) :: List.map (fun v -> (-1, x_vr.(v).(r))) primary))
         0
     done;
-  let objective = ref Ilp.Linexpr.zero in
+  (* objective terms, summed by one [lx] at the end: adding them one by
+     one would re-merge the growing objective each time *)
+  let objective = ref [] in
   let mux_thresholds = ref [] in
   let add_mux_site fanin_terms max_fanin site_name =
     let f = lx fanin_terms in
     let thresholds = ref [] in
     for n = 2 to max_fanin do
-      let u = bin m "u_%s_%d" site_name n in
+      let u = bin m (fun f -> pf f "u_%t_%d" site_name n) in
       (* F - (n - 1) <= (max - (n - 1)) * u *)
       Ilp.Model.add_le m
         (Ilp.Linexpr.sub f (Ilp.Linexpr.term (max_fanin - (n - 1)) u))
         (n - 1);
       let increment = Datapath.Area.mux n - Datapath.Area.mux (n - 1) in
-      objective := Ilp.Linexpr.add !objective (Ilp.Linexpr.term increment u);
+      objective := (increment, u) :: !objective;
       thresholds := (n, u) :: !thresholds
     done;
     mux_thresholds := (f, List.rev !thresholds) :: !mux_thresholds
@@ -369,7 +385,7 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
       in
       add_mux_site terms
         (n_regs + List.length consts_here)
-        (Printf.sprintf "m%dl%d" md l)
+        (fun f -> pf f "m%dl%d" md l)
     done
   done;
   for r = 0 to n_regs - 1 do
@@ -379,21 +395,26 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
     in
     add_mux_site terms
       (n_mod + if inp.(r) >= 0 then 1 else 0)
-      (Printf.sprintf "r%d" r)
+      (fun f -> pf f "r%d" r)
   done;
 
   (* ---- BIST register assignment (k = 0 builds the reference model) -- *)
-  let a = Array.init n_mod (fun md -> Array.init k (fun s -> bin m "a_m%d_p%d" md s)) in
+  let a =
+    Array.init n_mod (fun md ->
+        Array.init k (fun s -> bin m (fun f -> pf f "a_m%d_p%d" md s)))
+  in
   let s_mrp =
     Array.init n_mod (fun md ->
         Array.init n_regs (fun r ->
-            Array.init k (fun s -> bin m "s_m%d_r%d_p%d" md r s)))
+            Array.init k (fun s ->
+                bin m (fun f -> pf f "s_m%d_r%d_p%d" md r s))))
   in
   let t_rmlp =
     Array.init n_regs (fun r ->
         Array.init n_mod (fun md ->
             Array.init (n_ports p md) (fun l ->
-                Array.init k (fun s -> bin m "t_r%d_m%d_l%d_p%d" r md l s))))
+                Array.init k (fun s ->
+                    bin m (fun f -> pf f "t_r%d_m%d_l%d_p%d" r md l s)))))
   in
   (* ports that can ever receive a constant get a tc variable *)
   let tc =
@@ -402,16 +423,25 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
             if k > 0 && Hashtbl.fold
                  (fun (_, md', l') _ acc -> acc || (md' = md && l' = l))
                  cz_tbl false
-            then bin m "tc_m%d_l%d" md l
+            then bin m (fun f -> pf f "tc_m%d_l%d" md l)
             else -1))
   in
-  let t_reg = Array.init n_regs (fun r -> if k > 0 then bin m "T_r%d" r else -1) in
-  let s_reg = Array.init n_regs (fun r -> if k > 0 then bin m "S_r%d" r else -1) in
-  let b_reg = Array.init n_regs (fun r -> if k > 0 then bin m "B_r%d" r else -1) in
-  let c_reg = Array.init n_regs (fun r -> if k > 0 then bin m "C_r%d" r else -1) in
-  let t_rp = Array.init n_regs (fun r -> Array.init k (fun s -> bin m "Tp_r%d_p%d" r s)) in
-  let s_rp = Array.init n_regs (fun r -> Array.init k (fun s -> bin m "Sp_r%d_p%d" r s)) in
-  let c_rp = Array.init n_regs (fun r -> Array.init k (fun s -> bin m "Cp_r%d_p%d" r s)) in
+  (* register roles ("T_r3") and their per-session forms ("Tp_r3_p1") *)
+  let role name =
+    Array.init n_regs (fun r ->
+        if k > 0 then bin m (fun f -> pf f "%s_r%d" name r) else -1)
+  in
+  let role_p name =
+    Array.init n_regs (fun r ->
+        Array.init k (fun s -> bin m (fun f -> pf f "%s_r%d_p%d" name r s)))
+  in
+  let t_reg = role "T" in
+  let s_reg = role "S" in
+  let b_reg = role "B" in
+  let c_reg = role "C" in
+  let t_rp = role_p "Tp" in
+  let s_rp = role_p "Sp" in
+  let c_rp = role_p "Cp" in
   if k > 0 then begin
     (* Sub-test sessions are interchangeable labels; canonicalize (module 0
        in session 0, a session opens only after its predecessor) as part of
@@ -437,7 +467,7 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
     for md = 0 to n_mod - 1 do
       (* each module tested in exactly one sub-test session (Eq. 7) *)
       Ilp.Model.add_eq m
-        ~name:(Printf.sprintf "session_m%d" md)
+        ~name:(fun f -> pf f "session_m%d" md)
         (lx (List.init k (fun s -> (1, a.(md).(s)))))
         1;
       for s = 0 to k - 1 do
@@ -461,7 +491,7 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
            possibly the dedicated constant generator *)
         let tc_term = if tc.(md).(l) >= 0 then [ (1, tc.(md).(l)) ] else [] in
         Ilp.Model.add_eq m
-          ~name:(Printf.sprintf "tpg_m%d_l%d" md l)
+          ~name:(fun f -> pf f "tpg_m%d_l%d" md l)
           (lx
              (tc_term
              @ List.concat
@@ -547,30 +577,26 @@ let build_internal ?(symmetry = true) (p : Dfg.Problem.t) ~n_regs ~k =
        the constant base_area) + dedicated constant generators *)
     for r = 0 to n_regs - 1 do
       objective :=
-        Ilp.Linexpr.add !objective
-          (lx
-             [
-               (Datapath.Area.register Datapath.Area.Tpg
-                - Datapath.Area.register Datapath.Area.Plain, t_reg.(r));
-               (Datapath.Area.register Datapath.Area.Sr
-                - Datapath.Area.register Datapath.Area.Plain, s_reg.(r));
-               ( Datapath.Area.register Datapath.Area.Bilbo
-                 - Datapath.Area.register Datapath.Area.Tpg
-                 - Datapath.Area.register Datapath.Area.Sr
-                 + Datapath.Area.register Datapath.Area.Plain, b_reg.(r) );
-               ( Datapath.Area.register Datapath.Area.Cbilbo
-                 - Datapath.Area.register Datapath.Area.Bilbo, c_reg.(r) );
-             ])
+        (Datapath.Area.register Datapath.Area.Tpg
+         - Datapath.Area.register Datapath.Area.Plain, t_reg.(r))
+        :: (Datapath.Area.register Datapath.Area.Sr
+            - Datapath.Area.register Datapath.Area.Plain, s_reg.(r))
+        :: ( Datapath.Area.register Datapath.Area.Bilbo
+             - Datapath.Area.register Datapath.Area.Tpg
+             - Datapath.Area.register Datapath.Area.Sr
+             + Datapath.Area.register Datapath.Area.Plain, b_reg.(r) )
+        :: ( Datapath.Area.register Datapath.Area.Cbilbo
+             - Datapath.Area.register Datapath.Area.Bilbo, c_reg.(r) )
+        :: !objective
     done;
     Array.iter
       (Array.iter (fun tcv ->
            if tcv >= 0 then
              objective :=
-               Ilp.Linexpr.add !objective
-                 (Ilp.Linexpr.term Datapath.Area.constant_tpg_weight tcv)))
+               (Datapath.Area.constant_tpg_weight, tcv) :: !objective))
       tc
   end;
-  Ilp.Model.set_objective m !objective;
+  Ilp.Model.set_objective m (lx !objective);
   {
     problem = p;
     n_regs;

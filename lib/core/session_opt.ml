@@ -6,7 +6,9 @@ type outcome = {
 }
 
 let lx = Ilp.Linexpr.of_list
-let bin m fmt = Format.kasprintf (fun s -> Ilp.Model.bool_var m s) fmt
+(* Deferred names, as in [Encoding]: formatted only when printed. *)
+let pf = Format.fprintf
+let bin m name = Ilp.Model.var m ~lb:0 ~ub:1 name
 
 let solve ?time_limit (d : Datapath.Netlist.t) ~k =
   let p = d.Datapath.Netlist.problem in
@@ -24,7 +26,10 @@ let solve ?time_limit (d : Datapath.Netlist.t) ~k =
       (fun (r, md', l') -> if md' = md && l' = l then Some r else None)
       d.Datapath.Netlist.reg_to_port
   in
-  let a = Array.init n_mod (fun md -> Array.init k (fun s -> bin m "a_%d_%d" md s)) in
+  let a =
+    Array.init n_mod (fun md ->
+        Array.init k (fun s -> bin m (fun f -> pf f "a_%d_%d" md s)))
+  in
   (* s and t variables exist only where wires exist (Eqs. 6, 9 by
      construction). *)
   let s_var = Hashtbl.create 64 and t_var = Hashtbl.create 64 in
@@ -33,7 +38,8 @@ let solve ?time_limit (d : Datapath.Netlist.t) ~k =
     List.iter
       (fun r ->
         for s = 0 to k - 1 do
-          Hashtbl.replace s_var (md, r, s) (bin m "s_%d_%d_%d" md r s)
+          Hashtbl.replace s_var (md, r, s)
+            (bin m (fun f -> pf f "s_%d_%d_%d" md r s))
         done)
       (writers md);
     for s = 0 to k - 1 do
@@ -51,7 +57,8 @@ let solve ?time_limit (d : Datapath.Netlist.t) ~k =
       List.iter
         (fun r ->
           for s = 0 to k - 1 do
-            Hashtbl.replace t_var (r, md, l, s) (bin m "t_%d_%d_%d_%d" r md l s)
+            Hashtbl.replace t_var (r, md, l, s)
+              (bin m (fun f -> pf f "t_%d_%d_%d_%d" r md l s))
           done)
         srcs;
       if not (List.mem (md, l) const_only) then begin
@@ -109,11 +116,14 @@ let solve ?time_limit (d : Datapath.Netlist.t) ~k =
   let objective = ref Ilp.Linexpr.zero in
   let plain = Datapath.Area.register Datapath.Area.Plain in
   for r = 0 to n_regs - 1 do
-    let t_reg = bin m "T_%d" r and s_reg = bin m "S_%d" r in
-    let b_reg = bin m "B_%d" r and c_reg = bin m "C_%d" r in
+    let t_reg = bin m (fun f -> pf f "T_%d" r)
+    and s_reg = bin m (fun f -> pf f "S_%d" r) in
+    let b_reg = bin m (fun f -> pf f "B_%d" r)
+    and c_reg = bin m (fun f -> pf f "C_%d" r) in
     for s = 0 to k - 1 do
-      let t_rp = bin m "Tp_%d_%d" r s and s_rp = bin m "Sp_%d_%d" r s in
-      let c_rp = bin m "Cp_%d_%d" r s in
+      let t_rp = bin m (fun f -> pf f "Tp_%d_%d" r s)
+      and s_rp = bin m (fun f -> pf f "Sp_%d_%d" r s) in
+      let c_rp = bin m (fun f -> pf f "Cp_%d_%d" r s) in
       Hashtbl.iter
         (fun (r', _, _, s') v ->
           if r' = r && s' = s then begin

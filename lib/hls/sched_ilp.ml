@@ -47,7 +47,8 @@ let feasible ?time_limit ?inputs_at_start (k : Kernel.t) ~modules ~latency =
       Array.init n (fun o ->
           Array.init latency (fun t ->
               if t >= asap.(o) && t <= alap.(o) then
-                Ilp.Model.bool_var m (Printf.sprintf "x_%d_%d" o t)
+                Ilp.Model.var m ~lb:0 ~ub:1 (fun f ->
+                    Format.fprintf f "x_%d_%d" o t)
               else -1))
     in
     let window o = List.filter (fun t -> x.(o).(t) >= 0) (List.init latency Fun.id) in

@@ -1,62 +1,139 @@
-(* Invariant: sorted by variable id, no zero coefficients, no duplicates. *)
-type t = (int * int) list (* (coef, var) *)
+(* Packed as [| c0; v0; c1; v1; ... |]: one block of two words a term.  A
+   model keeps one expression per row, so this is most of what a row costs
+   to build and to keep (a list of pairs takes six words a term).
+   Invariant: sorted by variable id, no zero coefficients, no
+   duplicates. *)
+type t = int array
 
-let zero = []
-let term c v = if c = 0 then [] else [ (c, v) ]
+let zero = [||]
+let term c v = if c = 0 then zero else [| c; v |]
 let var v = term 1 v
+let n_terms e = Array.length e / 2
+let is_zero e = Array.length e = 0
 
-let rec add a b =
-  match (a, b) with
-  | [], e | e, [] -> e
-  | (ca, va) :: ra, (cb, vb) :: rb ->
-      if va < vb then (ca, va) :: add ra b
-      else if vb < va then (cb, vb) :: add a rb
-      else begin
-        let c = ca + cb in
-        if c = 0 then add ra rb else (c, va) :: add ra rb
+(* The [k] words of [out] that were filled, without a copy when that is
+   all of it. *)
+let trim out k = if k = Array.length out then out else Array.sub out 0 k
+
+let add a b =
+  let na = Array.length a and nb = Array.length b in
+  if na = 0 then b
+  else if nb = 0 then a
+  else begin
+    let out = Array.make (na + nb) 0 in
+    let i = ref 0 and j = ref 0 and k = ref 0 in
+    let push c v =
+      if c <> 0 then begin
+        out.(!k) <- c;
+        out.(!k + 1) <- v;
+        k := !k + 2
       end
+    in
+    while !i < na && !j < nb do
+      let va = a.(!i + 1) and vb = b.(!j + 1) in
+      if va < vb then begin
+        push a.(!i) va;
+        i := !i + 2
+      end
+      else if vb < va then begin
+        push b.(!j) vb;
+        j := !j + 2
+      end
+      else begin
+        push (a.(!i) + b.(!j)) va;
+        i := !i + 2;
+        j := !j + 2
+      end
+    done;
+    while !i < na do
+      push a.(!i) a.(!i + 1);
+      i := !i + 2
+    done;
+    while !j < nb do
+      push b.(!j) b.(!j + 1);
+      j := !j + 2
+    done;
+    trim out !k
+  end
 
-let scale k e = if k = 0 then [] else List.map (fun (c, v) -> (k * c, v)) e
+let scale k e =
+  if k = 0 then zero
+  else Array.mapi (fun i x -> if i land 1 = 0 then k * x else x) e
+
 let sub a b = add a (scale (-1) b)
-(* One sort and one merge pass: folding [add] over the terms re-merges the
-   accumulator per term, O(k^2) on a k-term row. *)
+
+let rec canonical = function
+  | [] -> true
+  | [ (c, _) ] -> c <> 0
+  | (c, v) :: ((_, v') :: _ as rest) -> c <> 0 && v < v' && canonical rest
+
+(* One sort and one packing pass that sums repeated variables and drops
+   zero sums: folding [add] over the terms re-merges the accumulator per
+   term, O(k^2) on a k-term row.  Input already in canonical form (rows
+   written in variable order, a presolved row rebuilt from its sorted
+   terms) skips the sort. *)
 let of_list pairs =
-  let rec merge = function
-    | (c1, v1) :: (c2, v2) :: rest when v1 = v2 -> merge ((c1 + c2, v1) :: rest)
-    | (0, _) :: rest -> merge rest
-    | t :: rest -> t :: merge rest
-    | [] -> []
+  let sorted =
+    if canonical pairs then pairs
+    else List.stable_sort (fun (_, a) (_, b) -> Int.compare a b) pairs
   in
-  merge (List.stable_sort (fun (_, a) (_, b) -> Int.compare a b) pairs)
+  let out = Array.make (2 * List.length sorted) 0 in
+  let k = ref 0 in
+  List.iter
+    (fun (c, v) ->
+      if !k > 0 && out.(!k - 1) = v then out.(!k - 2) <- out.(!k - 2) + c
+      else begin
+        (* the previous variable is complete: drop it if it summed to 0 *)
+        if !k > 0 && out.(!k - 2) = 0 then k := !k - 2;
+        out.(!k) <- c;
+        out.(!k + 1) <- v;
+        k := !k + 2
+      end)
+    sorted;
+  if !k > 0 && out.(!k - 2) = 0 then k := !k - 2;
+  trim out !k
 
 let sum es = List.fold_left add zero es
-let terms e = e
+
+let terms e =
+  let acc = ref [] in
+  for i = n_terms e - 1 downto 0 do
+    acc := (e.(2 * i), e.((2 * i) + 1)) :: !acc
+  done;
+  !acc
 
 let coef e v =
-  match List.find_opt (fun (_, v') -> v' = v) e with
-  | Some (c, _) -> c
-  | None -> 0
+  let rec find i =
+    if i >= Array.length e then 0
+    else if e.(i + 1) = v then e.(i)
+    else find (i + 2)
+  in
+  find 0
 
-let n_terms = List.length
-let is_zero e = e = []
-let iter f e = List.iter (fun (coef, var) -> f ~coef ~var) e
-let fold f e init = List.fold_left (fun acc (coef, var) -> f ~coef ~var acc) init e
+let iter f e =
+  for i = 0 to n_terms e - 1 do
+    f ~coef:e.(2 * i) ~var:e.((2 * i) + 1)
+  done
+
+let fold f e init =
+  let acc = ref init in
+  for i = 0 to n_terms e - 1 do
+    acc := f ~coef:e.(2 * i) ~var:e.((2 * i) + 1) !acc
+  done;
+  !acc
 
 let pp ?(name = fun v -> Printf.sprintf "x%d" v) () ppf e =
-  match e with
-  | [] -> Format.pp_print_string ppf "0"
-  | (c0, v0) :: rest ->
-      let pp_first ppf (c, v) =
-        if c = 1 then Format.pp_print_string ppf (name v)
-        else if c = -1 then Format.fprintf ppf "- %s" (name v)
-        else Format.fprintf ppf "%d %s" c (name v)
-      in
-      pp_first ppf (c0, v0);
-      List.iter
-        (fun (c, v) ->
-          if c > 0 then
-            if c = 1 then Format.fprintf ppf " + %s" (name v)
-            else Format.fprintf ppf " + %d %s" c (name v)
-          else if c = -1 then Format.fprintf ppf " - %s" (name v)
-          else Format.fprintf ppf " - %d %s" (-c) (name v))
-        rest
+  if is_zero e then Format.pp_print_string ppf "0"
+  else
+    iter
+      (fun ~coef:c ~var:v ->
+        if v = e.(1) then
+          if c = 1 then Format.pp_print_string ppf (name v)
+          else if c = -1 then Format.fprintf ppf "- %s" (name v)
+          else Format.fprintf ppf "%d %s" c (name v)
+        else if c > 0 then
+          if c = 1 then Format.fprintf ppf " + %s" (name v)
+          else Format.fprintf ppf " + %d %s" c (name v)
+        else if c = -1 then Format.fprintf ppf " - %s" (name v)
+        else Format.fprintf ppf " - %d %s" (-c) (name v))
+      e

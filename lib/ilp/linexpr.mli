@@ -23,7 +23,9 @@ val scale : int -> t -> t
 val sum : t list -> t
 
 val terms : t -> (int * int) list
-(** [(coef, var)] pairs with non-zero coefficients, sorted by variable. *)
+(** [(coef, var)] pairs with non-zero coefficients, sorted by variable: a
+    fresh list (an expression is stored packed, two words a term); {!iter}
+    and {!fold} walk the terms without one. *)
 
 val coef : t -> int -> int
 (** Coefficient of a variable (0 if absent). *)

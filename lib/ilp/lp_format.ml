@@ -58,9 +58,9 @@ let to_string m =
   add "Minimize\n obj: ";
   pp_expr (Model.objective m);
   add "\nSubject To\n";
-  Array.iter
-    (fun (c : Model.constr) ->
-      let cname, _ = sanitize c.Model.cname in
+  Array.iteri
+    (fun i (c : Model.constr) ->
+      let cname, _ = sanitize (Model.constr_name i c) in
       add " %s: " cname;
       pp_expr c.Model.expr;
       let op =

@@ -1,11 +1,21 @@
 type var = int
 type sense = Le | Ge | Eq
+type name = Format.formatter -> unit
 
-type constr = { cname : string; expr : Linexpr.t; sense : sense; rhs : int }
+type constr = {
+  label : name option;
+  expr : Linexpr.t;
+  sense : sense;
+  rhs : int;
+}
+
+(* A variable's name as given: a string from the string API, a printer
+   from [var]; neither is formatted until something reads it. *)
+type vname = Text of string | Printer of name
 
 type t = {
   mname : string;
-  mutable vnames : string list;  (* reversed *)
+  mutable vnames : vname list;  (* reversed *)
   mutable lbs : int list;  (* reversed *)
   mutable ubs : int list;  (* reversed *)
   mutable count : int;
@@ -13,7 +23,7 @@ type t = {
   mutable n_constrs : int;
   mutable obj : Linexpr.t;
   (* Caches rebuilt on demand. *)
-  mutable frozen : (string array * int array * int array) option;
+  mutable frozen : (vname array * int array * int array) option;
 }
 
 let create ?(name = "model") () =
@@ -30,10 +40,12 @@ let create ?(name = "model") () =
   }
 
 let name m = m.mname
+let text = function Text s -> s | Printer pp -> Format.asprintf "%t" pp
 
-let int_var m ~lb ~ub vname =
+let new_var m ~lb ~ub vname =
   if lb > ub then
-    invalid_arg (Printf.sprintf "Model.int_var %s: lb %d > ub %d" vname lb ub);
+    invalid_arg
+      (Printf.sprintf "Model.int_var %s: lb %d > ub %d" (text vname) lb ub);
   let v = m.count in
   m.vnames <- vname :: m.vnames;
   m.lbs <- lb :: m.lbs;
@@ -42,7 +54,9 @@ let int_var m ~lb ~ub vname =
   m.frozen <- None;
   v
 
-let bool_var m vname = int_var m ~lb:0 ~ub:1 vname
+let var m ~lb ~ub pp = new_var m ~lb ~ub (Printer pp)
+let int_var m ~lb ~ub s = new_var m ~lb ~ub (Text s)
+let bool_var m s = int_var m ~lb:0 ~ub:1 s
 let n_vars m = m.count
 
 let freeze m =
@@ -59,7 +73,7 @@ let freeze m =
 
 let var_name m v =
   let names, _, _ = freeze m in
-  names.(v)
+  text names.(v)
 
 let bounds m v =
   let _, lbs, ubs = freeze m in
@@ -77,13 +91,26 @@ let upper_bounds m =
   let _, _, ubs = freeze m in
   Array.copy ubs
 
+(* The variables keep their name sources: the new model shares the list
+   and formats nothing. *)
+let with_bounds m ~name ~lb ~ub =
+  if Array.length lb <> m.count || Array.length ub <> m.count then
+    invalid_arg "Model.with_bounds: bound vectors do not match the variables";
+  {
+    (create ~name ()) with
+    vnames = m.vnames;
+    lbs = Array.fold_left (fun acc b -> b :: acc) [] lb;
+    ubs = Array.fold_left (fun acc b -> b :: acc) [] ub;
+    count = m.count;
+    obj = m.obj;
+    frozen =
+      Option.map
+        (fun (names, _, _) -> (names, Array.copy lb, Array.copy ub))
+        m.frozen;
+  }
+
 let add m ?name expr sense rhs =
-  let cname =
-    match name with
-    | Some n -> n
-    | None -> Printf.sprintf "c%d" m.n_constrs
-  in
-  m.constrs <- { cname; expr; sense; rhs } :: m.constrs;
+  m.constrs <- { label = name; expr; sense; rhs } :: m.constrs;
   m.n_constrs <- m.n_constrs + 1
 
 let add_le m ?name expr rhs = add m ?name expr Le rhs
@@ -91,6 +118,12 @@ let add_ge m ?name expr rhs = add m ?name expr Ge rhs
 let add_eq m ?name expr rhs = add m ?name expr Eq rhs
 let n_constraints m = m.n_constrs
 let constraints m = Array.of_list (List.rev m.constrs)
+
+let constr_name i c =
+  match c.label with
+  | Some pp -> Format.asprintf "%t" pp
+  | None -> "c" ^ string_of_int i
+
 let set_objective m e = m.obj <- e
 let objective m = m.obj
 
@@ -116,13 +149,14 @@ let check m x =
   if Array.length x <> m.count then
     err "assignment has %d values for %d variables" (Array.length x) m.count
   else begin
+    let _, lbs, ubs = freeze m in
     for v = 0 to m.count - 1 do
-      let lb, ub = bounds m v in
-      if x.(v) < lb || x.(v) > ub then
-        err "%s = %d outside [%d, %d]" (var_name m v) x.(v) lb ub
+      if x.(v) < lbs.(v) || x.(v) > ubs.(v) then
+        err "%s = %d outside [%d, %d]" (var_name m v) x.(v) lbs.(v) ubs.(v)
     done;
-    List.iter
-      (fun c ->
+    (* newest row first, as the rows are stored *)
+    List.iteri
+      (fun j c ->
         let lhs = eval_expr c.expr x in
         let ok =
           match c.sense with
@@ -131,7 +165,9 @@ let check m x =
           | Eq -> lhs = c.rhs
         in
         if not ok then
-          err "%s violated: lhs = %d, rhs = %d" c.cname lhs c.rhs)
+          err "%s violated: lhs = %d, rhs = %d"
+            (constr_name (m.n_constrs - 1 - j) c)
+            lhs c.rhs)
       m.constrs
   end;
   match !errs with [] -> Ok () | e -> Error (List.rev e)

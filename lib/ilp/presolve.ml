@@ -25,7 +25,7 @@ let rows_of_model m =
   let n_rows = ref 0 and nnz = ref 0 in
   Array.iter
     (fun (c : Model.constr) ->
-      let len = List.length (Linexpr.terms c.Model.expr) in
+      let len = Linexpr.n_terms c.Model.expr in
       match c.Model.sense with
       | Model.Le | Model.Ge ->
           incr n_rows;
@@ -42,10 +42,10 @@ let rows_of_model m =
   let r = ref 0 and p = ref 0 in
   let emit sign terms rhs =
     row_rhs.(!r) <- rhs;
-    List.iter
-      (fun (a, v) ->
-        row_coef.(!p) <- sign * a;
-        row_var.(!p) <- v;
+    Linexpr.iter
+      (fun ~coef ~var ->
+        row_coef.(!p) <- sign * coef;
+        row_var.(!p) <- var;
         incr p)
       terms;
     incr r;
@@ -53,7 +53,7 @@ let rows_of_model m =
   in
   Array.iter
     (fun (c : Model.constr) ->
-      let terms = Linexpr.terms c.Model.expr in
+      let terms = c.Model.expr in
       match c.Model.sense with
       | Model.Le -> emit 1 terms c.Model.rhs
       | Model.Ge -> emit (-1) terms (-c.Model.rhs)
@@ -117,12 +117,7 @@ let tighten lb ub t =
 
 let run m =
   let n = Model.n_vars m in
-  let lb = Array.make n 0 and ub = Array.make n 0 in
-  for v = 0 to n - 1 do
-    let l, u = Model.bounds m v in
-    lb.(v) <- l;
-    ub.(v) <- u
-  done;
+  let lb = Model.lower_bounds m and ub = Model.upper_bounds m in
   let lb0 = Array.copy lb and ub0 = Array.copy ub in
   let t = rows_of_model m in
   let feasible = tighten lb ub t in
@@ -182,17 +177,18 @@ let analyze m =
 
 let strengthen m =
   let stats, lb, ub, t, keep = run m in
-  let m' = Model.create ~name:(Model.name m ^ "-presolved") () in
-  let n = Model.n_vars m in
-  for v = 0 to n - 1 do
-    let l, u =
-      if stats.infeasible then Model.bounds m v else (lb.(v), ub.(v))
-    in
-    ignore (Model.int_var m' ~lb:l ~ub:u (Model.var_name m v))
-  done;
+  let name = Model.name m ^ "-presolved" in
+  let m' =
+    if stats.infeasible then
+      Model.with_bounds m ~name ~lb:(Model.lower_bounds m)
+        ~ub:(Model.upper_bounds m)
+    else Model.with_bounds m ~name ~lb ~ub
+  in
   if stats.infeasible then
     (* explicit contradiction: 0 <= -1 *)
-    Model.add_le m' ~name:"infeasible" Linexpr.zero (-1)
+    Model.add_le m'
+      ~name:(fun f -> Format.pp_print_string f "infeasible")
+      Linexpr.zero (-1)
   else
     for i = 0 to t.n_rows - 1 do
       if keep.(i) then begin
@@ -203,7 +199,6 @@ let strengthen m =
         Model.add_le m' (Linexpr.of_list !terms) t.row_rhs.(i)
       end
     done;
-  Model.set_objective m' (Model.objective m);
   (m', stats)
 
 let pp_stats ppf s =

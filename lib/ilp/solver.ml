@@ -713,14 +713,16 @@ let append_learned s ~lbd =
    growth turns the O(1) hot path quadratic.  Reduction halves the
    database on overflow and lets the cap creep up MiniSat-style. *)
 (* Sized to the instance: 4x the variable count keeps tens of dives'
-   worth of nogoods live.  Smaller caps (n/8) measurably lengthen the
-   optimality proofs on the bench models — the delta walks get cheaper
-   but each dive re-derives refutations its predecessors already
-   learned; larger ones give marginally smaller trees at distinctly
-   worse wall clock.  With one walk per bound change, the tseng k=2
-   proof (median of 3, 2-vCPU VM) takes 1.28 s at 2x, 1.34 s at 4x,
-   1.69 s at 8x and 1.78 s at 16x: 2x and 4x are within noise, so 4x
-   stays the knee. *)
+   worth of nogoods live.  Judged by deterministic counts — nodes to
+   proof against learned-occurrence entries walked on bound changes —
+   4x is the knee.  At 2x the walks drop by 37-46% but every proof
+   grows: +1.5% / +6.9% / +5.7% nodes over the prove workload's 48
+   proofs at seeds 1 / 2 / 3 (12 relabeled copies each of the tseng,
+   paulin and iir3 references and tseng k=1), +7.5% on tseng k=2, +8.6%
+   on tseng k=3, +22% on iir3 k=3 and +24% on paulin k=4 — each dive
+   re-derives refutations its predecessors already learned.  At 8x the
+   trees shrink by at most 5% (tseng k=3 grows 1.2%) while the walks
+   grow by 43-99%. *)
 let max_learnts_init n = max 512 (4 * n)
 
 (* Drop the less active half of the learned database, protecting glue
@@ -1332,51 +1334,49 @@ let search_drive s root_mark =
 let build_search ~(options : options) ~started model =
   let n = Model.n_vars model in
   let lb = Model.lower_bounds model and ub = Model.upper_bounds model in
-  (* Normalize rows to Le, as (coefs, vars, rhs) triples in model order
-     (Eq splits into the positive row then the negated one). *)
-  let rev_rows = ref [] and n_rows = ref 0 in
+  (* Normalize rows to Le in model order (Eq splits into the positive row
+     then the negated one) and flatten them, objective cutoff row last,
+     into one CSR block: a counting pass sizes the arrays, a second fills
+     them straight from the model's expressions. *)
+  let constrs = Model.constraints model in
+  let n_rows = ref 0 and nnz = ref 0 in
   Array.iter
     (fun (c : Model.constr) ->
-      let terms = Array.of_list (Linexpr.terms c.Model.expr) in
-      let vars = Array.map snd terms in
-      let pos () = (Array.map fst terms, vars, c.Model.rhs) in
-      let neg () = (Array.map (fun (a, _) -> -a) terms, vars, -c.Model.rhs) in
-      match c.Model.sense with
-      | Model.Le ->
-          rev_rows := pos () :: !rev_rows;
-          incr n_rows
-      | Model.Ge ->
-          rev_rows := neg () :: !rev_rows;
-          incr n_rows
-      | Model.Eq ->
-          rev_rows := neg () :: pos () :: !rev_rows;
-          n_rows := !n_rows + 2)
-    (Model.constraints model);
-  let row_list = List.rev !rev_rows in
+      let copies =
+        match c.Model.sense with Model.Eq -> 2 | Model.Le | Model.Ge -> 1
+      in
+      n_rows := !n_rows + copies;
+      nnz := !nnz + (copies * Linexpr.n_terms c.Model.expr))
+    constrs;
   let n_rows = !n_rows in
   let obj_terms = Array.of_list (Linexpr.terms (Model.objective model)) in
   let has_obj_row = Array.length obj_terms > 0 in
-  (* Flatten the rows (objective cutoff row last) into one CSR block. *)
-  let nnz =
-    List.fold_left (fun acc (c, _, _) -> acc + Array.length c) 0 row_list
-    + Array.length obj_terms
-  in
+  let nnz = !nnz + Array.length obj_terms in
   let row_start = Array.make (n_rows + 2) 0 in
   let row_coef = Array.make (max nnz 1) 0 in
   let row_var = Array.make (max nnz 1) 0 in
   let row_rhs = Array.make (n_rows + 1) 0 in
-  let k = ref 0 in
-  List.iteri
-    (fun i (coefs, vars, rhs) ->
-      row_start.(i) <- !k;
-      row_rhs.(i) <- rhs;
-      Array.iteri
-        (fun t a ->
-          row_coef.(!k) <- a;
-          row_var.(!k) <- vars.(t);
-          incr k)
-        coefs)
-    row_list;
+  let r = ref 0 and k = ref 0 in
+  let emit sign (c : Model.constr) =
+    row_start.(!r) <- !k;
+    row_rhs.(!r) <- sign * c.Model.rhs;
+    Linexpr.iter
+      (fun ~coef ~var ->
+        row_coef.(!k) <- sign * coef;
+        row_var.(!k) <- var;
+        incr k)
+      c.Model.expr;
+    incr r
+  in
+  Array.iter
+    (fun (c : Model.constr) ->
+      match c.Model.sense with
+      | Model.Le -> emit 1 c
+      | Model.Ge -> emit (-1) c
+      | Model.Eq ->
+          emit 1 c;
+          emit (-1) c)
+    constrs;
   row_start.(n_rows) <- !k;
   row_rhs.(n_rows) <- max_int / 2;
   Array.iter
@@ -1387,43 +1387,35 @@ let build_search ~(options : options) ~started model =
     obj_terms;
   row_start.(n_rows + 1) <- !k;
   (* Occurrence lists over the ordinary rows, split by coefficient sign
-     and flattened to CSR: the pos/neg pairs drive the incremental
-     min-activity updates (and the enqueueing) on lower/upper bound
-     changes respectively. *)
-  let occ_all = Array.make (max n 1) [] in
-  for ri = n_rows - 1 downto 0 do
-    for t = row_start.(ri + 1) - 1 downto row_start.(ri) do
-      let v = row_var.(t) in
-      occ_all.(v) <- (ri, row_coef.(t)) :: occ_all.(v)
-    done
-  done;
-  let flatten_rows sel =
+     and laid out as CSR in row order: the pos/neg pairs drive the
+     incremental min-activity updates (and the enqueueing) on lower/upper
+     bound changes respectively.  Counted, then filled. *)
+  let occ_csr keep =
     let start = Array.make (n + 1) 0 in
-    let total = ref 0 in
-    for v = 0 to n - 1 do
-      total := !total + List.length (sel occ_all.(v))
+    for t = 0 to row_start.(n_rows) - 1 do
+      if keep row_coef.(t) then
+        start.(row_var.(t) + 1) <- start.(row_var.(t) + 1) + 1
     done;
-    let ri = Array.make (max !total 1) 0 in
-    let aa = Array.make (max !total 1) 0 in
-    let k = ref 0 in
     for v = 0 to n - 1 do
-      start.(v) <- !k;
-      List.iter
-        (fun (r, a) ->
-          ri.(!k) <- r;
-          aa.(!k) <- a;
-          incr k)
-        (sel occ_all.(v))
+      start.(v + 1) <- start.(v + 1) + start.(v)
     done;
-    start.(n) <- !k;
+    let ri = Array.make (max start.(n) 1) 0 in
+    let aa = Array.make (max start.(n) 1) 0 in
+    let next = Array.sub start 0 (max n 1) in
+    for row = 0 to n_rows - 1 do
+      for t = row_start.(row) to row_start.(row + 1) - 1 do
+        let a = row_coef.(t) and v = row_var.(t) in
+        if keep a then begin
+          ri.(next.(v)) <- row;
+          aa.(next.(v)) <- a;
+          next.(v) <- next.(v) + 1
+        end
+      done
+    done;
     (start, ri, aa)
   in
-  let occ_pos_start, occ_pos_ri, occ_pos_a =
-    flatten_rows (List.filter (fun (_, a) -> a > 0))
-  in
-  let occ_neg_start, occ_neg_ri, occ_neg_a =
-    flatten_rows (List.filter (fun (_, a) -> a < 0))
-  in
+  let occ_pos_start, occ_pos_ri, occ_pos_a = occ_csr (fun a -> a > 0) in
+  let occ_neg_start, occ_neg_ri, occ_neg_a = occ_csr (fun a -> a < 0) in
   let objc = Array.make (max n 1) 0 in
   Array.iter (fun (a, v) -> objc.(v) <- a) obj_terms;
   (* Initial min-activities from the root bounds; every later bound change

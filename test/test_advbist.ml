@@ -101,6 +101,27 @@ let test_lp_export_of_encoding () =
   let s = Ilp.Lp_format.to_string e.Advbist.Encoding.model in
   check_bool "exports" true (String.length s > 1000)
 
+(* Presolve rebuilds the model over the same variables: each keeps its
+   name, read through the name source it was built with. *)
+let test_presolve_keeps_names () =
+  List.iter
+    (fun k ->
+      let p = Option.get (Circuits.Suite.find "tseng") in
+      let n_regs = Dfg.Problem.min_registers p in
+      let e =
+        if k = 0 then Advbist.Encoding.build_reference p ~n_regs
+        else Advbist.Encoding.build p ~n_regs ~k
+      in
+      let m = e.Advbist.Encoding.model in
+      let m', _ = Ilp.Presolve.strengthen m in
+      check_int "same variables" (Ilp.Model.n_vars m) (Ilp.Model.n_vars m');
+      for v = 0 to Ilp.Model.n_vars m - 1 do
+        Alcotest.(check string)
+          (Printf.sprintf "k=%d variable %d" k v)
+          (Ilp.Model.var_name m v) (Ilp.Model.var_name m' v)
+      done)
+    [ 0; 1; 2 ]
+
 (* -- Warm-start vector --------------------------------------------------- *)
 
 let test_vector_of_plan_feasible () =
@@ -1080,6 +1101,74 @@ let test_bench_diff_flags_conflict_density () =
           (fun f -> contains_sub f.what "conflicts per node")
           (diff ~baseline ~current:baseline)))
 
+(* An unproved reference row is gated on its area summed over relabeled
+   copies: a worse area on the shipped labels alone only warns, a higher
+   total fails, and so does a missing total or one over other copies.
+   A proved reference keeps the exact-area gate. *)
+let test_bench_diff_relabeled_reference () =
+  let open Advbist.Bench_snapshot in
+  let committed = load_committed_snapshot () in
+  let totals =
+    { seeds = [ 1; 2; 3 ]; copies = 12; area_total = 50_000; measured_at = "a" }
+  in
+  let with_tseng t f =
+    {
+      t with
+      circuits =
+        List.map
+          (fun (c : circuit) -> if c.circuit = "tseng" then f c else c)
+          t.circuits;
+    }
+  in
+  let baseline =
+    with_tseng committed (fun c ->
+        { c with reference_optimal = false; reference_relabeled = Some totals })
+  in
+  let current ~bump relabeled =
+    with_tseng baseline (fun c ->
+        {
+          c with
+          reference_area = c.reference_area + bump;
+          reference_relabeled = relabeled;
+        })
+  in
+  let tseng_ref severity findings =
+    List.filter
+      (fun f -> f.circuit = "tseng" && f.k = None && f.severity = severity)
+      findings
+  in
+  let lower = Some { totals with area_total = 49_936; measured_at = "b" } in
+  let findings = diff ~baseline ~current:(current ~bump:64 lower) in
+  check_bool "single-path increase with a lower total passes" false
+    (has_failures findings);
+  check_int "single-path increase warns" 1
+    (List.length (tseng_ref Warn findings));
+  let fails ?(baseline = baseline) current =
+    List.length (tseng_ref Fail (diff ~baseline ~current))
+  in
+  let higher = Some { totals with area_total = 50_064 } in
+  check_int "higher total fails" 1 (fails (current ~bump:0 higher));
+  check_int "missing total fails" 1 (fails (current ~bump:0 None));
+  let other = Some { totals with seeds = [ 4 ] } in
+  check_int "total over other copies fails" 1 (fails (current ~bump:0 other));
+  let proved =
+    with_tseng baseline (fun c -> { c with reference_optimal = true })
+  in
+  let bumped =
+    with_tseng proved (fun c ->
+        { c with reference_area = c.reference_area + 64 })
+  in
+  check_int "proved reference keeps the exact gate" 1
+    (fails ~baseline:proved bumped);
+  match of_string (to_string (current ~bump:0 lower)) with
+  | Error msg -> Alcotest.failf "snapshot does not parse: %s" msg
+  | Ok t ->
+      check_bool "relabeled total round-trips" true
+        (List.exists
+           (fun (c : circuit) ->
+             c.circuit = "tseng" && c.reference_relabeled = lower)
+           t.circuits)
+
 let () =
   Alcotest.run "advbist"
     [
@@ -1118,6 +1207,8 @@ let () =
           Alcotest.test_case "symmetry fixing" `Quick
             test_encoding_symmetry_fixes_clique;
           Alcotest.test_case "lp export" `Quick test_lp_export_of_encoding;
+          Alcotest.test_case "presolve keeps names" `Quick
+            test_presolve_keeps_names;
         ] );
       ( "warm_start",
         [
@@ -1180,5 +1271,7 @@ let () =
             test_bench_snapshot_emits_empty_prune_shares;
           Alcotest.test_case "conflict density round-trips and warns" `Quick
             test_bench_diff_flags_conflict_density;
+          Alcotest.test_case "unproved reference gated on relabeled total"
+            `Quick test_bench_diff_relabeled_reference;
         ] );
     ]

@@ -62,6 +62,44 @@ let test_model_check () =
     (Result.is_error (Ilp.Model.check m [| 2; 0; 0 |]));
   check_int "objective" (-17) (Ilp.Model.objective_value m [| 1; 0; 1 |])
 
+(* Names are kept as printers and formatted only on demand: an unnamed
+   row still reads [c<i>] (its insertion index) in a violation message,
+   a named one its own name, and variable names read the same from the
+   string and the printer API. *)
+let test_model_check_names () =
+  let m = Ilp.Model.create () in
+  let x = Ilp.Model.bool_var m "x" in
+  let y = Ilp.Model.var m ~lb:0 ~ub:1 (fun f -> Format.fprintf f "y_%d" 7) in
+  Ilp.Model.add_le m (Ilp.Linexpr.of_list [ (1, x); (1, y) ]) 2;
+  Ilp.Model.add_le m (Ilp.Linexpr.of_list [ (1, x); (1, y) ]) 1;
+  Ilp.Model.add_ge m
+    ~name:(fun f -> Format.fprintf f "cover_%s" "xy")
+    (Ilp.Linexpr.of_list [ (1, x); (1, y) ])
+    1;
+  Ilp.Model.add_eq m (Ilp.Linexpr.var x) 0;
+  Alcotest.(check string) "string name" "x" (Ilp.Model.var_name m x);
+  Alcotest.(check string) "printer name" "y_7" (Ilp.Model.var_name m y);
+  let violations x =
+    match Ilp.Model.check m x with Ok () -> [] | Error msgs -> msgs
+  in
+  (* rows are checked newest first *)
+  Alcotest.(check (list string))
+    "unnamed rows read c<i>"
+    [ "c3 violated: lhs = 1, rhs = 0"; "c1 violated: lhs = 2, rhs = 1" ]
+    (violations [| 1; 1 |]);
+  Alcotest.(check (list string))
+    "named row"
+    [ "cover_xy violated: lhs = 0, rhs = 1" ]
+    (violations [| 0; 0 |]);
+  Alcotest.(check (list string))
+    "printer-named variable"
+    [ "y_7 = 2 outside [0, 1]"; "c1 violated: lhs = 2, rhs = 1" ]
+    (violations [| 0; 2 |]);
+  Alcotest.(check (list string))
+    "row names"
+    [ "c0"; "c1"; "cover_xy"; "c3" ]
+    (Array.to_list (Array.mapi Ilp.Model.constr_name (Ilp.Model.constraints m)))
+
 (* -- Branch & bound ------------------------------------------------------ *)
 
 let test_bb_knapsack () =
@@ -1356,7 +1394,11 @@ let () =
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_linexpr_of_list_matches_fold ] );
-      ("model", [ Alcotest.test_case "check" `Quick test_model_check ]);
+      ( "model",
+        [
+          Alcotest.test_case "check" `Quick test_model_check;
+          Alcotest.test_case "check names" `Quick test_model_check_names;
+        ] );
       ( "branch_bound",
         [
           Alcotest.test_case "knapsack" `Quick test_bb_knapsack;
