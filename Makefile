@@ -29,7 +29,8 @@ bench-json:
 # against the committed BENCH_solver.json.  Exits non-zero when any
 # (circuit, k) row's design area regressed or proven optimality was lost,
 # or when an unproved reference's area summed over its 36 relabeled
-# copies (solved here too, about 3 minutes) went up — its area on the
+# copies (solved here too, about 3 minutes) rose by more than the spread
+# between the baseline's three per-seed totals — its area on the
 # shipped labels alone is a single search path and only warns;
 # node-count (localized to the prune reason whose share moved) / waste /
 # gap / time / phase-share drift is reported as warnings.  The full report

@@ -411,33 +411,35 @@ let dirty_entries ~ignore_path =
 (* An unproved reference area is one search path's draw, so the diff
    gates it on the area summed over isomorphic relabeled copies of the
    circuit (perfbench's [Relabel]), each solved under the same node
-   budget: [copies] copies for each of [seeds].  [Error] when a copy
-   fails to relabel or to solve. *)
+   budget: [relabeled_copies] copies for each of [relabeled_seeds].
+   [Error] when a copy fails to relabel or to solve. *)
 let relabeled_seeds = [ 1; 2; 3 ]
 let relabeled_copies = 12
 
-let relabeled_total ~seeds ~copies name p =
+let relabeled_totals name p =
   let ( let* ) = Result.bind in
-  let rec sum acc = function
-    | [] -> Ok acc
-    | (seed, copy) :: rest ->
-        let* p' = Perfbench.Relabel.relabel ~seed ~copy ~name p in
-        let* r =
-          Advbist.Synth.reference ~node_limit:snapshot_node_limit ~jobs p'
-        in
-        sum (acc + r.Advbist.Synth.ref_area) rest
+  let rec sum acc copy seed =
+    if copy = relabeled_copies then Ok acc
+    else
+      let* p' = Perfbench.Relabel.relabel ~seed ~copy ~name p in
+      let* r =
+        Advbist.Synth.reference ~node_limit:snapshot_node_limit ~jobs p'
+      in
+      sum (acc + r.Advbist.Synth.ref_area) (copy + 1) seed
   in
-  let* area_total =
-    sum 0
-      (List.concat_map
-         (fun seed -> List.init copies (fun copy -> (seed, copy)))
-         seeds)
+  let rec per_seed = function
+    | [] -> Ok []
+    | seed :: rest ->
+        let* t = sum 0 0 seed in
+        let* ts = per_seed rest in
+        Ok (t :: ts)
   in
+  let* seed_totals = per_seed relabeled_seeds in
   Ok
     {
-      Advbist.Bench_snapshot.seeds;
-      copies;
-      area_total;
+      Advbist.Bench_snapshot.seeds = relabeled_seeds;
+      copies = relabeled_copies;
+      seed_totals;
       measured_at = git_commit ();
     }
 
@@ -448,11 +450,9 @@ let relabeled_total ~seeds ~copies name p =
    which would inflate the rows' [time_s] and deflate their throughput —
    the measured pass stays untraced and only the attribution percentages
    are read off the traced twin (joined by k; the node budget makes it
-   the same search; roughly doubles the run).  [relabel name ~optimal]
-   picks the relabeled copies (seeds, copies per seed) to total the
-   circuit's reference over, if any, given whether this run proved the
-   reference. *)
-let run_snapshot ~tag ~relabel () =
+   the same search; roughly doubles the run).  An unproved reference is
+   also totalled over relabeled copies ([relabeled_totals]). *)
+let run_snapshot ~tag () =
   let started = Unix.gettimeofday () in
   let circuits =
     List.filter_map
@@ -485,26 +485,22 @@ let run_snapshot ~tag ~relabel () =
               | Error _ -> []
             in
             let reference_relabeled =
-              match
-                relabel name ~optimal:reference.Advbist.Synth.ref_optimal
-              with
-              | None -> None
-              | Some (seeds, copies) -> (
-                  let t0 = Unix.gettimeofday () in
-                  match relabeled_total ~seeds ~copies name p with
-                  | Ok r ->
-                      Printf.printf
-                        "%s: %s reference over %d relabeled copies: %d \
-                         (%.1fs)\n%!"
-                        tag name
-                        (copies * List.length seeds)
-                        r.Advbist.Bench_snapshot.area_total
-                        (Unix.gettimeofday () -. t0);
-                      Some r
-                  | Error msg ->
-                      Printf.printf "%s: %s relabeled reference: %s\n" tag name
-                        msg;
-                      None)
+              if reference.Advbist.Synth.ref_optimal then None
+              else
+                let t0 = Unix.gettimeofday () in
+                match relabeled_totals name p with
+                | Ok r ->
+                    Printf.printf
+                      "%s: %s reference over %d relabeled copies: %d (%.1fs)\n%!"
+                      tag name
+                      (relabeled_copies * List.length relabeled_seeds)
+                      (Advbist.Bench_snapshot.relabeled_total r)
+                      (Unix.gettimeofday () -. t0);
+                    Some r
+                | Error msg ->
+                    Printf.printf "%s: %s relabeled reference: %s\n" tag name
+                      msg;
+                    None
             in
             Some
               {
@@ -602,10 +598,7 @@ let bench_json () =
         "Commit (or stash) first, or set ADVBIST_BENCH_ALLOW_DIRTY=1 to \
          override.\n%!";
       exit 1);
-  let relabel _name ~optimal =
-    if optimal then None else Some (relabeled_seeds, relabeled_copies)
-  in
-  write_snapshot (run_snapshot ~tag:"json" ~relabel ()) path;
+  write_snapshot (run_snapshot ~tag:"json" ()) path;
   Printf.printf "json: wrote %s\n" path
 
 (* CI smoke: the canonical provable instance (tseng k=1) must still prove
@@ -664,89 +657,64 @@ let smoke () =
   if not have_baseline && json_out = None then
     Printf.printf "smoke: no %s; skipping area-regression gate\n" snapshot_path
   else begin
-    let baseline =
-      if have_baseline then Some (Advbist.Bench_snapshot.of_file snapshot_path)
-      else None
-    in
-    (* total the references over the copies the baseline totalled *)
-    let relabel name ~optimal:_ =
-      match baseline with
-      | Some (Ok b) -> (
-          match
-            List.find_opt
-              (fun (c : Advbist.Bench_snapshot.circuit) ->
-                c.Advbist.Bench_snapshot.circuit = name)
-              b.Advbist.Bench_snapshot.circuits
-          with
-          | Some
-              {
-                Advbist.Bench_snapshot.reference_optimal = false;
-                reference_relabeled = Some r;
-                _;
-              } ->
-              let open Advbist.Bench_snapshot in
-              Some (r.seeds, r.copies)
-          | Some _ | None -> None)
-      | Some (Error _) | None -> None
-    in
-    let current = run_snapshot ~tag:"smoke" ~relabel () in
+    let current = run_snapshot ~tag:"smoke" () in
     (match json_out with
     | Some path ->
         write_snapshot current path;
         Printf.printf "smoke: wrote %s\n" path
     | None -> ());
-    match baseline with
-    | None -> ()
-    | Some (Error msg) ->
-        Printf.eprintf "smoke: cannot parse %s: %s\n" snapshot_path msg;
-        incr failures
-    | Some (Ok baseline) ->
-        List.iter
-          (fun (bc : Advbist.Bench_snapshot.circuit) ->
-            match
-              List.find_opt
-                (fun (cc : Advbist.Bench_snapshot.circuit) ->
-                  cc.Advbist.Bench_snapshot.circuit
-                  = bc.Advbist.Bench_snapshot.circuit)
-                current.Advbist.Bench_snapshot.circuits
-            with
-            | None ->
-                Printf.eprintf "smoke: %s sweep failed or disappeared\n"
-                  bc.Advbist.Bench_snapshot.circuit;
-                incr failures
-            | Some cc ->
-                List.iter
-                  (fun (br : Advbist.Bench_snapshot.row) ->
-                    match
-                      List.find_opt
-                        (fun (cr : Advbist.Bench_snapshot.row) ->
-                          cr.Advbist.Bench_snapshot.k
-                          = br.Advbist.Bench_snapshot.k)
-                        cc.Advbist.Bench_snapshot.rows
-                    with
-                    | None ->
-                        Printf.eprintf "smoke: %s k=%d row disappeared\n"
-                          bc.Advbist.Bench_snapshot.circuit
-                          br.Advbist.Bench_snapshot.k;
-                        incr failures
-                    | Some cr ->
-                        if
-                          cr.Advbist.Bench_snapshot.area
-                          > br.Advbist.Bench_snapshot.area
-                        then begin
-                          Printf.eprintf
-                            "smoke: AREA REGRESSION %s k=%d: %d > committed \
-                             %d\n"
+    if have_baseline then
+      match Advbist.Bench_snapshot.of_file snapshot_path with
+      | Error msg ->
+          Printf.eprintf "smoke: cannot parse %s: %s\n" snapshot_path msg;
+          incr failures
+      | Ok baseline ->
+          List.iter
+            (fun (bc : Advbist.Bench_snapshot.circuit) ->
+              match
+                List.find_opt
+                  (fun (cc : Advbist.Bench_snapshot.circuit) ->
+                    cc.Advbist.Bench_snapshot.circuit
+                    = bc.Advbist.Bench_snapshot.circuit)
+                  current.Advbist.Bench_snapshot.circuits
+              with
+              | None ->
+                  Printf.eprintf "smoke: %s sweep failed or disappeared\n"
+                    bc.Advbist.Bench_snapshot.circuit;
+                  incr failures
+              | Some cc ->
+                  List.iter
+                    (fun (br : Advbist.Bench_snapshot.row) ->
+                      match
+                        List.find_opt
+                          (fun (cr : Advbist.Bench_snapshot.row) ->
+                            cr.Advbist.Bench_snapshot.k
+                            = br.Advbist.Bench_snapshot.k)
+                          cc.Advbist.Bench_snapshot.rows
+                      with
+                      | None ->
+                          Printf.eprintf "smoke: %s k=%d row disappeared\n"
                             bc.Advbist.Bench_snapshot.circuit
-                            br.Advbist.Bench_snapshot.k
-                            cr.Advbist.Bench_snapshot.area
-                            br.Advbist.Bench_snapshot.area;
+                            br.Advbist.Bench_snapshot.k;
                           incr failures
-                        end)
-                  bc.Advbist.Bench_snapshot.rows;
-                Printf.printf "smoke: %s areas no worse than snapshot\n%!"
-                  bc.Advbist.Bench_snapshot.circuit)
-          baseline.Advbist.Bench_snapshot.circuits
+                      | Some cr ->
+                          if
+                            cr.Advbist.Bench_snapshot.area
+                            > br.Advbist.Bench_snapshot.area
+                          then begin
+                            Printf.eprintf
+                              "smoke: AREA REGRESSION %s k=%d: %d > committed \
+                               %d\n"
+                              bc.Advbist.Bench_snapshot.circuit
+                              br.Advbist.Bench_snapshot.k
+                              cr.Advbist.Bench_snapshot.area
+                              br.Advbist.Bench_snapshot.area;
+                            incr failures
+                          end)
+                    bc.Advbist.Bench_snapshot.rows;
+                  Printf.printf "smoke: %s areas no worse than snapshot\n%!"
+                    bc.Advbist.Bench_snapshot.circuit)
+            baseline.Advbist.Bench_snapshot.circuits
   end;
   if !failures > 0 then begin
     Printf.eprintf "smoke: FAILED (%d regression(s))\n" !failures;

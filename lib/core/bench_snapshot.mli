@@ -45,15 +45,21 @@ type row = {
 type relabeled = {
   seeds : int list;
   copies : int;  (** relabeled copies per seed, numbered from 0 *)
-  area_total : int;
-      (** reference area summed over every copy, each solved under the
-          snapshot's node budget *)
-  measured_at : string;  (** the commit the total was measured at *)
+  seed_totals : int list;
+      (** for each of [seeds], the reference area summed over its copies,
+          each solved under the snapshot's node budget *)
+  measured_at : string;  (** the commit the totals were measured at *)
 }
 (** A reference row's area over isomorphic relabeled copies of its
     circuit (perfbench's [Relabel.relabel ~seed ~copy]); the JSON object
-    [reference_relabeled] with keys [seeds], [copies], [area_total] and
+    [reference_relabeled] with keys [seeds], [copies], [seed_totals] and
     [commit]. *)
+
+val relabeled_total : relabeled -> int
+(** The area summed over every copy of every seed. *)
+
+val relabeled_spread : relabeled -> int
+(** The highest per-seed total minus the lowest. *)
 
 type circuit = {
   circuit : string;
@@ -102,10 +108,11 @@ val diff : baseline:t -> current:t -> finding list
     [Fail]: a row's design area increased, a row lost proven optimality
     (optimal [true] -> [false]), or a baseline circuit/row is missing
     from [current].  A reference row fails when its area increased,
-    except an unproved one whose baseline carries [reference_relabeled]:
-    that one fails when the relabeled total increased or is missing from
-    [current] (or was taken over other copies), and its own area
-    increase only warns.
+    except one that both snapshots leave unproved and whose baseline
+    carries [reference_relabeled]: that one fails when its relabeled
+    total rose by more than the baseline's {!relabeled_spread}, or is
+    missing from [current] (or was taken over other copies); a smaller
+    rise and its own area increase only warn.
 
     [Warn]: node count moved more than 20% in either direction (only on
     rows both snapshots prove optimal — on a budget-limited row the

@@ -9,13 +9,9 @@ type constr = {
   rhs : int;
 }
 
-(* A variable's name as given: a string from the string API, a printer
-   from [var]; neither is formatted until something reads it. *)
-type vname = Text of string | Printer of name
-
 type t = {
   mname : string;
-  mutable vnames : vname list;  (* reversed *)
+  mutable vnames : name list;  (* reversed *)
   mutable lbs : int list;  (* reversed *)
   mutable ubs : int list;  (* reversed *)
   mutable count : int;
@@ -23,7 +19,7 @@ type t = {
   mutable n_constrs : int;
   mutable obj : Linexpr.t;
   (* Caches rebuilt on demand. *)
-  mutable frozen : (vname array * int array * int array) option;
+  mutable frozen : (name array * int array * int array) option;
 }
 
 let create ?(name = "model") () =
@@ -40,22 +36,20 @@ let create ?(name = "model") () =
   }
 
 let name m = m.mname
-let text = function Text s -> s | Printer pp -> Format.asprintf "%t" pp
 
-let new_var m ~lb ~ub vname =
+let var m ~lb ~ub pp =
   if lb > ub then
     invalid_arg
-      (Printf.sprintf "Model.int_var %s: lb %d > ub %d" (text vname) lb ub);
+      (Format.asprintf "Model.int_var %t: lb %d > ub %d" pp lb ub);
   let v = m.count in
-  m.vnames <- vname :: m.vnames;
+  m.vnames <- pp :: m.vnames;
   m.lbs <- lb :: m.lbs;
   m.ubs <- ub :: m.ubs;
   m.count <- v + 1;
   m.frozen <- None;
   v
 
-let var m ~lb ~ub pp = new_var m ~lb ~ub (Printer pp)
-let int_var m ~lb ~ub s = new_var m ~lb ~ub (Text s)
+let int_var m ~lb ~ub s = var m ~lb ~ub (fun f -> Format.pp_print_string f s)
 let bool_var m s = int_var m ~lb:0 ~ub:1 s
 let n_vars m = m.count
 
@@ -73,7 +67,7 @@ let freeze m =
 
 let var_name m v =
   let names, _, _ = freeze m in
-  text names.(v)
+  Format.asprintf "%t" names.(v)
 
 let bounds m v =
   let _, lbs, ubs = freeze m in

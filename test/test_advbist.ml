@@ -1102,14 +1102,22 @@ let test_bench_diff_flags_conflict_density () =
           (diff ~baseline ~current:baseline)))
 
 (* An unproved reference row is gated on its area summed over relabeled
-   copies: a worse area on the shipped labels alone only warns, a higher
-   total fails, and so does a missing total or one over other copies.
-   A proved reference keeps the exact-area gate. *)
+   copies: a worse area on the shipped labels alone only warns, a total
+   that rose by more than the baseline's per-seed spread fails (a
+   smaller rise warns), and so does a missing total or one over other
+   copies.  A proved reference keeps the exact-area gate, also when only
+   the current snapshot proved it. *)
 let test_bench_diff_relabeled_reference () =
   let open Advbist.Bench_snapshot in
   let committed = load_committed_snapshot () in
+  (* total 50,000, per-seed spread 100 *)
   let totals =
-    { seeds = [ 1; 2; 3 ]; copies = 12; area_total = 50_000; measured_at = "a" }
+    {
+      seeds = [ 1; 2; 3 ];
+      copies = 12;
+      seed_totals = [ 16_600; 16_700; 16_700 ];
+      measured_at = "a";
+    }
   in
   let with_tseng t f =
     {
@@ -1137,7 +1145,8 @@ let test_bench_diff_relabeled_reference () =
       (fun f -> f.circuit = "tseng" && f.k = None && f.severity = severity)
       findings
   in
-  let lower = Some { totals with area_total = 49_936; measured_at = "b" } in
+  let with_totals ts = Some { totals with seed_totals = ts; measured_at = "b" } in
+  let lower = with_totals [ 16_536; 16_700; 16_700 ] in
   let findings = diff ~baseline ~current:(current ~bump:64 lower) in
   check_bool "single-path increase with a lower total passes" false
     (has_failures findings);
@@ -1146,11 +1155,21 @@ let test_bench_diff_relabeled_reference () =
   let fails ?(baseline = baseline) current =
     List.length (tseng_ref Fail (diff ~baseline ~current))
   in
-  let higher = Some { totals with area_total = 50_064 } in
-  check_int "higher total fails" 1 (fails (current ~bump:0 higher));
+  let within = current ~bump:0 (with_totals [ 16_664; 16_700; 16_700 ]) in
+  check_int "rise within the per-seed spread passes" 0 (fails within);
+  check_int "rise within the per-seed spread warns" 1
+    (List.length (tseng_ref Warn (diff ~baseline ~current:within)));
+  let higher = with_totals [ 16_728; 16_700; 16_700 ] in
+  check_int "rise past the per-seed spread fails" 1
+    (fails (current ~bump:0 higher));
   check_int "missing total fails" 1 (fails (current ~bump:0 None));
   let other = Some { totals with seeds = [ 4 ] } in
   check_int "total over other copies fails" 1 (fails (current ~bump:0 other));
+  let now_proved bump =
+    with_tseng (current ~bump None) (fun c -> { c with reference_optimal = true })
+  in
+  check_int "newly proved reference needs no total" 0 (fails (now_proved 0));
+  check_int "newly proved reference gates its area" 1 (fails (now_proved 64));
   let proved =
     with_tseng baseline (fun c -> { c with reference_optimal = true })
   in
