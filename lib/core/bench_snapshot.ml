@@ -301,8 +301,7 @@ let relabeled_total r = List.fold_left ( + ) 0 r.seed_totals
 let relabeled_spread r =
   match r.seed_totals with
   | [] -> 0
-  | t :: ts ->
-      List.fold_left max t ts - List.fold_left min t ts
+  | t :: ts -> List.fold_left max t ts - List.fold_left min t ts
 
 let circuit_of_json j =
   {

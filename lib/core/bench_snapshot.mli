@@ -58,9 +58,6 @@ type relabeled = {
 val relabeled_total : relabeled -> int
 (** The area summed over every copy of every seed. *)
 
-val relabeled_spread : relabeled -> int
-(** The highest per-seed total minus the lowest. *)
-
 type circuit = {
   circuit : string;
   reference_area : int;
@@ -110,9 +107,10 @@ val diff : baseline:t -> current:t -> finding list
     from [current].  A reference row fails when its area increased,
     except one that both snapshots leave unproved and whose baseline
     carries [reference_relabeled]: that one fails when its relabeled
-    total rose by more than the baseline's {!relabeled_spread}, or is
-    missing from [current] (or was taken over other copies); a smaller
-    rise and its own area increase only warn.
+    total rose by more than the spread between the baseline's highest
+    and lowest [seed_totals], or is missing from [current] (or was taken
+    over other copies); a smaller rise and its own area increase only
+    warn.
 
     [Warn]: node count moved more than 20% in either direction (only on
     rows both snapshots prove optimal — on a budget-limited row the
