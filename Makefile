@@ -23,11 +23,12 @@ bench-json:
 		dune exec bench/main.exe -- json
 
 # Bench regression diff: check that tseng k=1 proves optimal inside a 2 s
-# budget, run the smoke sweep under the snapshot's fixed per-solve node
-# budget (deterministic: the same areas on every run and machine), write
-# a fresh schema-v6 snapshot to _build/bench_smoke.json, then diff it
-# against the committed BENCH_solver.json.  Exits non-zero when any
-# (circuit, k) row's design area regressed or proven optimality was lost,
+# budget, run every committed sweep under the snapshot's fixed per-solve
+# node budget (deterministic: the same areas on every run and machine),
+# write a fresh schema-v6 snapshot to _build/bench_smoke.json, then diff
+# it against the committed BENCH_solver.json — the diff is the one area
+# gate.  Exits non-zero when a circuit or (circuit, k) row is missing,
+# when any row's design area regressed or proven optimality was lost,
 # or when an unproved reference's area summed over its 36 relabeled
 # copies (solved here too, about 3 minutes) rose by more than the spread
 # between the baseline's three per-seed totals — its area on the
@@ -67,7 +68,7 @@ learn-smoke:
 	grep -q '^parallel: 2 workers' $(CURDIR)/_build/learning_stats_j2.txt
 
 # End-to-end check of the standalone ILP solver: export tseng k=1 as a
-# CPLEX-LP file, solve it with `ilp_cli solve --stats` (about 3 s) and
+# CPLEX-LP file, solve it with `ilp_cli solve --stats` (about 0.5 s) and
 # keep the output in _build/ilp_smoke.txt.  Fails unless the solve
 # proves the known optimum: "status: optimal" and "objective: 1104".
 ilp-smoke:
@@ -106,11 +107,11 @@ perfbench-smoke:
 
 # Fast gate for every change: build, unit tests, the conflict-engine
 # smoke above, the ilp_cli end-to-end solve, then the bench smoke +
-# regression diff — the smoke asserts
-# the solver still proves tseng k=1 optimal at the 2 s budget and that no
-# (circuit, k) row's design area regressed vs the committed
-# BENCH_solver.json, and the diff report classifies every other drift
-# (a few minutes: it re-runs every committed sweep under the node budget).  The perf
+# regression diff — the smoke asserts the solver still proves tseng k=1
+# optimal at the 2 s budget and re-runs every committed sweep under the
+# node budget (a few minutes), and the diff fails on any (circuit, k)
+# row whose design area regressed vs the committed BENCH_solver.json and
+# classifies every other drift.  The perf
 # micro-rate rides along non-gating (`|| true` lives in the CI step, not
 # here, so interactive `make perf` still reports failures).  The
 # benchmark smoke checks that the explore workload still runs and every

@@ -5,7 +5,7 @@
      dune exec bench/main.exe -- tables       -- only the table regeneration
      dune exec bench/main.exe -- micro        -- only the Bechamel benches
      dune exec bench/main.exe -- json         -- solver perf -> BENCH_solver.json
-     dune exec bench/main.exe -- smoke        -- CI gate vs the committed snapshot
+     dune exec bench/main.exe -- smoke        -- tseng k=1 proof gate + fresh snapshot
      dune exec bench/main.exe -- diff A B     -- regression diff of two snapshots
      dune exec bench/main.exe -- perf         -- kernel micro-rate (non-gating)
 
@@ -602,122 +602,61 @@ let bench_json () =
   Printf.printf "json: wrote %s\n" path
 
 (* CI smoke: the canonical provable instance (tseng k=1) must still prove
-   optimality inside the wall budget, and no (circuit, k) row may produce
-   a worse design area than the committed BENCH_solver.json snapshot
-   under the same node budget ([snapshot_node_limit]).  Exit
-   status 1 on any regression, so a bounding-strength or warm-start
-   regression fails `make ci` fast.  With ADVBIST_BENCH_JSON_OUT set the
-   freshly measured sweep is also written as a snapshot — `make
-   bench-diff` feeds that to the [diff] arm for the full comparison.
-   With ADVBIST_BENCH_TRACE_OUT / ADVBIST_BENCH_EXPLAIN_OUT set, the
-   tseng k=1 run additionally leaves its JSONL search trace and the
-   Ilp.Replay post-mortem report behind as CI artifacts. *)
+   optimality inside the wall budget; exit status 1 otherwise.  With
+   ADVBIST_BENCH_JSON_OUT set, every committed sweep is then measured
+   under the snapshot's node budget ([snapshot_node_limit]) and written
+   there as a snapshot — `make bench-diff` feeds it to the [diff] arm,
+   which gates each (circuit, k) row's area against the committed
+   BENCH_solver.json.  With ADVBIST_BENCH_TRACE_OUT /
+   ADVBIST_BENCH_EXPLAIN_OUT set, the tseng k=1 run additionally leaves
+   its JSONL search trace and the Ilp.Replay post-mortem report behind as
+   CI artifacts. *)
 let smoke () =
-  let failures = ref 0 in
-  (match Circuits.Suite.find "tseng" with
-  | None ->
-      prerr_endline "smoke: tseng circuit missing";
-      exit 1
-  | Some p -> (
-      let trace_out = Sys.getenv_opt "ADVBIST_BENCH_TRACE_OUT" in
-      let explain_out = Sys.getenv_opt "ADVBIST_BENCH_EXPLAIN_OUT" in
-      let trace = Option.map Ilp.Trace.file trace_out in
-      let explain = explain_out <> None in
-      match Advbist.Synth.synthesize ~time_limit:budget ?trace ~explain p ~k:1 with
-      | Error msg ->
-          Printf.eprintf "smoke: tseng k=1 failed: %s\n" msg;
-          exit 1
-      | Ok o ->
-          Option.iter Ilp.Trace.close trace;
-          Option.iter
-            (fun path -> Printf.printf "smoke: wrote %s\n" path)
-            trace_out;
-          (match (explain_out, o.Advbist.Synth.explain) with
-          | Some path, Some report ->
-              let oc = open_out path in
-              let ppf = Format.formatter_of_out_channel oc in
-              Format.fprintf ppf "%a@?" Ilp.Replay.render_report report;
-              close_out oc;
-              Printf.printf "smoke: wrote %s\n" path
-          | Some path, None ->
-              Printf.eprintf "smoke: no explain report captured for %s\n" path
-          | None, _ -> ());
-          Printf.printf
-            "smoke: tseng k=1 area=%d optimal=%b nodes=%d time=%.3fs\n"
-            o.Advbist.Synth.area o.Advbist.Synth.optimal o.Advbist.Synth.nodes
-            o.Advbist.Synth.solve_time;
-          if not o.Advbist.Synth.optimal then begin
-            prerr_endline "smoke: FAILED - optimality not proven within budget";
-            incr failures
-          end));
-  (* per-row area regression gate vs the committed snapshot *)
-  let snapshot_path = "BENCH_solver.json" in
-  let json_out = Sys.getenv_opt "ADVBIST_BENCH_JSON_OUT" in
-  let have_baseline = Sys.file_exists snapshot_path in
-  if not have_baseline && json_out = None then
-    Printf.printf "smoke: no %s; skipping area-regression gate\n" snapshot_path
-  else begin
-    let current = run_snapshot ~tag:"smoke" () in
-    (match json_out with
-    | Some path ->
-        write_snapshot current path;
-        Printf.printf "smoke: wrote %s\n" path
-    | None -> ());
-    if have_baseline then
-      match Advbist.Bench_snapshot.of_file snapshot_path with
-      | Error msg ->
-          Printf.eprintf "smoke: cannot parse %s: %s\n" snapshot_path msg;
-          incr failures
-      | Ok baseline ->
-          List.iter
-            (fun (bc : Advbist.Bench_snapshot.circuit) ->
-              match
-                List.find_opt
-                  (fun (cc : Advbist.Bench_snapshot.circuit) ->
-                    cc.Advbist.Bench_snapshot.circuit
-                    = bc.Advbist.Bench_snapshot.circuit)
-                  current.Advbist.Bench_snapshot.circuits
-              with
-              | None ->
-                  Printf.eprintf "smoke: %s sweep failed or disappeared\n"
-                    bc.Advbist.Bench_snapshot.circuit;
-                  incr failures
-              | Some cc ->
-                  List.iter
-                    (fun (br : Advbist.Bench_snapshot.row) ->
-                      match
-                        List.find_opt
-                          (fun (cr : Advbist.Bench_snapshot.row) ->
-                            cr.Advbist.Bench_snapshot.k
-                            = br.Advbist.Bench_snapshot.k)
-                          cc.Advbist.Bench_snapshot.rows
-                      with
-                      | None ->
-                          Printf.eprintf "smoke: %s k=%d row disappeared\n"
-                            bc.Advbist.Bench_snapshot.circuit
-                            br.Advbist.Bench_snapshot.k;
-                          incr failures
-                      | Some cr ->
-                          if
-                            cr.Advbist.Bench_snapshot.area
-                            > br.Advbist.Bench_snapshot.area
-                          then begin
-                            Printf.eprintf
-                              "smoke: AREA REGRESSION %s k=%d: %d > committed \
-                               %d\n"
-                              bc.Advbist.Bench_snapshot.circuit
-                              br.Advbist.Bench_snapshot.k
-                              cr.Advbist.Bench_snapshot.area
-                              br.Advbist.Bench_snapshot.area;
-                            incr failures
-                          end)
-                    bc.Advbist.Bench_snapshot.rows;
-                  Printf.printf "smoke: %s areas no worse than snapshot\n%!"
-                    bc.Advbist.Bench_snapshot.circuit)
-            baseline.Advbist.Bench_snapshot.circuits
-  end;
-  if !failures > 0 then begin
-    Printf.eprintf "smoke: FAILED (%d regression(s))\n" !failures;
+  let proved =
+    match Circuits.Suite.find "tseng" with
+    | None ->
+        prerr_endline "smoke: tseng circuit missing";
+        exit 1
+    | Some p -> (
+        let trace_out = Sys.getenv_opt "ADVBIST_BENCH_TRACE_OUT" in
+        let explain_out = Sys.getenv_opt "ADVBIST_BENCH_EXPLAIN_OUT" in
+        let trace = Option.map Ilp.Trace.file trace_out in
+        let explain = explain_out <> None in
+        match
+          Advbist.Synth.synthesize ~time_limit:budget ?trace ~explain p ~k:1
+        with
+        | Error msg ->
+            Printf.eprintf "smoke: tseng k=1 failed: %s\n" msg;
+            exit 1
+        | Ok o ->
+            Option.iter Ilp.Trace.close trace;
+            Option.iter
+              (fun path -> Printf.printf "smoke: wrote %s\n" path)
+              trace_out;
+            (match (explain_out, o.Advbist.Synth.explain) with
+            | Some path, Some report ->
+                let oc = open_out path in
+                let ppf = Format.formatter_of_out_channel oc in
+                Format.fprintf ppf "%a@?" Ilp.Replay.render_report report;
+                close_out oc;
+                Printf.printf "smoke: wrote %s\n" path
+            | Some path, None ->
+                Printf.eprintf "smoke: no explain report captured for %s\n"
+                  path
+            | None, _ -> ());
+            Printf.printf
+              "smoke: tseng k=1 area=%d optimal=%b nodes=%d time=%.3fs\n"
+              o.Advbist.Synth.area o.Advbist.Synth.optimal
+              o.Advbist.Synth.nodes o.Advbist.Synth.solve_time;
+            o.Advbist.Synth.optimal)
+  in
+  Option.iter
+    (fun path ->
+      write_snapshot (run_snapshot ~tag:"smoke" ()) path;
+      Printf.printf "smoke: wrote %s\n" path)
+    (Sys.getenv_opt "ADVBIST_BENCH_JSON_OUT");
+  if not proved then begin
+    prerr_endline "smoke: FAILED - optimality not proven within budget";
     exit 1
   end
 

@@ -78,7 +78,6 @@ let solver_options ?time_limit ?node_limit ?trace encoding warm =
     trace;
     branch_order = Some (Encoding.branch_order encoding);
     warm_start = warm;
-    prefer_high = false;
   }
 
 (* Post-mortem capture: when [explain] is set the solve's trace is

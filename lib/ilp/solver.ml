@@ -14,7 +14,6 @@ type options = {
   time_limit : float option;
   node_limit : int option;
   branch_order : int list option;
-  prefer_high : bool;
   warm_start : int array option;
   incumbent_start : int array option;
   trace : Trace.sink option;
@@ -25,7 +24,6 @@ let default =
     time_limit = None;
     node_limit = None;
     branch_order = None;
-    prefer_high = true;
     warm_start = None;
     incumbent_start = None;
     trace = None;
@@ -125,7 +123,6 @@ type search = {
   mutable probe_hit : bool;  (* last probe_candidates landed a fixing *)
   mutable probe_miss : int;  (* consecutive probe calls without a fixing *)
   mutable probe_skip : int;  (* nodes left to skip before probing again *)
-  probe_depth : int;  (* deepest node level probing may fire at *)
   branch_seq : int array;
   seq_pos : int array;
       (* var -> index in [branch_seq] (a total permutation); lets [undo_to]
@@ -1234,9 +1231,8 @@ let rec dfs s depth ~var ~value =
   let c = s.incumbent_obj in
   if c < max_int && objective_min_activity s >= c then
     pruned s depth Trace.Cutoff (objective_min_activity s)
-  else if
-    depth > 0 && depth <= s.probe_depth && c < max_int && probe_prune s
-  then pruned s depth Trace.Probed max_int
+  else if depth > 0 && c < max_int && probe_prune s then
+    pruned s depth Trace.Probed max_int
   else branch s depth
 
 and branch s depth =
@@ -1256,7 +1252,7 @@ and branch s depth =
         s.decision_level <- depth
       in
       if hi - lo <= 8 then begin
-        (* enumerate values, hint (or preferred end) first — same order
+        (* enumerate values, hint first, then low to high — same order
            as [child_paths], with no list construction *)
         let hint =
           match s.value_hint with
@@ -1264,14 +1260,9 @@ and branch s depth =
           | Some _ | None -> min_int
         in
         if hint <> min_int then try_value hint;
-        if s.opts.prefer_high then
-          for value = hi downto lo do
-            if value <> hint then try_value value
-          done
-        else
-          for value = lo to hi do
-            if value <> hint then try_value value
-          done
+        for value = lo to hi do
+          if value <> hint then try_value value
+        done
       end
       else begin
         (* wide integer domain: bisect *)
@@ -1514,13 +1505,6 @@ let build_search ~(options : options) ~started model =
       probe_hit = false;
       probe_miss = 0;
       probe_skip = 0;
-      (* A probing trial's propagation cost grows with the row count while
-         the plain node cost barely moves, so the break-even shifts with
-         model size: small models can afford shaving at every node, large
-         ones only near subtree roots, where a successful prune discards
-         the most work. *)
-      probe_depth =
-        (if Model.n_constraints model <= 4096 then max_int else 8);
       branch_seq;
       seq_pos;
       branch_head = 0;
@@ -1645,12 +1629,11 @@ let reset_for_subtree s ~seed =
   s.max_learnts <- max_learnts_init s.n
 
 (* Child decisions of branching on [v], in exactly the order [branch]
-   would explore them (warm-start hint first, then the preferred end). *)
+   would explore them (warm-start hint first, then low to high). *)
 let child_paths s v =
   let lo = s.lb.(v) and hi = s.ub.(v) in
   if hi - lo <= 8 then begin
     let all = List.init (hi - lo + 1) (fun i -> lo + i) in
-    let all = if s.opts.prefer_high then List.rev all else all in
     let vals =
       match s.value_hint with
       | Some h when h.(v) >= lo && h.(v) <= hi ->

@@ -57,14 +57,13 @@ type options = {
           variables of this order, with the order as the final tie-break
           — so it fully decides the first descents, before any conflicts
           are recorded. *)
-  prefer_high : bool;  (** try the upper bound value first when branching *)
   warm_start : int array option;
       (** a (claimed) feasible assignment used as initial incumbent; it is
           checked and silently discarded if infeasible.  Also the source
           of the search's value hints: branching tries the hinted value
-          first and each probing trial tests the hinted endpoint (fixing
-          the other when it fails), so the warm start steers the whole
-          trajectory. *)
+          first (then the others from low to high) and each probing trial
+          tests the hinted endpoint (fixing the other when it fails), so
+          the warm start steers the whole trajectory. *)
   incumbent_start : int array option;
       (** a (claimed) feasible assignment installed as the initial
           incumbent when its objective beats [warm_start]'s — bound only:
@@ -83,7 +82,8 @@ type options = {
 }
 
 val default : options
-(** No limits, no order, prefer 1, no warm start, no trace. *)
+(** No limits, no order, no warm start, no trace.  Branching always tries
+    values from low to high after the warm-start hint. *)
 
 val solve : ?options:options -> ?jobs:int -> Model.t -> outcome
 (** The solver's one entry point.  Both searches share the root phase

@@ -302,24 +302,6 @@ let prop_bb_matches_brute_force =
           Option.get r.Ilp.Solver.objective = expect
       | Some _, (Ilp.Solver.Feasible | Ilp.Solver.Unknown) -> false)
 
-(* The bare LP-free search in the configuration synthesis runs
-   ([Synth] branches low value first): the other value order drives a
-   different trajectory of incumbents, cutoffs and learned nogoods, and
-   must land on the same brute-force optimum. *)
-let prop_bb_without_lp_matches =
-  QCheck2.Test.make ~name:"B&B without LP matches brute force" ~count:200
-    gen_small_model (fun spec ->
-      let m = build_model spec in
-      let opts = { Ilp.Solver.default with Ilp.Solver.prefer_high = false } in
-      let r = Ilp.Solver.solve ~options:opts m in
-      match (brute_force m, r.Ilp.Solver.status) with
-      | None, Ilp.Solver.Infeasible -> true
-      | None, _ -> false
-      | Some _, Ilp.Solver.Infeasible -> false
-      | Some expect, Ilp.Solver.Optimal ->
-          Option.get r.Ilp.Solver.objective = expect
-      | Some _, (Ilp.Solver.Feasible | Ilp.Solver.Unknown) -> false)
-
 (* -- Conflict learning --------------------------------------------------- *)
 
 (* Soundness of the 1-UIP derivation itself: every nogood alive at the end
@@ -1413,7 +1395,7 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_bb_matches_brute_force; prop_bb_without_lp_matches ] );
+          [ prop_bb_matches_brute_force ] );
       ( "lp_format",
         [
           Alcotest.test_case "render" `Quick test_lp_format;
