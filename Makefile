@@ -53,17 +53,23 @@ bench-diff:
 # bench_diff.txt, then again with the subtree search on two domains
 # (-j 2) into _build/learning_stats_j2.txt.  Fails unless each
 # "conflict engine:" line (for -j 2, the merge over both workers)
-# reports a nonzero learned count, and unless the -j 2 profile has its
-# "parallel: 2 workers" line; the other counters are trend material.
+# reports a nonzero learned count and a nonzero count of bound changes
+# made by re-asserting learned rows after a backtrack, and unless the
+# -j 2 profile has its "parallel: 2 workers" line; the other counters
+# are trend material.
 learn-smoke:
 	@mkdir -p $(CURDIR)/_build
 	dune exec bin/advbist_cli.exe -- synth -c tseng -k 2 -t 10 --stats 2>&1 \
 		| tee $(CURDIR)/_build/learning_stats.txt
 	grep -Eq '^conflict engine: [0-9]+ conflicts, [1-9][0-9]* learned' \
 		$(CURDIR)/_build/learning_stats.txt
+	grep -Eq '^conflict engine: .* [1-9][0-9]* reasserted' \
+		$(CURDIR)/_build/learning_stats.txt
 	dune exec bin/advbist_cli.exe -- synth -c tseng -k 2 -t 10 -j 2 --stats \
 		2>&1 | tee $(CURDIR)/_build/learning_stats_j2.txt
 	grep -Eq '^conflict engine: [0-9]+ conflicts, [1-9][0-9]* learned' \
+		$(CURDIR)/_build/learning_stats_j2.txt
+	grep -Eq '^conflict engine: .* [1-9][0-9]* reasserted' \
 		$(CURDIR)/_build/learning_stats_j2.txt
 	grep -q '^parallel: 2 workers' $(CURDIR)/_build/learning_stats_j2.txt
 

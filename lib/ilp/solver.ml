@@ -173,11 +173,33 @@ type search = {
   mutable learn_closed : bool;
       (* analysis derived the empty nogood: no solution beats the
          incumbent, the search is complete *)
+  mutable pend : int array;
+  mutable pend_len : int;
+      (* learned rows an undo may have left unit, for [reassert] *)
 }
 
 let now () = Unix.gettimeofday ()
 
 (* --- trail + incremental activities ------------------------------------ *)
+
+let grow_int_array a n fill =
+  let len = Array.length a in
+  if n <= len then a
+  else begin
+    let cap = ref (max 16 len) in
+    while !cap < n do
+      cap := 2 * !cap
+    done;
+    let b = Array.make !cap fill in
+    Array.blit a 0 b 0 len;
+    b
+  end
+
+let pend_push s r =
+  if s.pend_len = Array.length s.pend then
+    s.pend <- grow_int_array s.pend (s.pend_len + 1) 0;
+  Array.unsafe_set s.pend s.pend_len r;
+  s.pend_len <- s.pend_len + 1
 
 let trail_push s v old is_lb reason =
   let len = s.trail_len in
@@ -231,7 +253,9 @@ let enqueue_row s i =
    queued when it can still deduce: a static row once its slack drops
    below its [row_span] — a term tightens only when slack < |a| * (ub -
    lb), and no term's range exceeds the span — and a learned clause at
-   minact >= rhs.
+   minact >= rhs.  Undos instead collect, in [pend], the learned rows
+   still at minact >= rhs: such a row was violated before the undo and is
+   unit now, the case [reassert] exists for.
 
    Learned rows are invisible inside probing trials: the trial's bound
    moves and their undos are both bracketed by [no_stamp], so skipping
@@ -260,7 +284,8 @@ let apply_lb_delta s v delta enq =
       let r = Array.unsafe_get rows i in
       let m = Array.unsafe_get minact r + delta in
       Array.unsafe_set minact r m;
-      if enq && m >= Array.unsafe_get rhs r then enqueue_row s r
+      if m >= Array.unsafe_get rhs r then
+        if enq then enqueue_row s r else pend_push s r
     done
   end;
   let c = Array.unsafe_get s.objc v in
@@ -289,7 +314,8 @@ let apply_ub_delta s v delta enq =
       let r = Array.unsafe_get rows i in
       let m = Array.unsafe_get minact r - delta in
       Array.unsafe_set minact r m;
-      if enq && m >= Array.unsafe_get rhs r then enqueue_row s r
+      if m >= Array.unsafe_get rhs r then
+        if enq then enqueue_row s r else pend_push s r
     done
   end;
   let c = Array.unsafe_get s.objc v in
@@ -324,10 +350,16 @@ let set_ub s v value = set_ub_r s v value (-1)
 
 let mark s = s.trail_len
 
+(* Undoing a learned row's own implication leaves the row's min-activity
+   alone (the implied side is not the one the row reads), so the row is
+   collected here: one level up it may be unit again.  Probing trials
+   collect nothing — no learned row propagates inside one. *)
 let undo_to s m =
   while s.trail_len > m do
     let len = s.trail_len - 1 in
     s.trail_len <- len;
+    let r = Array.unsafe_get s.trail_reason len in
+    if r > s.n_rows then pend_push s r;
     let e = Array.unsafe_get s.trail_entry len in
     let old = Array.unsafe_get s.trail_old len in
     let v = e lsr 1 in
@@ -593,19 +625,6 @@ let cl_push s lit level =
   s.cl_level.(s.cl_len) <- level;
   s.cl_len <- s.cl_len + 1
 
-let grow_int_array a n fill =
-  let len = Array.length a in
-  if n <= len then a
-  else begin
-    let cap = ref (max 16 len) in
-    while !cap < n do
-      cap := 2 * !cap
-    done;
-    let b = Array.make !cap fill in
-    Array.blit a 0 b 0 len;
-    b
-  end
-
 let grow_float_array a n =
   let len = Array.length a in
   if n <= len then a
@@ -793,6 +812,15 @@ let reduce_db s =
       let r = s.trail_reason.(p) in
       if r > s.n_rows then s.trail_reason.(p) <- remap.(r - s.n_rows - 1)
     done;
+    let live = ref 0 in
+    for i = 0 to s.pend_len - 1 do
+      let r = remap.(s.pend.(i) - s.n_rows - 1) in
+      if r >= 0 then begin
+        s.pend.(!live) <- r;
+        incr live
+      end
+    done;
+    s.pend_len <- !live;
     s.stats.deleted <- s.stats.deleted + (m - !w);
     s.n_learned <- !w;
     (* Additive creep, not geometric: a bound change and its undo each
@@ -954,6 +982,40 @@ let learn_from_conflict s =
 let handle_conflict s =
   learn_from_conflict s;
   if s.n_learned > s.max_learnts then reduce_db s
+
+(* Re-assertion after chronological backtracking (Nadel & Ryvchin,
+   "Chronological Backtracking", SAT 2018).  The search backtracks one
+   level at a time, and a 1-UIP nogood that asserts below its conflict
+   level — or a learned row whose implication an undo removed — is unit
+   there, yet no undo queues it, so sibling subtrees would rerun into the
+   same conflict.  [pend] holds the rows [undo_to] saw in that state;
+   before each value a node re-asserts the ones still at minact >= rhs,
+   at the node's own decision level, which keeps the trail
+   level-monotone and the 1-UIP analysis unchanged.  [false]: the
+   re-assertion conflicted (analysed like any conflict), and the node is
+   closed. *)
+let reassert s =
+  let queued = ref false in
+  for i = 0 to s.pend_len - 1 do
+    let r = s.pend.(i) in
+    if s.row_minact.(r) >= s.row_rhs.(r) then begin
+      if not !queued then prop_enter s;
+      queued := true;
+      enqueue_row s r
+    end
+  done;
+  s.pend_len <- 0;
+  (not !queued)
+  ||
+  let t0 = s.trail_len in
+  let ok = prop_run s in
+  let st = s.stats in
+  st.reasserted <- st.reasserted + s.trail_len - t0;
+  if not ok then begin
+    st.reassert_closed <- st.reassert_closed + 1;
+    handle_conflict s
+  end;
+  ok
 
 (* --- bounding ---------------------------------------------------------- *)
 
@@ -1240,16 +1302,25 @@ and branch s depth =
   | None -> record_incumbent s
   | Some v ->
       let lo = s.lb.(v) and hi = s.ub.(v) in
-      let try_value value =
-        let m = mark s in
-        s.decision_level <- depth + 1;
-        prop_enter s;
-        set_lb s v value;
-        set_ub s v value;
-        if prop_run s then dfs s (depth + 1) ~var:v ~value
-        else handle_conflict s;
-        undo_to s m;
-        s.decision_level <- depth
+      (* The child [lo' <= v <= hi'] ([value] labels it in the trace),
+         skipped when re-assertion has excluded it; [false] once a
+         re-assertion has closed the node. *)
+      let try_range lo' hi' value =
+        reassert s
+        && begin
+             if max lo' s.lb.(v) <= min hi' s.ub.(v) then begin
+               let m = mark s in
+               s.decision_level <- depth + 1;
+               prop_enter s;
+               set_lb s v lo';
+               set_ub s v hi';
+               if prop_run s then dfs s (depth + 1) ~var:v ~value
+               else handle_conflict s;
+               undo_to s m;
+               s.decision_level <- depth
+             end;
+             true
+           end
       in
       if hi - lo <= 8 then begin
         (* enumerate values, hint first, then low to high — same order
@@ -1259,28 +1330,18 @@ and branch s depth =
           | Some h when h.(v) >= lo && h.(v) <= hi -> h.(v)
           | Some _ | None -> min_int
         in
-        if hint <> min_int then try_value hint;
-        for value = lo to hi do
-          if value <> hint then try_value value
+        let live = ref (hint = min_int || try_range hint hint hint) in
+        let value = ref lo in
+        while !live && !value <= hi do
+          if !value <> hint then live := try_range !value !value !value;
+          incr value
         done
       end
       else begin
         (* wide integer domain: bisect *)
         let mid = lo + ((hi - lo) / 2) in
-        let m = mark s in
-        s.decision_level <- depth + 1;
-        prop_enter s;
-        set_ub s v mid;
-        if prop_run s then dfs s (depth + 1) ~var:v ~value:mid
-        else handle_conflict s;
-        undo_to s m;
-        let m = mark s in
-        prop_enter s;
-        set_lb s v (mid + 1);
-        if prop_run s then dfs s (depth + 1) ~var:v ~value:(mid + 1)
-        else handle_conflict s;
-        undo_to s m;
-        s.decision_level <- depth
+        if try_range lo mid mid then
+          ignore (try_range (mid + 1) hi (mid + 1))
       end
 
 (* Dive from the root, re-diving after every root-asserting nogood.
@@ -1537,6 +1598,8 @@ let build_search ~(options : options) ~started model =
       max_learnts = max_learnts_init n;
       conflicts_total = 0;
       learn_closed = false;
+      pend = [||];
+      pend_len = 0;
     }
   in
   let install x =
@@ -1626,6 +1689,7 @@ let reset_for_subtree s ~seed =
   s.decision_level <- 0;
   s.conflicts_total <- 0;
   s.learn_closed <- false;
+  s.pend_len <- 0;
   s.max_learnts <- max_learnts_init s.n
 
 (* Child decisions of branching on [v], in exactly the order [branch]

@@ -28,6 +28,8 @@ type t = {
   mutable backjumps : int;  (* root-asserting conflicts that aborted the dive *)
   mutable backjump_depth : int;  (* sum of (conflict level - asserting level) *)
   mutable asserting : int;  (* nogoods [backjump_depth] sums over *)
+  mutable reasserted : int;  (* bound changes by re-asserted learned rows *)
+  mutable reassert_closed : int;  (* nodes a re-assertion conflict closed *)
   (* Probing (in-tree shaving + root shaving trials). *)
   mutable probe_calls : int;  (* probing steps actually run at a node *)
   mutable probe_skips : int;  (* nodes skipped by the backoff gate *)
@@ -76,6 +78,8 @@ let create () =
     backjumps = 0;
     backjump_depth = 0;
     asserting = 0;
+    reasserted = 0;
+    reassert_closed = 0;
     probe_calls = 0;
     probe_skips = 0;
     probe_trials = 0;
@@ -158,6 +162,8 @@ let merge a b =
     backjumps = a.backjumps + b.backjumps;
     backjump_depth = a.backjump_depth + b.backjump_depth;
     asserting = a.asserting + b.asserting;
+    reasserted = a.reasserted + b.reasserted;
+    reassert_closed = a.reassert_closed + b.reassert_closed;
     probe_calls = a.probe_calls + b.probe_calls;
     probe_skips = a.probe_skips + b.probe_skips;
     probe_trials = a.probe_trials + b.probe_trials;
@@ -203,10 +209,11 @@ let pp ?time_s ppf t =
   in
   fprintf ppf
     "@,conflict engine: %d conflicts, %d learned, %d deleted, %d oversize, \
-     mean size %.1f, avg backjump %.1f"
+     mean size %.1f, avg backjump %.1f, %d reasserted, %d reassert-closed"
     t.conflicts t.learned t.deleted t.oversize
     (mean t.nogood_lits (t.learned + t.oversize))
-    (mean t.backjump_depth t.asserting);
+    (mean t.backjump_depth t.asserting)
+    t.reasserted t.reassert_closed;
   fprintf ppf
     "@,probing: %d calls (%d hits, %d trials), %d skipped, %d backoffs"
     t.probe_calls t.probe_hits t.probe_trials t.probe_skips t.probe_backoffs;

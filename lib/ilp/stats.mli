@@ -52,6 +52,11 @@ type t = {
   mutable asserting : int;
       (** stored nogoods with a single literal at the conflict level: the
           nogoods [backjump_depth] sums over *)
+  mutable reasserted : int;
+      (** bound changes made by the fixpoints that re-assert learned rows
+          left unit by a backtrack, before a node's next value *)
+  mutable reassert_closed : int;
+      (** nodes whose remaining values a re-assertion conflict closed *)
   mutable probe_calls : int;
   mutable probe_skips : int;  (** nodes skipped by the backoff gate *)
   mutable probe_trials : int;  (** tentative endpoint propagations *)

@@ -713,14 +713,16 @@ let test_synthesis_runs_lp_free () =
   check_bool "tseng k=1 optimal" true o.Advbist.Synth.optimal;
   check_int "no LP resolves" 0 st.Ilp.Stats.lp_resolves;
   check_int "no LP pivots" 0 st.Ilp.Stats.lp_pivots;
-  check_int "nodes" 15_815 o.Advbist.Synth.nodes;
-  check_int "fixpoints" 125_685 st.Ilp.Stats.prop_fixpoints;
-  check_int "propagation conflicts" 21_703 st.Ilp.Stats.prop_conflicts;
-  check_int "analysed conflicts" 6_286 st.Ilp.Stats.conflicts;
-  check_int "learned" 3_478 st.Ilp.Stats.learned;
-  check_int "deleted" 2_511 st.Ilp.Stats.deleted;
-  check_int "oversize" 2_808 st.Ilp.Stats.oversize;
-  check_int "propagation ticks" 2_210_912 st.Ilp.Stats.prop_ticks
+  check_int "nodes" 11_706 o.Advbist.Synth.nodes;
+  check_int "fixpoints" 93_875 st.Ilp.Stats.prop_fixpoints;
+  check_int "propagation conflicts" 15_868 st.Ilp.Stats.prop_conflicts;
+  check_int "analysed conflicts" 4_751 st.Ilp.Stats.conflicts;
+  check_int "learned" 2_360 st.Ilp.Stats.learned;
+  check_int "deleted" 821 st.Ilp.Stats.deleted;
+  check_int "oversize" 2_391 st.Ilp.Stats.oversize;
+  check_int "propagation ticks" 1_580_055 st.Ilp.Stats.prop_ticks;
+  check_int "re-asserted" 31_046 st.Ilp.Stats.reasserted;
+  check_int "re-assertion closed" 758 st.Ilp.Stats.reassert_closed
 
 (* The explain post-mortem counts only the nogoods the solver stored:
    oversize nogoods are analyzed, traced and dropped, so on the pinned
@@ -741,7 +743,7 @@ let test_explain_learned_matches_stats () =
   check_bool "tseng k=1 optimal" true o.Advbist.Synth.optimal;
   check_int "replayed learned = Stats.learned" st.Ilp.Stats.learned
     rep.Ilp.Replay.learned;
-  check_int "learned" 3_478 rep.Ilp.Replay.learned;
+  check_int "learned" 2_360 rep.Ilp.Replay.learned;
   check_int "caller sink sees every event" rep.Ilp.Replay.events
     (List.length (Ilp.Trace.events sink));
   check_bool "asserting nogoods counted" true (st.Ilp.Stats.asserting > 0);

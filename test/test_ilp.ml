@@ -353,6 +353,51 @@ let prop_learned_rows_are_clauses =
                - 1)
         learned)
 
+(* A nogood that asserts three levels above its conflict.  Branching
+   a, b, c, d low first, a = d = 0 forces y1 = y2 = y3 = 1 against
+   y1 + y2 + y3 <= 2, while a = 0 alone propagates nothing: the first
+   conflict comes at level 4 (d) and its 1-UIP nogood a + d >= 1 asserts
+   d = 1 at level 1.  Undoing level 4 leaves that nogood unit, so d's
+   node and the nodes of c and b above it re-assert d = 1 before their
+   next value instead of branching into d = 0 again.  The optimum must
+   still be the brute-force one. *)
+let test_reassert_after_backtrack () =
+  let m = Ilp.Model.create ~name:"reassert" () in
+  let v name = Ilp.Model.bool_var m name in
+  let a = v "a" and b = v "b" and c = v "c" and d = v "d" in
+  let ys = List.map v [ "y1"; "y2"; "y3" ] in
+  List.iter
+    (fun y ->
+      Ilp.Model.add_ge m (Ilp.Linexpr.of_list [ (1, a); (1, d); (1, y) ]) 1)
+    ys;
+  Ilp.Model.add_le m (Ilp.Linexpr.sum (List.map Ilp.Linexpr.var ys)) 2;
+  Ilp.Model.add_le m (Ilp.Linexpr.of_list [ (1, b); (1, c); (1, d) ]) 2;
+  Ilp.Model.set_objective m
+    (Ilp.Linexpr.of_list
+       ([ (3, a); (-1, b); (-1, c); (2, d) ] @ List.map (fun y -> (1, y)) ys));
+  let ring = Ilp.Trace.ring () in
+  let options =
+    {
+      Ilp.Solver.default with
+      Ilp.Solver.branch_order = Some [ a; b; c; d ];
+      trace = Some ring;
+    }
+  in
+  let r = Ilp.Solver.solve ~options m in
+  check_bool "a nogood asserts >= 2 levels above its conflict" true
+    (List.exists
+       (fun (_, e) ->
+         match e with
+         | Ilp.Trace.Conflict { depth; level; _ } ->
+             level >= 0 && depth - level >= 2
+         | _ -> false)
+       (Ilp.Trace.events ring));
+  check_bool "re-asserted literals" true
+    (r.Ilp.Solver.stats.Ilp.Stats.reasserted > 0);
+  check_bool "proved optimal" true (r.Ilp.Solver.status = Ilp.Solver.Optimal);
+  check_bool "optimum = brute force" true
+    (r.Ilp.Solver.objective = brute_force m)
+
 (* -- Presolve ------------------------------------------------------------- *)
 
 let test_presolve_detects_infeasible () =
@@ -1020,6 +1065,10 @@ let test_stats_parallel_jobs_invariant () =
     s4.Ilp.Stats.nogood_lits;
   check_int "asserting nogoods identical" s2.Ilp.Stats.asserting
     s4.Ilp.Stats.asserting;
+  check_int "re-asserted bound changes identical" s2.Ilp.Stats.reasserted
+    s4.Ilp.Stats.reasserted;
+  check_int "re-assertion closures identical" s2.Ilp.Stats.reassert_closed
+    s4.Ilp.Stats.reassert_closed;
   (* the root phase is counted once, by the main domain, however many
      workers replay it *)
   check_int "propagation fixpoints identical" s2.Ilp.Stats.prop_fixpoints
@@ -1053,18 +1102,20 @@ let test_stats_pp_conflict_line () =
   st.Ilp.Stats.backjumps <- 5;
   st.Ilp.Stats.backjump_depth <- 100;
   st.Ilp.Stats.asserting <- 25;
+  st.Ilp.Stats.reasserted <- 12;
+  st.Ilp.Stats.reassert_closed <- 3;
   let out = Format.asprintf "%a" (Ilp.Stats.pp ?time_s:None) st in
   check_bool "conflict-engine line renders the counters" true
     (contains out
        ~needle:
          "conflict engine: 40 conflicts, 31 learned, 7 deleted, 9 oversize, \
-          mean size 10.5, avg backjump 4.0");
+          mean size 10.5, avg backjump 4.0, 12 reasserted, 3 reassert-closed");
   let quiet = Format.asprintf "%a" (Ilp.Stats.pp ?time_s:None) (Ilp.Stats.create ()) in
   check_bool "zero conflicts renders the means as 0.0" true
     (contains quiet
        ~needle:
          "conflict engine: 0 conflicts, 0 learned, 0 deleted, 0 oversize, \
-          mean size 0.0, avg backjump 0.0")
+          mean size 0.0, avg backjump 0.0, 0 reasserted, 0 reassert-closed")
 
 (* Synthetic stats records with integer-valued floats, so float addition
    is exact and merge associativity can be checked with (=). *)
@@ -1100,6 +1151,8 @@ let mk_stats ints =
   st.Ilp.Stats.nogood_lits <- get 28;
   st.Ilp.Stats.prop_scans <- get 29;
   st.Ilp.Stats.asserting <- get 30;
+  st.Ilp.Stats.reasserted <- get 31;
+  st.Ilp.Stats.reassert_closed <- get 32;
   for d = 0 to get 17 mod 8 do
     Ilp.Stats.node st ~depth:d
   done;
@@ -1448,8 +1501,10 @@ let () =
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_stats_merge_commutative; prop_stats_merge_associative ] );
       ( "learning",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_learned_nogoods_implied; prop_learned_rows_are_clauses ] );
+        Alcotest.test_case "re-assert after backtrack" `Quick
+          test_reassert_after_backtrack
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_learned_nogoods_implied; prop_learned_rows_are_clauses ] );
       ( "trace",
         [
           Alcotest.test_case "ring sink" `Quick test_trace_ring;
