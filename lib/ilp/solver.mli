@@ -10,7 +10,10 @@
       to the row block, where the unchanged propagation kernel enforces
       it everywhere below the root.  A root-asserting nogood aborts the
       dive; the root re-propagation then fixes its variable for good (a
-      non-chronological backjump) and the search dives again.  In the
+      non-chronological backjump) and the search dives again.  A nogood
+      that asserts below its conflict level is re-asserted, once the
+      search has backtracked past that level, at each node before its
+      next value.  In the
       subtree search ([jobs >= 2]) the databases are subtree-local,
       preserving jobs-invariance,
     - a caller-supplied branching order and warm-start solution,

@@ -357,10 +357,10 @@ let prop_learned_rows_are_clauses =
    a, b, c, d low first, a = d = 0 forces y1 = y2 = y3 = 1 against
    y1 + y2 + y3 <= 2, while a = 0 alone propagates nothing: the first
    conflict comes at level 4 (d) and its 1-UIP nogood a + d >= 1 asserts
-   d = 1 at level 1.  Undoing level 4 leaves that nogood unit, so d's
-   node and the nodes of c and b above it re-assert d = 1 before their
-   next value instead of branching into d = 0 again.  The optimum must
-   still be the brute-force one. *)
+   d = 1 at level 1.  Undoing level 4 leaves that nogood unit, and it
+   stays unit up to level 1, so the nodes in between re-assert d = 1
+   before their next values instead of branching into d = 0 again.  The
+   optimum must still be the brute-force one. *)
 let test_reassert_after_backtrack () =
   let m = Ilp.Model.create ~name:"reassert" () in
   let v name = Ilp.Model.bool_var m name in
